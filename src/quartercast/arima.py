@@ -4,7 +4,9 @@ The estimator is deliberately lightweight: difference the series, subtract
 the sample mean when no differencing is applied, and minimize the sum of
 squared one-step residuals with a Nelder-Mead search started from a zero
 coefficient vector.  Order selection is an exhaustive grid search over a
-small seasonal grid, scored by AICc.
+small seasonal grid, scored by AICc.  Every order of every series in one
+call is searched in a single lockstep batch (``auto_select_many``), with
+the bits one scalar search per order would give.
 
 Conventions: the AR polynomial is 1 - phi_1 B - ... and the MA polynomial
 is 1 + theta_1 B + ... (R/statsmodels sign convention); the seasonal
@@ -16,10 +18,11 @@ residual count always equals the differenced length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ._optim import nelder_mead
+from ._optim import nelder_mead, nelder_mead_batch  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
 from .errors import InsufficientDataError, NonconvergenceError, ValidationError
 from .series import QuarterlySeries
 
@@ -35,6 +38,13 @@ _N_RESTARTS = 3
 _RESTART_SEED = 20090401  # fixed so refits are bit-reproducible
 
 _LOG_FLOOR = 1e-300
+
+# Optimizer runs searched at once in the lockstep batch, and points times
+# series length per objective evaluation inside it.  Fixed, not settings:
+# results do not depend on them, only time and memory do (see the README's
+# window-fit section).
+_BATCH_WIDTH = 256
+_EVAL_CELLS = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -156,15 +166,6 @@ def _combined_polys(phi, theta, sphi, stheta, s: int):
     return ar, ma
 
 
-def _admissible(phi, theta, sphi, stheta) -> bool:
-    return (
-        _ar_factor_stationary(phi)
-        and _ma_factor_invertible(theta)
-        and _ar_factor_stationary(sphi)
-        and _ma_factor_invertible(stheta)
-    )
-
-
 def _residuals_from_polys(z: list, ar: list, ma: list) -> list:
     """One-step residuals with zero pre-sample values on both sides.
 
@@ -200,66 +201,195 @@ def _residuals_from_polys(z: list, ar: list, ma: list) -> list:
     return list(x)
 
 
-def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
-    """Estimate the given order on the series by minimizing the CSS.
+@dataclass
+class _Differenced:
+    """One series differenced at one (d, D): the centered values the CSS fits."""
 
-    Raises InsufficientDataError when the differenced series is shorter
-    than the free parameter count plus three, and NonconvergenceError when
-    the optimizer cannot find an admissible coefficient vector.
-    """
-    y = series.to_array()
-    w = difference(y, order.d, order.D, order.s)
-    n_res = w.size
-    if n_res < order.n_free_params + 3:
-        raise InsufficientDataError(
-            f"order {order}: differenced length {n_res} < {order.n_free_params + 3}"
-        )
+    z: list
+    intercept: float | None
+    denom: float
 
-    intercept = float(np.mean(w)) if order.has_intercept else None
+
+def _difference_once(y, d: int, D: int, s: int):
+    """The _Differenced of y at (d, D), or the InsufficientDataError differencing raises."""
+    try:
+        w = difference(y, d, D, s)
+    except InsufficientDataError as exc:
+        return exc
+    intercept = float(np.mean(w)) if d + D == 0 else None
     z = (w - intercept if intercept is not None else w).tolist()
-
     scale = sum(v * v for v in z)
-    denom = scale if scale > 0.0 else 1.0
+    return _Differenced(z, intercept, scale if scale > 0.0 else 1.0)
 
-    if order.n_coeffs == 0:
-        coeffs = np.empty(0)
-    else:
 
-        def objective(xs):
-            phi, theta, sphi, stheta = _split_params(xs, order)
-            if not _admissible(phi, theta, sphi, stheta):
-                return np.inf
-            ar, ma = _combined_polys(phi, theta, sphi, stheta, order.s)
-            e = _residuals_from_polys(z, ar, ma)
-            return sum(v * v for v in e) / denom
+def _slots(order: ArimaOrder) -> list[int]:
+    """Where each of the order's coefficients sits in the kernel's fixed layout
+    (phi_1, phi_2, theta_1, theta_2, Phi_1, Theta_1)."""
+    return [0, 1][: order.p] + [2, 3][: order.q] + [4][: order.P] + [5][: order.Q]
 
-        coeffs = None
-        rng = np.random.default_rng(_RESTART_SEED)
-        x0 = [0.0] * order.n_coeffs
-        for attempt in range(1 + _N_RESTARTS):
-            # A spread-out starting simplex; a microscopic perturbation of a
-            # zero vector wastes iterations expanding.
-            simplex = [list(x0)]
-            for i in range(order.n_coeffs):
-                vertex = list(x0)
-                vertex[i] += 0.2
-                simplex.append(vertex)
-            best_x, best_fun, _ = nelder_mead(
-                objective,
-                x0,
-                initial_simplex=simplex,
-                maxiter=_MAX_ITER,
-                xatol=1e-3,
-                fatol=_CSS_TOL,
-            )
-            if np.isfinite(best_fun):
-                coeffs = best_x
-                break
-            x0 = rng.uniform(-0.2, 0.2, size=order.n_coeffs).tolist()
-        if coeffs is None:
-            raise NonconvergenceError(f"order {order}: optimizer found no admissible point")
 
-    phi, theta, sphi, stheta = _split_params(list(coeffs), order)
+def _admissible_mask(c) -> np.ndarray:
+    """Which columns of c = (phi_1, phi_2, theta_1, theta_2, Phi_1, Theta_1) are admissible.
+
+    Admissible means every factor is stationary or invertible, the
+    conditions of _ar_factor_stationary and _ma_factor_invertible.  A
+    coefficient the order lacks is +0.0 here; the triangle test of a padded
+    factor then reduces to |phi_1| < 1 (or to True) with the same
+    comparisons, so the mask equals the scalar test bit for bit.
+    """
+    p1, p2, t1, t2, sp, st = c
+    q1, q2 = -t1, -t2
+    return (
+        (np.abs(p2) < 1.0) & (p1 + p2 < 1.0) & (p2 - p1 < 1.0)
+        & (np.abs(q2) < 1.0) & (q1 + q2 < 1.0) & (q2 - q1 < 1.0)
+        & (np.abs(sp) < 1.0) & (np.abs(-st) < 1.0)
+    )
+
+
+# Deepest lag of the combined polynomials: p + s*P = 2 + 4.  Lag 3 always
+# has a zero coefficient (p, q <= 2): the AR filter skips it and the MA
+# recursion keeps a row of zeros for it.
+_LAGS = 6
+
+
+class _CssObjective:
+    """The CSS objective of a batch of (differenced series, order) members, in numpy.
+
+    Each member's centered differenced series is front-padded with zeros to
+    the batch's longest, plus _LAGS more: exactly the zero pre-sample
+    conditioning of _residuals_from_polys.  Lag coefficients are built with
+    the same expressions as _combined_polys and the residual recursion adds
+    and subtracts lag terms in the same order.  Terms the scalar code omits
+    (pre-sample lags, lags beyond the order) are products with a zero
+    factor here; adding such a +-0.0 changes at most the sign of a zero, so
+    every squared residual, and the sequentially summed CSS, has the same
+    bits as the scalar objective's.
+    """
+
+    def __init__(self, diffs: list):
+        groups: dict[int, int] = {}
+        columns = []
+        for diffed in diffs:
+            if id(diffed) not in groups:
+                groups[id(diffed)] = len(columns)
+                columns.append(diffed.z)
+        self.T = max(len(z) for z in columns)
+        self.Z = np.zeros((_LAGS + self.T, len(columns)))
+        for g, z in enumerate(columns):
+            self.Z[_LAGS + self.T - len(z) :, g] = z
+        self.group = np.asarray([groups[id(diffed)] for diffed in diffs], dtype=np.intp)
+        self.denom = np.asarray([diffed.denom for diffed in diffs])
+        self.chunk = max(1, _EVAL_CELLS // self.T)
+        self.E = np.empty((_LAGS + self.T, self.chunk))
+        self.tmp = np.empty((self.T, self.chunk))
+        self.ma = np.zeros((_LAGS, self.chunk))
+        self.terms = np.empty((1 + _LAGS, self.chunk))
+
+    def __call__(self, members, X) -> np.ndarray:
+        out = np.empty(len(members))
+        # Overflow and inf - inf pass silently, as in Python float arithmetic.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(members), self.chunk):
+                out[lo : lo + self.chunk] = self._values(
+                    members[lo : lo + self.chunk], X[lo : lo + self.chunk]
+                )
+        return out
+
+    def _values(self, members, X) -> np.ndarray:
+        K = len(members)
+        c = X.T
+        out = np.full(K, np.inf)
+        ok = np.nonzero(_admissible_mask(c))[0]
+        if ok.size == 0:
+            return out
+        if ok.size < K:
+            c = c[:, ok]
+            members = members[ok]
+        p1, p2, t1, t2, sp, st = c
+        ar = ((-p1, 1), (-p2, 2), (0.0 - sp, 4), (p1 * sp, 5), (p2 * sp, 6))
+        n, T, L = ok.size, self.T, _LAGS
+        # MA coefficients of lags 1..6, one row each (lag 3 stays zero).
+        ma = self.ma[:, :n]
+        ma[0], ma[1], ma[3], ma[4], ma[5] = t1, t2, 0.0 + st, t1 * st, t2 * st
+
+        Zp = self.Z[:, self.group[members]]
+        E = self.E[:, :n]
+        tmp = self.tmp[:, :n]
+        E[:L] = 0.0
+        x = E[L:]
+        x[...] = Zp[L:]
+        for coef, lag in ar:
+            np.multiply(coef, Zp[L - lag : L - lag + T], out=tmp)
+            np.add(x, tmp, out=x)
+        # e_t = x_t - ma_1 e_{t-1} - ... - ma_6 e_{t-6}: the subtraction
+        # reduce over the stacked rows is a left fold, in lag order.
+        terms = self.terms[:, :n]
+        for t in range(L, L + T):
+            terms[0] = E[t]
+            np.multiply(ma, E[t - L : t][::-1], out=terms[1:])
+            np.subtract.reduce(terms, axis=0, out=E[t])
+        # The CSS adds the squares in sequence, as the scalar sum does
+        # (np.sum would add them pairwise).
+        np.multiply(x, x, out=tmp)
+        sse = tmp[0]
+        for t in range(1, T):
+            np.add(sse, tmp[t], out=sse)
+        out[ok] = sse / self.denom[members]
+        return out
+
+
+def _solve(diffs: list, orders: list) -> list:
+    """Coefficients minimizing each member's CSS, or None where no start found a finite value.
+
+    Member i fits orders[i] (at least one coefficient) to diffs[i].  The
+    members are searched in lockstep, _BATCH_WIDTH at a time, each in the
+    kernel's fixed six-slot layout with the slots its order lacks held at
+    zero; every simplex operation is per coordinate, so the layout does not
+    change a bit.  Each search starts from the zero vector with a 0.2 step
+    per axis; a member whose best value is not finite restarts from its own
+    seeded draws, exactly as a one-order fit would.
+    """
+    slots = {order: _slots(order) for order in set(orders)}
+    coeffs: list = [None] * len(orders)
+    pending = list(range(len(orders)))
+    for attempt in range(1 + _N_RESTARTS):
+        batch = [orders[i] for i in pending]
+        dims = np.asarray([o.n_coeffs for o in batch], dtype=np.intp)
+
+        def start(ids, batch=batch, attempt=attempt, n_vertices=1 + int(dims.max())):
+            simplexes = np.zeros((ids.size, n_vertices, 6))
+            for row, i in enumerate(ids.tolist()):
+                order_slots = slots[batch[i]]
+                k = len(order_slots)
+                if attempt:
+                    simplexes[row, : k + 1][:, order_slots] = _restart_starts(k)[attempt - 1]
+                simplexes[row, np.arange(1, k + 1), order_slots] += 0.2
+            return simplexes
+
+        best_x, best_f, _ = nelder_mead_batch(
+            _CssObjective([diffs[i] for i in pending]), start, dims,
+            maxiter=_MAX_ITER, xatol=1e-3, fatol=_CSS_TOL, width=_BATCH_WIDTH,
+        )
+        for i, x, fun in zip(pending, best_x, best_f):
+            if np.isfinite(fun):
+                coeffs[i] = x[slots[orders[i]]]
+        pending = [i for i in pending if coeffs[i] is None]
+        if not pending:
+            break
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def _restart_starts(n: int) -> tuple:
+    """The restart points of an n-coefficient fit: successive draws of one seeded stream."""
+    rng = np.random.default_rng(_RESTART_SEED)
+    return tuple(tuple(rng.uniform(-0.2, 0.2, size=n).tolist()) for _ in range(_N_RESTARTS))
+
+
+def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced, coeffs) -> ArimaFit:
+    z = diffed.z
+    n_res = len(z)
+    phi, theta, sphi, stheta = _split_params([float(v) for v in coeffs], order)
     ar, ma = _combined_polys(phi, theta, sphi, stheta, order.s)
     e = _residuals_from_polys(z, ar, ma)
     css = sum(v * v for v in e)
@@ -277,12 +407,70 @@ def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
         ma_coeffs=tuple(float(v) for v in theta),
         seasonal_ar=tuple(float(v) for v in sphi),
         seasonal_ma=tuple(float(v) for v in stheta),
-        intercept=intercept,
+        intercept=diffed.intercept,
         sigma2=sigma2,
         aicc=float(aicc),
         training_series=series,
         residuals=tuple(float(v) for v in e),
     )
+
+
+def _fit_tasks(jobs):
+    """Fit every order of each (series, orders) job by CSS.
+
+    Yields each (series, order) task's ArimaFit or error, jobs in order and
+    orders in order.  All optimizer runs are made, in one lockstep batch,
+    before the first yield, and each series is differenced once per
+    (d, D).  The errors are those a one-order fit raises:
+    InsufficientDataError when the differenced series is shorter than the
+    free parameter count plus three, and NonconvergenceError when the
+    optimizer finds no admissible coefficient vector.
+    """
+    jobs = list(jobs)
+    prepared = []
+    diffs, orders = [], []
+    for series, job_orders in jobs:
+        y = series.to_array()
+        differenced: dict = {}
+        for order in job_orders:
+            if (order.d, order.D) not in differenced:
+                differenced[order.d, order.D] = _difference_once(y, order.d, order.D, order.s)
+            diffed = differenced[order.d, order.D]
+            if not isinstance(diffed, Exception):
+                n_res = len(diffed.z)
+                if n_res < order.n_free_params + 3:
+                    diffed = InsufficientDataError(
+                        f"order {order}: differenced length {n_res} < {order.n_free_params + 3}"
+                    )
+                elif order.n_coeffs:
+                    diffs.append(diffed)
+                    orders.append(order)
+            prepared.append(diffed)
+    solved = iter(_solve(diffs, orders) if orders else ())
+    del diffs, orders
+    tasks = ((series, order) for series, job_orders in jobs for order in job_orders)
+    for (series, order), diffed in zip(tasks, prepared):
+        if isinstance(diffed, Exception):
+            yield diffed
+            continue
+        coeffs = next(solved) if order.n_coeffs else []
+        if coeffs is None:
+            yield NonconvergenceError(f"order {order}: optimizer found no admissible point")
+        else:
+            yield _build_fit(series, order, diffed, coeffs)
+
+
+def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
+    """Estimate the given order on the series by minimizing the CSS.
+
+    Raises InsufficientDataError when the differenced series is shorter
+    than the free parameter count plus three, and NonconvergenceError when
+    the optimizer cannot find an admissible coefficient vector.
+    """
+    (fit,) = _fit_tasks([(series, [order])])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def order_grid() -> list[ArimaOrder]:
@@ -298,25 +486,43 @@ def order_grid() -> list[ArimaOrder]:
     return grid
 
 
-def auto_select(series: QuarterlySeries) -> ArimaFit:
-    """Fit the whole order grid and return the lowest-AICc converged fit.
+def auto_select_many(series_list) -> list:
+    """Fit the whole order grid on every series in one lockstep batch.
 
-    Candidates whose data is insufficient after differencing are skipped;
-    ties resolve to the earlier order in (p,d,q,P,D,Q) lexicographic order.
+    Returns, per series, the lowest-AICc converged fit, or the exception
+    auto_select raises for it (InsufficientDataError below 10 points,
+    NonconvergenceError when no order converged).  Orders whose data is
+    insufficient after differencing are skipped; ties resolve to the
+    earlier order in (p,d,q,P,D,Q) lexicographic order.
     """
-    if len(series) < 10:
-        raise InsufficientDataError(f"auto selection needs >= 10 points, have {len(series)}")
-    best: ArimaFit | None = None
-    for order in order_grid():
-        try:
-            fit = fit_arima(series, order)
-        except (InsufficientDataError, NonconvergenceError):
+    grid = order_grid()
+    results: list = [None] * len(series_list)
+    fitted = []
+    for i, series in enumerate(series_list):
+        if len(series) < 10:
+            results[i] = InsufficientDataError(
+                f"auto selection needs >= 10 points, have {len(series)}"
+            )
+        else:
+            fitted.append(i)
+    owners = (i for i in fitted for _ in grid)
+    for i, fit in zip(owners, _fit_tasks((series_list[i], grid) for i in fitted)):
+        if isinstance(fit, Exception):
             continue
-        if best is None or fit.aicc < best.aicc:
-            best = fit
-    if best is None:
-        raise NonconvergenceError("no ARIMA candidate converged on this series")
-    return best
+        if results[i] is None or fit.aicc < results[i].aicc:
+            results[i] = fit
+    return [
+        NonconvergenceError("no ARIMA candidate converged on this series") if r is None else r
+        for r in results
+    ]
+
+
+def auto_select(series: QuarterlySeries) -> ArimaFit:
+    """Fit the whole order grid and return the lowest-AICc converged fit."""
+    (fit,) = auto_select_many([series])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def forecast_arima(fit: ArimaFit, h: int) -> np.ndarray:

@@ -14,12 +14,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import InsufficientDataError, NonconvergenceError, QuartercastError, ValidationError
 from .features import FeatureConfig, IndicatorConfig
 from .fiscal import parse_quarter, quarter_add
-from .forest import ForestParams
+from .forest import ForestParams, resolve_threads
 from .io import (
     load_expert_forecasts_csv,
     load_indicator_csv,
@@ -55,8 +56,26 @@ def _load_config(path: str | None) -> dict:
 def _parse_range(cfg: dict, key: str):
     if key not in cfg:
         raise ValidationError(f"config is missing {key!r}")
-    lo, hi = cfg[key]
+    value = cfg[key]
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValidationError(f"config {key!r} must be a [start, end] pair, got {value!r}")
+    lo, hi = value
     return parse_quarter(str(lo)), parse_quarter(str(hi))
+
+
+def _build(cls, section: str, settings: dict):
+    """cls(**settings), with unknown keys and bad values named as config errors."""
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(settings) - known)
+    if unknown:
+        raise ValidationError(
+            f"config section {section!r} has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"expected some of {', '.join(sorted(known))}"
+        )
+    try:
+        return cls(**settings)
+    except TypeError as exc:
+        raise ValidationError(f"config section {section!r}: {exc}") from None
 
 
 def _forest_params(cfg: dict, seed) -> ForestParams:
@@ -64,7 +83,8 @@ def _forest_params(cfg: dict, seed) -> ForestParams:
     if seed is None:
         raise ValidationError("models m2 and m3 require a seed")
     forest["seed"] = int(seed)
-    return ForestParams(**forest)
+    resolve_threads()  # reject a malformed QUARTERCAST_THREADS before any fitting
+    return _build(ForestParams, "forest", forest)
 
 
 def _feature_config(cfg: dict) -> FeatureConfig:
@@ -99,7 +119,7 @@ def _cmd_synth(args, cfg: dict) -> int:
         synth_cfg["seed"] = args.seed
     if "start" in synth_cfg:
         synth_cfg["start"] = parse_quarter(str(synth_cfg["start"]))
-    spec = SynthSpec(**synth_cfg)
+    spec = _build(SynthSpec, "synth", synth_cfg)
     dataset = generate_synthetic(spec)
     out = args.out or cfg.get("out")
     if out is None:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arima import auto_select, forecast_arima
-from .errors import InsufficientDataError, UnknownGeographyError, ValidationError
+from .arima import auto_select, auto_select_many, forecast_arima
+from .errors import InsufficientDataError, NonconvergenceError, UnknownGeographyError, ValidationError
 from .ets import auto_select_ets, forecast_ets
 from .fiscal import FiscalQuarter, quarter_add, quarter_diff, quarter_range
 from .metrics import yoy_growth
@@ -84,7 +84,11 @@ class FeatureRow:
 
 
 class ForecastCache:
-    """Memo of base-forecast vectors keyed on the exact window values."""
+    """Memo of each window's base forecasts, keyed on the exact window values.
+
+    An entry holds, for ARIMA, ETS and STL in that order, the forecasts for
+    horizons 1..MAX_HORIZON or the exception that model's fit raised.
+    """
 
     def __init__(self):
         self._store: dict = {}
@@ -99,22 +103,69 @@ class ForecastCache:
         return len(self._store)
 
 
-def _window_forecasts(window: QuarterlySeries, h_max: int, cache: ForecastCache | None):
-    key = (window.values, h_max)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    arima_fit = auto_select(window)
-    ets_fit = auto_select_ets(window)
-    out = (
-        tuple(float(v) for v in forecast_arima(arima_fit, h_max)),
-        tuple(float(v) for v in forecast_ets(ets_fit, h_max)),
-        tuple(float(v) for v in stlf_forecast(window, h_max)),
-    )
-    if cache is not None:
-        cache.put(key, out)
-    return out
+# The fit failures a cache entry records in place of forecasts.
+_FIT_ERRORS = (InsufficientDataError, NonconvergenceError)
+
+
+def _fit_or_error(fit, window):
+    try:
+        return fit(window)
+    except _FIT_ERRORS as exc:
+        return exc.with_traceback(None)
+
+
+def _forecasts(fit, forecast):
+    """The fit's forecasts for horizons 1..MAX_HORIZON, or the fit's error."""
+    if isinstance(fit, Exception):
+        return fit
+    return tuple(float(v) for v in forecast(fit, MAX_HORIZON))
+
+
+def _stl_forecasts(window: QuarterlySeries) -> tuple:
+    return tuple(float(v) for v in stlf_forecast(window, MAX_HORIZON))
+
+
+def fit_windows(windows, cache: ForecastCache | None = None) -> list:
+    """The cache entries of the windows, fitting every window not cached yet.
+
+    The ARIMA order grids of all uncached windows are fit in one lockstep
+    batch (``auto_select_many``); ETS and STL run window by window.  A
+    model whose fit fails is recorded as its exception: Model 1 drops that
+    candidate, a feature row raises it.  Returns the entries in the order
+    of ``windows``.
+    """
+    if cache is None:
+        cache = ForecastCache()
+    fresh: dict = {}
+    for window in windows:
+        if window.values not in fresh and cache.get(window.values) is None:
+            fresh[window.values] = window
+    fresh_windows = list(fresh.values())
+    for window, arima_fit in zip(fresh_windows, auto_select_many(fresh_windows)):
+        cache.put(
+            window.values,
+            (
+                _forecasts(arima_fit, forecast_arima),
+                _forecasts(_fit_or_error(auto_select_ets, window), forecast_ets),
+                _fit_or_error(_stl_forecasts, window),
+            ),
+        )
+    return [cache.get(window.values) for window in windows]
+
+
+def row_windows(dataset: Dataset, origins) -> list[QuarterlySeries]:
+    """The feature windows of (geo, origin) rows, skipping rows with too little history.
+
+    A skipped row raises InsufficientDataError when it is built, exactly as
+    it would without this listing.
+    """
+    windows = []
+    for geo, origin in origins:
+        try:
+            windows.append(dataset.series_for(geo).window(origin, WINDOW))
+        except InsufficientDataError:
+            continue
+    return windows
 
 
 def base_forecasts(
@@ -127,7 +178,11 @@ def base_forecasts(
     if not 1 <= h <= MAX_HORIZON:
         raise ValidationError(f"horizon must be in 1..{MAX_HORIZON}, got {h}")
     window = series.window(origin, WINDOW)
-    arima_v, ets_v, stl_v = _window_forecasts(window, MAX_HORIZON, cache)
+    entry = fit_windows([window], cache)[0]
+    for value in entry:  # the first model whose fit failed, as when fits ran here
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)
+    arima_v, ets_v, stl_v = entry
     return arima_v[h - 1], ets_v[h - 1], stl_v[h - 1]
 
 
@@ -208,6 +263,22 @@ def build_row(
     )
 
 
+def _training_origins(dataset: Dataset, train_range):
+    """(geo, horizon, origin) of every training row, in row order."""
+    first_target, last_target = train_range
+    for geo in dataset.series_ids():
+        for h in range(1, MAX_HORIZON + 1):
+            for target in quarter_range(first_target, last_target):
+                yield geo, h, quarter_add(target, -h)
+
+
+def training_windows(
+    dataset: Dataset, train_range: tuple[FiscalQuarter, FiscalQuarter]
+) -> list[QuarterlySeries]:
+    """The windows build_training_matrix fits for the range."""
+    return row_windows(dataset, ((geo, origin) for geo, _, origin in _training_origins(dataset, train_range)))
+
+
 def build_training_matrix(
     dataset: Dataset,
     train_range: tuple[FiscalQuarter, FiscalQuarter],
@@ -218,18 +289,16 @@ def build_training_matrix(
     first_target, last_target = train_range
     if last_target < first_target:
         raise ValidationError(f"training range end {last_target} precedes start {first_target}")
+    if cache is None:
+        cache = ForecastCache()
+    fit_windows(training_windows(dataset, train_range), cache)
     rows: list[FeatureRow] = []
     skipped = 0
-    for geo in dataset.series_ids():
-        for h in range(1, MAX_HORIZON + 1):
-            for target in quarter_range(first_target, last_target):
-                origin = quarter_add(target, -h)
-                try:
-                    rows.append(
-                        build_row(dataset, geo, origin, h, config, training=True, cache=cache)
-                    )
-                except InsufficientDataError:
-                    skipped += 1
+    for geo, h, origin in _training_origins(dataset, train_range):
+        try:
+            rows.append(build_row(dataset, geo, origin, h, config, training=True, cache=cache))
+        except InsufficientDataError:
+            skipped += 1
     if skipped:
         log.warning("skipped %d training rows with insufficient history", skipped)
     if not rows:
@@ -252,9 +321,11 @@ def extend_indicators(
     """Truncate indicators at ``known_through`` and extend them with forecasts.
 
     Mirrors the test-time protocol: indicator actuals after the training
-    period are treated as unavailable and replaced by ARIMA forecasts.
+    period are treated as unavailable and replaced by ARIMA forecasts.  The
+    ARIMA grids of all indicators that need extending are fit in one batch.
     """
     out: dict[tuple[str, str], QuarterlySeries] = {}
+    short = []
     for (geo, ind), series in dataset.indicators.items():
         enabled = any(
             cfg.indicator_id == ind and config.applies_to(cfg, geo) for cfg in config.indicators
@@ -263,10 +334,15 @@ def extend_indicators(
             continue
         cut = min(series.end, known_through)
         hist = series.truncated(cut)
+        out[(geo, ind)] = hist
         steps = quarter_diff(needed_through, hist.end)
         if steps > 0:
-            hist = hist.extended(forecast_indicator(hist, steps))
-        out[(geo, ind)] = hist
+            short.append(((geo, ind), steps))
+    fits = auto_select_many([out[key] for key, _ in short])
+    for (key, steps), fit in zip(short, fits):
+        if isinstance(fit, Exception):
+            raise fit
+        out[key] = out[key].extended(forecast_arima(fit, steps))
     return out
 
 

@@ -33,7 +33,10 @@ def resolve_threads(n_threads: int | None = None) -> int:
         return max(1, int(n_threads))
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

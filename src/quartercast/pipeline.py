@@ -33,8 +33,11 @@ from .features import (
     build_training_matrix,
     extend_indicators,
     feature_names,
+    fit_windows,
     row_vector,
+    row_windows,
     rows_to_matrix,
+    training_windows,
 )
 from .fiscal import FiscalQuarter, quarter_add, quarter_range
 from .forest import ForestParams, predict_forest, train_forest
@@ -63,37 +66,28 @@ class Model1Result:
     candidates: dict[str, Model1Candidate]
 
 
-def _candidate_base_forecasts(window: QuarterlySeries, cache: ForecastCache | None):
-    """h=1 forecasts of the three base models on one 14-quarter window.
+def _eval_quarters(origin: FiscalQuarter) -> list[FiscalQuarter]:
+    """The quarters of Model 1's trailing evaluation at origin, oldest first."""
+    return [quarter_add(origin, -k) for k in range(MODEL1_EVAL_QUARTERS - 1, -1, -1)]
 
-    Failed fits are recorded as None so the candidate drops out of both
-    the trailing evaluation and the selection.
+
+def _model1_windows(series: QuarterlySeries, origin: FiscalQuarter) -> list[QuarterlySeries]:
+    """The 14-quarter windows Model 1 fits at origin: one before each
+    evaluation quarter, then the one ending at origin.
+
+    Raises InsufficientDataError without 14 + 4 quarters of history.
     """
-    from .arima import auto_select, forecast_arima
-    from .ets import auto_select_ets, forecast_ets
-    from .stl import stlf_forecast
+    series.window(origin, MODEL1_WINDOW + MODEL1_EVAL_QUARTERS)  # history check
+    ends = [quarter_add(t, -1) for t in _eval_quarters(origin)] + [origin]
+    return [series.window(end, MODEL1_WINDOW) for end in ends]
 
-    key = ("m1", window.values)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    out = {}
-    try:
-        out["arima"] = float(forecast_arima(auto_select(window), 1)[0])
-    except (InsufficientDataError, NonconvergenceError):
-        out["arima"] = None
-    try:
-        out["ets"] = float(forecast_ets(auto_select_ets(window), 1)[0])
-    except (InsufficientDataError, NonconvergenceError):
-        out["ets"] = None
-    try:
-        out["stl"] = float(stlf_forecast(window, 1)[0])
-    except (InsufficientDataError, NonconvergenceError):
-        out["stl"] = None
-    if cache is not None:
-        cache.put(key, out)
-    return out
+
+def _one_step(entry) -> dict:
+    """h=1 forecast of each base model; None where its fit failed."""
+    return {
+        name: None if isinstance(value, Exception) else value[0]
+        for name, value in zip(("arima", "ets", "stl"), entry)
+    }
 
 
 def model1_forecast(
@@ -107,16 +101,15 @@ def model1_forecast(
     Needs 14 + 4 quarters of history ending at origin: each of the four
     most recent quarters is forecast out-of-sample from the 14-quarter
     window ending just before it, giving every candidate a realized
-    one-step MAPE over those quarters.
+    one-step MAPE over those quarters.  A base model whose fit fails drops
+    out of both the trailing evaluation and the selection.
     """
-    series.window(origin, MODEL1_WINDOW + MODEL1_EVAL_QUARTERS)  # history check
+    entries = fit_windows(_model1_windows(series, origin), cache)
 
-    eval_quarters = [quarter_add(origin, -k) for k in range(MODEL1_EVAL_QUARTERS - 1, -1, -1)]
     per_candidate: dict[str, list[tuple[float, float]]] = {name: [] for name in MODEL1_CANDIDATES}
     failed: set[str] = set()
-    for t in eval_quarters:
-        window = series.window(quarter_add(t, -1), MODEL1_WINDOW)
-        fcs = _candidate_base_forecasts(window, cache)
+    for t, entry in zip(_eval_quarters(origin), entries):
+        fcs = _one_step(entry)
         actual = series.value_at(t)
         for name in ("arima", "ets", "stl"):
             if fcs[name] is None:
@@ -128,7 +121,7 @@ def model1_forecast(
         else:
             per_candidate["average"].append((actual, (fcs["arima"] + fcs["ets"] + fcs["stl"]) / 3.0))
 
-    final = dict(_candidate_base_forecasts(series.window(origin, MODEL1_WINDOW), cache))
+    final = _one_step(entries[-1])
     for name in ("arima", "ets", "stl"):
         if final[name] is None:
             failed.add(name)
@@ -197,8 +190,20 @@ def model2_run(
     if cache is None:
         cache = ForecastCache()
 
-    train_rows = build_training_matrix(dataset, train_range, config, cache)
     ids = dataset.series_ids()
+    test_keys = [
+        (geo, origin, h)
+        for geo in ids
+        for origin in _test_origins(test_range)
+        for h in range(1, MAX_HORIZON + 1)
+        if quarter_add(origin, h) <= test_range[1]
+    ]
+    fit_windows(
+        training_windows(dataset, train_range)
+        + row_windows(dataset, ((geo, origin) for geo, origin, _ in test_keys)),
+        cache,
+    )
+    train_rows = build_training_matrix(dataset, train_range, config, cache)
     names = feature_names(ids, config)
     X, y = rows_to_matrix(train_rows, ids, config)
     forest = train_forest(X, y, forest_params, names, n_threads)
@@ -211,19 +216,14 @@ def model2_run(
 
     test_rows = []
     predictions: dict[tuple[str, FiscalQuarter, int], float] = {}
-    for geo in ids:
-        for origin in _test_origins(test_range):
-            for h in range(1, MAX_HORIZON + 1):
-                target = quarter_add(origin, h)
-                if target > test_range[1]:
-                    continue
-                row = build_row(
-                    dataset, geo, origin, h, config, training=False,
-                    indicator_series=indicator_series, cache=cache,
-                )
-                test_rows.append(row)
-                vec = row_vector(row, ids, config)
-                predictions[(geo, target, h)] = predict_forest(forest, vec)
+    for geo, origin, h in test_keys:
+        row = build_row(
+            dataset, geo, origin, h, config, training=False,
+            indicator_series=indicator_series, cache=cache,
+        )
+        test_rows.append(row)
+        vec = row_vector(row, ids, config)
+        predictions[(geo, row.target_quarter, h)] = predict_forest(forest, vec)
     return ModelRunResult(predictions, forest=forest, train_rows=train_rows, test_rows=test_rows)
 
 
@@ -261,8 +261,12 @@ def final_origin_forecasts(
         raise ValidationError("training range must be ordered and end within history")
     if cache is None:
         cache = ForecastCache()
-    train_rows = build_training_matrix(dataset, train_range, config, cache)
     ids = dataset.series_ids()
+    fit_windows(
+        training_windows(dataset, train_range) + row_windows(dataset, ((geo, origin) for geo in ids)),
+        cache,
+    )
+    train_rows = build_training_matrix(dataset, train_range, config, cache)
     names = feature_names(ids, config)
     X, y = rows_to_matrix(train_rows, ids, config)
     forest = train_forest(X, y, forest_params, names, n_threads)
@@ -391,15 +395,23 @@ def backtest(
                     predictions[(geo, target, h)] = float(oracle(geo, origin, h))
         horizons = tuple(range(1, MAX_HORIZON + 1))
     elif model == "m1":
+        keys = [
+            (geo, origin)
+            for geo in dataset.series_ids()
+            for origin in _test_origins(test_range)
+            if quarter_add(origin, 1) <= test_range[1]
+        ]
+        windows = []
+        for geo, origin in keys:
+            try:
+                windows += _model1_windows(dataset.series_for(geo), origin)
+            except InsufficientDataError:
+                continue  # model1_forecast raises it below
+        fit_windows(windows, cache)
         predictions = {}
-        for geo in dataset.series_ids():
-            series = dataset.series_for(geo)
-            for origin in _test_origins(test_range):
-                target = quarter_add(origin, 1)
-                if target > test_range[1]:
-                    continue
-                result = model1_forecast(series, origin, include_average, cache)
-                predictions[(geo, target, 1)] = result.forecast
+        for geo, origin in keys:
+            result = model1_forecast(dataset.series_for(geo), origin, include_average, cache)
+            predictions[(geo, quarter_add(origin, 1), 1)] = result.forecast
         horizons = (1,)
     elif model in ("m2", "m3"):
         if forest_params is None:

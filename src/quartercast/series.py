@@ -44,6 +44,11 @@ class QuarterlySeries:
     def __setattr__(self, name, value):
         raise AttributeError("QuarterlySeries is immutable")
 
+    def __reduce__(self):
+        # Pickle through the constructor: the default protocol would set
+        # the slots with setattr, which the guard above refuses.
+        return (QuarterlySeries, (self.id, self.start, self.values))
+
     @classmethod
     def from_points(cls, series_id: str, points: Iterable[tuple[FiscalQuarter, float]]) -> "QuarterlySeries":
         """Build from (quarter, value) pairs, validating contiguity."""
@@ -141,6 +146,9 @@ class Dataset:
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
+
+    def __reduce__(self):
+        return (Dataset, (self.revenue, self.total, self.indicators))
 
     @classmethod
     def build(

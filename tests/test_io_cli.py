@@ -471,3 +471,51 @@ class TestCli:
              "--out", str(tmp_path / "t.json")]
         )
         assert rc == 2
+
+
+class TestCliBadInputs:
+    """Malformed configuration and environment end in exit code 2 with a named input."""
+
+    def _backtest_config(self, tmp_path, **overrides):
+        rev = tmp_path / "rev.csv"
+        write_revenue_csv(generate_synthetic(SynthSpec(n_geos=1, n_quarters=24, seed=2)), rev)
+        cfg = {
+            "model": "m2",
+            "revenue_csv": str(rev),
+            "train_range": ["2012Q1", "2012Q4"],
+            "test_range": ["2013Q1", "2013Q4"],
+            "seed": 1,
+            "forest": {"n_trees": 2},
+        }
+        cfg.update(overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_unknown_synth_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"n_geos": 2, "n_geo": 3}}))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'synth'" in err and "'n_geo'" in err
+
+    def test_unknown_forest_key(self, tmp_path, capsys):
+        cfg = self._backtest_config(tmp_path, forest={"n_trees": 2, "trees": 5})
+        rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'forest'" in err and "'trees'" in err
+
+    def test_one_element_train_range(self, tmp_path, capsys):
+        cfg = self._backtest_config(tmp_path, train_range=["2012Q1"])
+        rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "'train_range'" in capsys.readouterr().err
+
+    def test_non_integer_thread_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QUARTERCAST_THREADS", "abc")
+        cfg = self._backtest_config(tmp_path)
+        rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "QUARTERCAST_THREADS" in capsys.readouterr().err

@@ -102,3 +102,22 @@ class TestDataset:
         revenue[TOTAL_ID] = QuarterlySeries(TOTAL_ID, START, [1.0] * 8)
         with pytest.raises(ValidationError):
             Dataset.build(revenue)
+
+
+def test_pickle_round_trip_keeps_values_and_guards():
+    import pickle
+
+    s = QuarterlySeries("x", START, [1.5, -0.0, 2.25])
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and back.values == s.values
+    with pytest.raises(AttributeError):
+        back.values = (3.0,)
+    a = QuarterlySeries("A", START, [1.0, 2.0, 3.0, 4.0])
+    ind = QuarterlySeries("ind", START, [5.0, 6.0, 7.0, 8.0])
+    ds = Dataset.build({"A": a}, indicators={("A", "ind"): ind})
+    ds_back = pickle.loads(pickle.dumps(ds))
+    assert ds_back.revenue == ds.revenue
+    assert ds_back.total == ds.total
+    assert ds_back.indicators == ds.indicators
+    with pytest.raises(AttributeError):
+        ds_back.total = a
