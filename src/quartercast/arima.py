@@ -27,6 +27,7 @@ from .errors import InsufficientDataError, NonconvergenceError, ValidationError
 from .series import QuarterlySeries
 
 SEASONAL_PERIOD = 4
+MAX_FORECAST_STEPS = 8
 
 # Bounds of the order grid; 14-16 quarterly observations cannot support more.
 MAX_P, MAX_D, MAX_Q = 2, 1, 2
@@ -527,8 +528,8 @@ def auto_select(series: QuarterlySeries) -> ArimaFit:
 
 def forecast_arima(fit: ArimaFit, h: int) -> np.ndarray:
     """Recursive point forecasts h steps ahead on the original scale."""
-    if not 1 <= h <= 8:
-        raise ValidationError(f"forecast horizon must be in 1..8, got {h}")
+    if not 1 <= h <= MAX_FORECAST_STEPS:
+        raise ValidationError(f"forecast horizon must be in 1..{MAX_FORECAST_STEPS}, got {h}")
     order = fit.order
     y = fit.training_series.to_array()
 

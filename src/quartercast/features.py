@@ -14,8 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arima import auto_select, auto_select_many, forecast_arima
-from .errors import InsufficientDataError, NonconvergenceError, UnknownGeographyError, ValidationError
+from .arima import MAX_FORECAST_STEPS, auto_select, auto_select_many, forecast_arima
+from .errors import (
+    InsufficientDataError,
+    MissingIndicatorError,
+    NonconvergenceError,
+    UnknownGeographyError,
+    ValidationError,
+)
 from .ets import auto_select_ets, forecast_ets
 from .fiscal import FiscalQuarter, quarter_add, quarter_diff, quarter_range
 from .metrics import yoy_growth
@@ -98,9 +104,6 @@ class ForecastCache:
 
     def put(self, key, value):
         self._store[key] = value
-
-    def __len__(self):
-        return len(self._store)
 
 
 # The fit failures a cache entry records in place of forecasts.
@@ -323,6 +326,8 @@ def extend_indicators(
     Mirrors the test-time protocol: indicator actuals after the training
     period are treated as unavailable and replaced by ARIMA forecasts.  The
     ARIMA grids of all indicators that need extending are fit in one batch.
+    An indicator that would need more than MAX_FORECAST_STEPS forecast
+    quarters raises MissingIndicatorError before any fit.
     """
     out: dict[tuple[str, str], QuarterlySeries] = {}
     short = []
@@ -336,6 +341,12 @@ def extend_indicators(
         hist = series.truncated(cut)
         out[(geo, ind)] = hist
         steps = quarter_diff(needed_through, hist.end)
+        if steps > MAX_FORECAST_STEPS:
+            raise MissingIndicatorError(
+                f"indicator {ind!r} for geography {geo!r} is known through {hist.end} but is "
+                f"needed through {needed_through}: {steps} quarters, more than the "
+                f"{MAX_FORECAST_STEPS} an ARIMA extension forecasts"
+            )
         if steps > 0:
             short.append(((geo, ind), steps))
     fits = auto_select_many([out[key] for key, _ in short])

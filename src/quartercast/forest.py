@@ -1,10 +1,11 @@
 """Bagged regression trees with per-tree seeded random streams.
 
 Each tree draws its bootstrap sample and feature subsets from a generator
-derived only from (seed, tree index), so parallel and sequential training
-produce bit-identical forests.  Splits minimize total child SSE over
-midpoint thresholds; ties break to the lowest feature index, then the
-lowest threshold.
+derived only from (seed, tree index), so a forest does not depend on the
+order or the worker its trees are built in.  Trees are built serially:
+under the interpreter lock, threads only slow the pure-Python growth down.
+Splits minimize total child SSE over midpoint thresholds; ties break to
+the lowest feature index, then the lowest threshold.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,7 +28,12 @@ FOREST_SCHEMA_VERSION = 1
 
 
 def resolve_threads(n_threads: int | None = None) -> int:
-    """Worker count: explicit argument, else QUARTERCAST_THREADS, else all cores."""
+    """Worker count: explicit argument, else QUARTERCAST_THREADS, else all cores.
+
+    No layer runs in parallel today, so the count changes nothing.  A
+    malformed QUARTERCAST_THREADS is still a ValidationError: the variable
+    is reserved as the worker bound of a window-fit process pool.
+    """
     if n_threads is not None:
         return max(1, int(n_threads))
     env = os.environ.get(THREADS_ENV_VAR)
@@ -225,7 +230,12 @@ def train_forest(
     feature_names: Sequence[str] | None = None,
     n_threads: int | None = None,
 ) -> Forest:
-    """Train a bagged forest; bit-identical output for any thread count."""
+    """Train a bagged forest, building its trees serially in index order.
+
+    ``n_threads`` is resolved (and a malformed QUARTERCAST_THREADS
+    rejected) but builds nothing in parallel; the forest is bit-identical
+    for every value.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
@@ -243,17 +253,11 @@ def train_forest(
     active = _active_features(X)
     mtry = _resolve_mtry(params, X.shape[1], len(active))
 
-    workers = resolve_threads(n_threads)
-
-    def build(i: int):
-        return _build_one(X, y, params, active, mtry, _tree_rng(params.seed, i))
-
-    indices = range(params.n_trees)
-    if workers == 1:
-        built = [build(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, indices))
+    resolve_threads(n_threads)
+    built = [
+        _build_one(X, y, params, active, mtry, _tree_rng(params.seed, i))
+        for i in range(params.n_trees)
+    ]
 
     n = y.size
     oob_sum = np.zeros(n)

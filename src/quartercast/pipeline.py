@@ -83,11 +83,17 @@ def _model1_windows(series: QuarterlySeries, origin: FiscalQuarter) -> list[Quar
 
 
 def _one_step(entry) -> dict:
-    """h=1 forecast of each base model; None where its fit failed."""
-    return {
+    """h=1 forecast of each Model-1 candidate; None where its fit failed
+    (for "average", where any base model's fit failed)."""
+    fcs = {
         name: None if isinstance(value, Exception) else value[0]
         for name, value in zip(("arima", "ets", "stl"), entry)
     }
+    if any(fc is None for fc in fcs.values()):
+        fcs["average"] = None
+    else:
+        fcs["average"] = (fcs["arima"] + fcs["ets"] + fcs["stl"]) / 3.0
+    return fcs
 
 
 def model1_forecast(
@@ -104,31 +110,10 @@ def model1_forecast(
     one-step MAPE over those quarters.  A base model whose fit fails drops
     out of both the trailing evaluation and the selection.
     """
-    entries = fit_windows(_model1_windows(series, origin), cache)
-
-    per_candidate: dict[str, list[tuple[float, float]]] = {name: [] for name in MODEL1_CANDIDATES}
-    failed: set[str] = set()
-    for t, entry in zip(_eval_quarters(origin), entries):
-        fcs = _one_step(entry)
-        actual = series.value_at(t)
-        for name in ("arima", "ets", "stl"):
-            if fcs[name] is None:
-                failed.add(name)
-            else:
-                per_candidate[name].append((actual, fcs[name]))
-        if any(fcs[name] is None for name in ("arima", "ets", "stl")):
-            failed.add("average")
-        else:
-            per_candidate["average"].append((actual, (fcs["arima"] + fcs["ets"] + fcs["stl"]) / 3.0))
-
-    final = _one_step(entries[-1])
-    for name in ("arima", "ets", "stl"):
-        if final[name] is None:
-            failed.add(name)
-    if any(final[name] is None for name in ("arima", "ets", "stl")):
-        failed.add("average")
-    else:
-        final["average"] = (final["arima"] + final["ets"] + final["stl"]) / 3.0
+    steps = [_one_step(entry) for entry in fit_windows(_model1_windows(series, origin), cache)]
+    actuals = [series.value_at(t) for t in _eval_quarters(origin)]
+    final = steps[-1]  # the window ending at origin; the others precede the actuals
+    failed = {name for step in steps for name in MODEL1_CANDIDATES if step[name] is None}
 
     allowed = MODEL1_CANDIDATES if include_average else MODEL1_CANDIDATES[:3]
     candidates: dict[str, Model1Candidate] = {}
@@ -136,7 +121,8 @@ def model1_forecast(
         if name in failed:
             continue
         candidates[name] = Model1Candidate(
-            forecast=float(final[name]), trailing_mape=mape(per_candidate[name])
+            forecast=float(final[name]),
+            trailing_mape=mape([(actual, step[name]) for actual, step in zip(actuals, steps)]),
         )
     if failed:
         log.warning("model 1 at %s: %d candidate(s) failed to fit", origin, len(failed))
@@ -171,9 +157,59 @@ def _validate_ranges(train_range, test_range):
         raise ValidationError("test range must start after the training range ends")
 
 
-def _test_origins(test_range) -> list[FiscalQuarter]:
+def _test_keys(dataset: Dataset, test_range, max_h: int) -> list[tuple[str, FiscalQuarter, int]]:
+    """(geo, origin, h) of every backtest forecast, h <= max_h, whose target is in the test range."""
     start, end = test_range
-    return quarter_range(quarter_add(start, -1), quarter_add(end, -1))
+    return [
+        (geo, origin, h)
+        for geo in dataset.series_ids()
+        for origin in quarter_range(quarter_add(start, -1), quarter_add(end, -1))
+        for h in range(1, max_h + 1)
+        if quarter_add(origin, h) <= end
+    ]
+
+
+def _forest_run(
+    dataset: Dataset,
+    train_range: tuple[FiscalQuarter, FiscalQuarter],
+    keys: list[tuple[str, FiscalQuarter, int]],
+    forest_params: ForestParams,
+    config: FeatureConfig,
+    cache: ForecastCache | None,
+    known_through: FiscalQuarter,
+    needed_through: FiscalQuarter,
+) -> ModelRunResult:
+    """Train one global forest on the training range and predict each (geo, origin, h) key.
+
+    Indicators are treated as unknown after ``known_through`` and extended
+    with ARIMA forecasts through ``needed_through`` for the predicted rows.
+    """
+    if cache is None:
+        cache = ForecastCache()
+    ids = dataset.series_ids()
+    fit_windows(
+        training_windows(dataset, train_range)
+        + row_windows(dataset, ((geo, origin) for geo, origin, _ in keys)),
+        cache,
+    )
+    train_rows = build_training_matrix(dataset, train_range, config, cache)
+    X, y = rows_to_matrix(train_rows, ids, config)
+    forest = train_forest(X, y, forest_params, feature_names(ids, config))
+
+    indicator_series = None
+    if config.indicators and config.macro_source == "indicator":
+        indicator_series = extend_indicators(dataset, config, known_through, needed_through)
+
+    test_rows = []
+    predictions: dict[tuple[str, FiscalQuarter, int], float] = {}
+    for geo, origin, h in keys:
+        row = build_row(
+            dataset, geo, origin, h, config, training=False,
+            indicator_series=indicator_series, cache=cache,
+        )
+        test_rows.append(row)
+        predictions[(geo, row.target_quarter, h)] = predict_forest(forest, row_vector(row, ids, config))
+    return ModelRunResult(predictions, forest=forest, train_rows=train_rows, test_rows=test_rows)
 
 
 def model2_run(
@@ -183,48 +219,13 @@ def model2_run(
     forest_params: ForestParams,
     config: FeatureConfig = FeatureConfig(),
     cache: ForecastCache | None = None,
-    n_threads: int | None = None,
 ) -> ModelRunResult:
     """Train one global forest on the training range, predict the test range."""
     _validate_ranges(train_range, test_range)
-    if cache is None:
-        cache = ForecastCache()
-
-    ids = dataset.series_ids()
-    test_keys = [
-        (geo, origin, h)
-        for geo in ids
-        for origin in _test_origins(test_range)
-        for h in range(1, MAX_HORIZON + 1)
-        if quarter_add(origin, h) <= test_range[1]
-    ]
-    fit_windows(
-        training_windows(dataset, train_range)
-        + row_windows(dataset, ((geo, origin) for geo, origin, _ in test_keys)),
-        cache,
+    return _forest_run(
+        dataset, train_range, _test_keys(dataset, test_range, MAX_HORIZON), forest_params, config,
+        cache, known_through=quarter_add(test_range[0], -1), needed_through=test_range[1],
     )
-    train_rows = build_training_matrix(dataset, train_range, config, cache)
-    names = feature_names(ids, config)
-    X, y = rows_to_matrix(train_rows, ids, config)
-    forest = train_forest(X, y, forest_params, names, n_threads)
-
-    indicator_series = None
-    if config.indicators and config.macro_source == "indicator":
-        indicator_series = extend_indicators(
-            dataset, config, known_through=quarter_add(test_range[0], -1), needed_through=test_range[1]
-        )
-
-    test_rows = []
-    predictions: dict[tuple[str, FiscalQuarter, int], float] = {}
-    for geo, origin, h in test_keys:
-        row = build_row(
-            dataset, geo, origin, h, config, training=False,
-            indicator_series=indicator_series, cache=cache,
-        )
-        test_rows.append(row)
-        vec = row_vector(row, ids, config)
-        predictions[(geo, row.target_quarter, h)] = predict_forest(forest, vec)
-    return ModelRunResult(predictions, forest=forest, train_rows=train_rows, test_rows=test_rows)
 
 
 def model3_run(
@@ -234,12 +235,11 @@ def model3_run(
     forest_params: ForestParams,
     config: FeatureConfig,
     cache: ForecastCache | None = None,
-    n_threads: int | None = None,
 ) -> ModelRunResult:
     """Model 2 with macro indicator features enabled."""
     if not config.indicators:
         raise ValidationError("model 3 requires at least one enabled indicator")
-    return model2_run(dataset, train_range, test_range, forest_params, config, cache, n_threads)
+    return model2_run(dataset, train_range, test_range, forest_params, config, cache)
 
 
 def final_origin_forecasts(
@@ -249,7 +249,6 @@ def final_origin_forecasts(
     config: FeatureConfig = FeatureConfig(),
     h_max: int = MAX_HORIZON,
     cache: ForecastCache | None = None,
-    n_threads: int | None = None,
 ) -> ModelRunResult:
     """True future forecasts: horizons 1..h_max from the last known quarter.
 
@@ -259,37 +258,11 @@ def final_origin_forecasts(
     origin = dataset.total.end
     if not train_range[0] <= train_range[1] <= origin:
         raise ValidationError("training range must be ordered and end within history")
-    if cache is None:
-        cache = ForecastCache()
-    ids = dataset.series_ids()
-    fit_windows(
-        training_windows(dataset, train_range) + row_windows(dataset, ((geo, origin) for geo in ids)),
-        cache,
+    keys = [(geo, origin, h) for geo in dataset.series_ids() for h in range(1, h_max + 1)]
+    return _forest_run(
+        dataset, train_range, keys, forest_params, config, cache,
+        known_through=origin, needed_through=quarter_add(origin, h_max),
     )
-    train_rows = build_training_matrix(dataset, train_range, config, cache)
-    names = feature_names(ids, config)
-    X, y = rows_to_matrix(train_rows, ids, config)
-    forest = train_forest(X, y, forest_params, names, n_threads)
-
-    indicator_series = None
-    if config.indicators and config.macro_source == "indicator":
-        indicator_series = extend_indicators(
-            dataset, config, known_through=origin, needed_through=quarter_add(origin, h_max)
-        )
-
-    test_rows = []
-    predictions: dict[tuple[str, FiscalQuarter, int], float] = {}
-    for geo in ids:
-        for h in range(1, h_max + 1):
-            row = build_row(
-                dataset, geo, origin, h, config, training=False,
-                indicator_series=indicator_series, cache=cache,
-            )
-            test_rows.append(row)
-            predictions[(geo, quarter_add(origin, h), h)] = predict_forest(
-                forest, row_vector(row, ids, config)
-            )
-    return ModelRunResult(predictions, forest=forest, train_rows=train_rows, test_rows=test_rows)
 
 
 @dataclass(frozen=True)
@@ -357,7 +330,6 @@ def backtest(
     include_average: bool = True,
     oracle=None,
     cache: ForecastCache | None = None,
-    n_threads: int | None = None,
 ) -> EvaluationReport:
     """Run one model over the test range and score per-horizon MAPE.
 
@@ -385,31 +357,22 @@ def backtest(
     )
 
     if oracle is not None:
-        predictions = {}
-        for geo in dataset.series_ids():
-            for origin in _test_origins(test_range):
-                for h in range(1, MAX_HORIZON + 1):
-                    target = quarter_add(origin, h)
-                    if target > test_range[1]:
-                        continue
-                    predictions[(geo, target, h)] = float(oracle(geo, origin, h))
+        predictions = {
+            (geo, quarter_add(origin, h), h): float(oracle(geo, origin, h))
+            for geo, origin, h in _test_keys(dataset, test_range, MAX_HORIZON)
+        }
         horizons = tuple(range(1, MAX_HORIZON + 1))
     elif model == "m1":
-        keys = [
-            (geo, origin)
-            for geo in dataset.series_ids()
-            for origin in _test_origins(test_range)
-            if quarter_add(origin, 1) <= test_range[1]
-        ]
+        keys = _test_keys(dataset, test_range, 1)
         windows = []
-        for geo, origin in keys:
+        for geo, origin, _ in keys:
             try:
                 windows += _model1_windows(dataset.series_for(geo), origin)
             except InsufficientDataError:
                 continue  # model1_forecast raises it below
         fit_windows(windows, cache)
         predictions = {}
-        for geo, origin in keys:
+        for geo, origin, _ in keys:
             result = model1_forecast(dataset.series_for(geo), origin, include_average, cache)
             predictions[(geo, quarter_add(origin, 1), 1)] = result.forecast
         horizons = (1,)
@@ -417,7 +380,7 @@ def backtest(
         if forest_params is None:
             raise ValidationError(f"model {model} requires forest parameters (and a seed)")
         run = (model2_run if model == "m2" else model3_run)(
-            dataset, train_range, test_range, forest_params, config, cache, n_threads
+            dataset, train_range, test_range, forest_params, config, cache
         )
         predictions = run.predictions
         horizons = tuple(range(1, MAX_HORIZON + 1))

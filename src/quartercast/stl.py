@@ -100,10 +100,8 @@ def _position_means(values: np.ndarray) -> np.ndarray:
     return means - np.mean(means)
 
 
-def stl_decompose(series: QuarterlySeries, seasonal_mode: str = "periodic") -> StlDecomposition:
-    """Split a series into trend + seasonal + remainder."""
-    if seasonal_mode != "periodic":
-        raise ValidationError(f"only the 'periodic' seasonal mode is supported, got {seasonal_mode!r}")
+def stl_decompose(series: QuarterlySeries) -> StlDecomposition:
+    """Split a series into trend + (periodic) seasonal + remainder."""
     y = series.to_array()
     n = y.size
     if n < 2 * PERIOD:

@@ -14,6 +14,7 @@ from quartercast import (
     base_forecasts,
     build_row,
     build_training_matrix,
+    extend_indicators,
     feature_names,
     forecast_indicator,
     macro_features,
@@ -215,6 +216,34 @@ class TestIndicatorForecast:
         ext = s.extended(forecast_indicator(s, 3))
         assert len(ext) == 23
         assert ext.end == quarter_add(START, 22)
+
+
+class TestExtendIndicators:
+    def _ragged(self, n_indicator):
+        rev = {"A": QuarterlySeries("A", START, [100.0 + i for i in range(24)])}
+        ind = {("A", "gdp"): QuarterlySeries("A", START, [50.0 + i for i in range(n_indicator)])}
+        return Dataset.build(rev, indicators=ind), FeatureConfig(indicators=(IndicatorConfig("gdp"),))
+
+    def test_gap_beyond_forecast_reach_names_the_indicator(self, monkeypatch):
+        import quartercast.features as features
+
+        def no_fit(series_list):
+            raise AssertionError("an ARIMA fit ran before the gap was reported")
+
+        monkeypatch.setattr(features, "auto_select_many", no_fit)
+        ds, cfg = self._ragged(12)  # ends 2011Q4, 12 quarters before 2014Q4
+        end = quarter_add(START, 23)
+        with pytest.raises(MissingIndicatorError) as err:
+            extend_indicators(ds, cfg, known_through=end, needed_through=end)
+        msg = str(err.value)
+        assert "'gdp'" in msg and "'A'" in msg and "2011Q4" in msg and "2014Q4" in msg
+
+    def test_gap_of_eight_is_forecast(self):
+        ds, cfg = self._ragged(12)
+        needed = quarter_add(START, 19)
+        out = extend_indicators(ds, cfg, known_through=needed, needed_through=needed)
+        assert out[("A", "gdp")].end == needed
+        assert out[("A", "gdp")].values[:12] == ds.indicator_for("A", "gdp").values
 
 
 class TestVectorization:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from quartercast import (
     CalendarUnderflowError,
@@ -77,3 +79,34 @@ def test_quarter_range():
     ]
     with pytest.raises(ValidationError):
         quarter_range(FiscalQuarter(2015, 2), FiscalQuarter(2014, 3))
+
+
+# The parser reads years of up to six digits.
+quarters = st.builds(FiscalQuarter, st.integers(1, 999_999), st.integers(1, 4))
+
+
+@given(quarters, st.integers(-10**6, 10**6))
+def test_diff_inverts_add_everywhere(q, k):
+    assume(q.index + k >= FiscalQuarter(1, 1).index)
+    assert quarter_diff(quarter_add(q, k), q) == k
+
+
+@given(quarters)
+def test_parse_inverts_str(q):
+    assert parse_quarter(str(q)) == q
+    assert parse_quarter(f"FY{q}") == q
+
+
+@given(quarters, st.integers(0, 200))
+def test_range_is_consecutive(start, d):
+    end = quarter_add(start, d)
+    qs = quarter_range(start, end)
+    assert len(qs) == quarter_diff(end, start) + 1
+    assert qs[0] == start and qs[-1] == end
+    assert all(quarter_diff(b, a) == 1 for a, b in zip(qs, qs[1:]))
+
+
+@given(quarters, st.integers(1, 10**6))
+def test_underflow_below_year_one(q, j):
+    with pytest.raises(CalendarUnderflowError):
+        quarter_add(q, FiscalQuarter(1, 1).index - q.index - j)  # j quarters before 1Q1

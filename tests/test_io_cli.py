@@ -519,3 +519,28 @@ class TestCliBadInputs:
         rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert rc == 2
         assert "QUARTERCAST_THREADS" in capsys.readouterr().err
+
+    def test_ragged_indicator(self, tmp_path, capsys):
+        ds = generate_synthetic(SynthSpec(n_geos=1, n_quarters=28, seed=8))
+        rev = tmp_path / "rev.csv"
+        write_revenue_csv(ds, rev)
+        last = FiscalQuarter(2013, 4)  # 12 quarters before 2016Q4, the last one forecast
+        ind = tmp_path / "ind.csv"
+        write_indicator_csv({k: s.truncated(last) for k, s in ds.indicators.items()}, ind)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "revenue_csv": str(rev),
+                    "indicators_csv": str(ind),
+                    "indicators": [{"id": "indicator"}],
+                    "train_range": ["2013Q1", "2013Q4"],
+                    "seed": 2,
+                    "forest": {"n_trees": 2},
+                }
+            )
+        )
+        rc = main(["forecast", "--config", str(cfg), "--model", "m3", "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'indicator'" in err and "2013Q4" in err and "2016Q4" in err

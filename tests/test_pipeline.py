@@ -18,7 +18,9 @@ from quartercast import (
     compare_expert,
     compare_horizons,
     compare_reports,
+    final_origin_forecasts,
     forecast_arima,
+    forecast_indicator,
     forecast_ets,
     mape,
     model1_forecast,
@@ -26,6 +28,7 @@ from quartercast import (
     parse_quarter,
     quarter_add,
     stlf_forecast,
+    yoy_growth,
 )
 from quartercast.pipeline import ApeDetail, EvaluationReport, HorizonCell
 
@@ -155,6 +158,27 @@ class TestModel3:
         from quartercast import MissingIndicatorError
 
         assert isinstance(err.value, MissingIndicatorError)
+
+
+class TestFinalOrigin:
+    def test_indicator_forecasts_from_the_end_of_history(self, small_dataset, small_ranges, small_cache):
+        train, _ = small_ranges
+        end = small_dataset.total.end
+        cfg = FeatureConfig(indicators=(IndicatorConfig("indicator"),))
+        run = final_origin_forecasts(
+            small_dataset, train, ForestParams(n_trees=20, seed=3), cfg, h_max=2, cache=small_cache
+        )
+        ids = small_dataset.series_ids()
+        assert list(run.predictions) == [(g, quarter_add(end, h), h) for g in ids for h in (1, 2)]
+        assert all(np.isfinite(v) for v in run.predictions.values())
+        for row in run.test_rows:
+            assert row.origin == end
+            hist = small_dataset.indicator_for(row.geo, "indicator").truncated(end)
+            extended = hist.extended(forecast_indicator(hist, 2))
+            macro = dict(row.macro)
+            assert row.target_quarter not in hist
+            assert macro["indicator_yoy_target"] == yoy_growth(extended, row.target_quarter)
+            assert macro["indicator_yoy_origin"] == yoy_growth(hist, end)
 
 
 class TestBacktest:

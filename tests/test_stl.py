@@ -94,10 +94,6 @@ class TestDecompose:
         with pytest.raises(InsufficientDataError):
             stl_decompose(QuarterlySeries("s", START, [1.0] * 7))
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            stl_decompose(QuarterlySeries("s", START, [1.0] * 8), seasonal_mode="loess")
-
 
 class TestForecast:
     def test_constant(self):
