@@ -14,6 +14,11 @@ import numpy as np
 
 _INF = float("inf")
 
+# Searches run at once in a fitting module's lockstep batch.  Fixed, not a
+# setting: results do not depend on it, only time and memory do (see the
+# README's window-fit section).
+BATCH_WIDTH = 256
+
 
 def nelder_mead(
     f,

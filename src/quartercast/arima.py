@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._optim import nelder_mead, nelder_mead_batch  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
+from ._optim import BATCH_WIDTH, nelder_mead, nelder_mead_batch  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
 from .errors import InsufficientDataError, NonconvergenceError, ValidationError
 from .series import QuarterlySeries
 
@@ -40,11 +40,9 @@ _RESTART_SEED = 20090401  # fixed so refits are bit-reproducible
 
 _LOG_FLOOR = 1e-300
 
-# Optimizer runs searched at once in the lockstep batch, and points times
-# series length per objective evaluation inside it.  Fixed, not settings:
-# results do not depend on them, only time and memory do (see the README's
-# window-fit section).
-_BATCH_WIDTH = 256
+# Points times series length per objective evaluation inside the lockstep
+# batch.  Fixed, not a setting: results do not depend on it, only time and
+# memory do (see the README's window-fit section).
 _EVAL_CELLS = 16 * 1024
 
 
@@ -343,7 +341,7 @@ def _solve(diffs: list, orders: list) -> list:
     """Coefficients minimizing each member's CSS, or None where no start found a finite value.
 
     Member i fits orders[i] (at least one coefficient) to diffs[i].  The
-    members are searched in lockstep, _BATCH_WIDTH at a time, each in the
+    members are searched in lockstep, BATCH_WIDTH at a time, each in the
     kernel's fixed six-slot layout with the slots its order lacks held at
     zero; every simplex operation is per coordinate, so the layout does not
     change a bit.  Each search starts from the zero vector with a 0.2 step
@@ -369,7 +367,7 @@ def _solve(diffs: list, orders: list) -> list:
 
         best_x, best_f, _ = nelder_mead_batch(
             _CssObjective([diffs[i] for i in pending]), start, dims,
-            maxiter=_MAX_ITER, xatol=1e-3, fatol=_CSS_TOL, width=_BATCH_WIDTH,
+            maxiter=_MAX_ITER, xatol=1e-3, fatol=_CSS_TOL, width=BATCH_WIDTH,
         )
         for i, x, fun in zip(pending, best_x, best_f):
             if np.isfinite(fun):

@@ -3,7 +3,10 @@
 Level, optional (possibly damped) additive trend, optional additive
 seasonal with period 4, additive errors.  Smoothing parameters and initial
 states are optimized jointly with Nelder-Mead on a standardized copy of
-the series; specification selection uses AICc.
+the series; specification selection uses AICc.  Every (series, spec) fit
+of one call is searched in a single lockstep batch
+(``auto_select_ets_many``), with the bits one scalar search per spec
+would give; ``fit_ets`` and ``auto_select_ets`` are one-task wrappers.
 
 Multiplicative variants are deliberately out: 14-16 positive observations
 cannot distinguish them from the additive forms, and the additive family
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import nelder_mead
+from ._optim import BATCH_WIDTH, nelder_mead, nelder_mead_batch  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
 from .errors import InsufficientDataError, ValidationError
 from .series import QuarterlySeries
 
@@ -28,6 +31,11 @@ SEASONAL_CHOICES = ("none", "additive")
 _ALPHA_LO, _ALPHA_HI = 1e-4, 0.9999
 _PHI_LO, _PHI_HI = 0.8, 0.98
 _LOG_FLOOR = 1e-300
+
+# Columns of a point in the lockstep batch: every spec's raw vector in
+# the scalar order, with the parameters and states it lacks held at 0.
+_ALPHA, _BETA, _PHI, _GAMMA, _LEVEL, _TREND, _SEASON = range(7)
+_N_COLUMNS = _SEASON + PERIOD - 1
 
 
 @dataclass(frozen=True)
@@ -154,12 +162,38 @@ def _initial_vector(z, spec: EtsSpec, fixed_alpha=None):
     return np.asarray(x0, dtype=float)
 
 
-def fit_ets(series: QuarterlySeries, spec: EtsSpec, fixed_alpha: float | None = None) -> EtsFit:
-    """Fit smoothing parameters and initial states by minimizing one-step SSE.
+def _columns(spec: EtsSpec, fixed_alpha) -> list[int]:
+    """The batch columns a spec searches, in the order of its scalar vector."""
+    cols = [] if fixed_alpha is not None else [_ALPHA]
+    if spec.has_trend:
+        cols.append(_BETA)
+    if spec.damped:
+        cols.append(_PHI)
+    if spec.has_seasonal:
+        cols.append(_GAMMA)
+    cols.append(_LEVEL)
+    if spec.has_trend:
+        cols.append(_TREND)
+    if spec.has_seasonal:
+        cols.extend(range(_SEASON, _SEASON + PERIOD - 1))
+    return cols
 
-    ``fixed_alpha`` pins the level smoothing weight (test hook for the
-    naive and no-update limits); everything else is still optimized.
-    """
+
+@dataclass(frozen=True)
+class _Job:
+    """One (series, spec) fit, standardized and ready for the batch."""
+
+    series: QuarterlySeries
+    spec: EtsSpec
+    fixed_alpha: float | None
+    mu: float
+    sigma: float
+    z: np.ndarray
+    cols: list
+    x0: np.ndarray
+
+
+def _prepare(series: QuarterlySeries, spec: EtsSpec, fixed_alpha) -> _Job:
     y = series.to_array()
     n = y.size
     if n < 8:
@@ -168,49 +202,188 @@ def fit_ets(series: QuarterlySeries, spec: EtsSpec, fixed_alpha: float | None = 
         raise InsufficientDataError(f"seasonal ETS needs >= {2 * PERIOD} points, have {n}")
     if fixed_alpha is not None and not 0.0 <= fixed_alpha <= 1.0:
         raise ValidationError(f"fixed alpha must be in [0, 1], got {fixed_alpha}")
-
     # Standardize for optimizer conditioning; states map back affinely.
     mu = float(np.mean(y))
     sigma = float(np.std(y))
     if sigma == 0.0:
         sigma = 1.0
     z = (y - mu) / sigma
-    z_list = z.tolist()
+    return _Job(series, spec, fixed_alpha, mu, sigma, z, _columns(spec, fixed_alpha),
+                _initial_vector(z, spec, fixed_alpha))
 
-    def _clip_distance(raw, params):
-        alpha, beta, gamma, phi, *_ = params
-        i = 0
-        dist = 0.0
-        if fixed_alpha is None:
-            dist += (raw[0] - alpha) ** 2
-            i = 1
-        if spec.has_trend:
-            dist += (raw[i] - beta) ** 2
-            i += 1
-        if spec.damped:
-            dist += (raw[i] - phi) ** 2
-            i += 1
-        if spec.has_seasonal:
-            dist += (raw[i] - gamma) ** 2
-        return dist
 
-    def objective(raw):
-        params = _clip_params(spec, raw, fixed_alpha)
-        sse, *_ = _run_recursion(z_list, spec, *params)
+def _vbox(v, lo, hi):
+    """_box on arrays: lo if v < lo else hi if v > hi else v."""
+    return np.where(v < lo, lo, np.minimum(v, hi))
+
+
+# Rows of _SseObjective's per-member table: box bounds of alpha, then of
+# beta, phi, gamma (the upper bounds of beta and gamma depend on alpha and
+# are filled in per point), then 0/1 flags.
+_A_LO, _A_HI, _LO3, _HI3, _FREE, _HAS_T, _HAS_S, _NOT_DAMPED = 0, 1, 2, 5, 8, 9, 10, 11
+
+
+class _SseObjective:
+    """The penalized one-step SSE of many (series, spec) fits at once.
+
+    A point is a row of _N_COLUMNS raw values; the columns a spec does not
+    search are 0.  Per row this is the scalar objective's value, bit for
+    bit, for any point whose recursion errors stay finite.  Each member's
+    parameters are clipped to its own box, and a parameter the spec lacks
+    gets the box [0, 0], so it is exactly 0 with no clip distance; a fixed
+    alpha gets the box [alpha, alpha] and a distance times 0.  The
+    recursion is _run_recursion's, with per-row multipliers in place of
+    its branches: phi is 1.0 without damping, beta and gamma are 0.0
+    without trend or seasonal, and the absent trend and seasonal states
+    start at +0.0 and, for a finite error, stay +0.0, so every sum sees
+    the scalar's literal 0.0.  The squared errors are added in sequence,
+    masked past the end of a shorter series.  A nonzero clip distance
+    squares with ``float_power``, the C ``pow`` that Python's ``** 2``
+    calls (``d * d`` rounds differently on some doubles).
+    """
+
+    def __init__(self, jobs: list[_Job]):
+        groups: dict = {}
+        for job in jobs:
+            groups.setdefault(job.series.values, (len(groups), job.z))
+        self.T = max(job.z.size for job in jobs)
+        self.Z = np.zeros((len(groups), self.T))
+        for g, z in groups.values():
+            self.Z[g, : z.size] = z
+        self.group = np.asarray([groups[job.series.values][0] for job in jobs], dtype=np.intp)
+        length = np.asarray([job.z.size for job in jobs])
+        self.live = np.arange(self.T)[:, None] < length if length.min() < self.T else None
+        self.table = np.zeros((12, len(jobs)))
+        for i, job in enumerate(jobs):
+            spec, fixed = job.spec, job.fixed_alpha
+            column = self.table[:, i]
+            column[_A_LO : _A_HI + 1] = (_ALPHA_LO, _ALPHA_HI) if fixed is None else (fixed, fixed)
+            column[_FREE] = fixed is None
+            if spec.has_trend:
+                column[[_LO3, _HAS_T]] = _ALPHA_LO, 1.0
+            if spec.damped:
+                column[[_LO3 + 1, _HI3 + 1]] = _PHI_LO, _PHI_HI
+            if spec.has_seasonal:
+                column[[_LO3 + 2, _HAS_S]] = _ALPHA_LO, 1.0
+            column[_NOT_DAMPED] = not spec.damped
+        self.seasonal = self.table[_HAS_S] == 1.0
+        self._last = None
+
+    def __call__(self, members, X) -> np.ndarray:
+        # Overflow and inf - inf pass silently, as in Python float arithmetic.
+        with np.errstate(all="ignore"):
+            return self._values(members, X)
+
+    def _gathered(self, members):
+        """The members' table columns, observations, seasonal flags and live mask.
+
+        Consecutive iterations of the batch mostly score the same members,
+        so the last gather is kept.
+        """
+        if self._last is None or not np.array_equal(members, self._last[0]):
+            self._last = (
+                members,
+                np.take(self.table, members, axis=1),
+                self.Z[self.group[members]].T,
+                self.seasonal[members],
+                self.live[:, members] if self.live is not None else None,
+            )
+        return self._last[1:]
+
+    def _values(self, members, X) -> np.ndarray:
+        c, obs, seasonal, live = self._gathered(members)
+        x = np.ascontiguousarray(X.T)
+        # Parameters in the columns' order: alpha, beta, phi, gamma.
+        P = np.empty((4, len(members)))
+        P[0] = _vbox(x[_ALPHA], c[_A_LO], c[_A_HI])
+        lo, hi = c[_LO3 : _LO3 + 3], c[_HI3 : _HI3 + 3].copy()
+        np.multiply(P[0], c[_HAS_T], out=hi[0])
+        np.maximum(1.0 - P[0], _ALPHA_LO, out=hi[2])
+        hi[2] *= c[_HAS_S]
+        P[1:] = _vbox(x[_BETA : _GAMMA + 1], lo, hi)
         # Clipping flattens the surface outside the parameter box, which can
         # trap the simplex there; a pull-back on the clip distance restores
-        # slope without moving any interior minimum.
-        drift = _clip_distance(raw, params)
+        # slope without moving any interior minimum.  Its squares add in the
+        # scalar order, alpha to gamma; an absent parameter adds +0.0, which
+        # changes no sum.
+        dist = x[_ALPHA : _GAMMA + 1] - P
+        dist[0] *= c[_FREE]
+        square = dist * dist
+        np.float_power(dist, 2.0, out=square, where=dist != 0.0)
+        drift = square[0] + square[1]
+        drift += square[2]
+        drift += square[3]
+
+        phi = P[2] + c[_NOT_DAMPED]
+        level = x[_LEVEL]
+        slope = x[_TREND]
+        S = np.zeros((PERIOD, len(members)))
+        S[: PERIOD - 1] = x[_SEASON:]
+        np.negative(S[0] + S[1] + S[2], out=S[PERIOD - 1], where=seasonal)
+
+        E = np.empty(obs.shape)
+        step = np.empty_like(P)
+        bt, lb, tmp = np.empty((3, len(members)))
+        for t in range(self.T):
+            seas = S[t % PERIOD]
+            np.multiply(phi, slope, out=bt)
+            np.add(level, bt, out=lb)
+            np.add(lb, seas, out=tmp)
+            np.multiply(P, np.subtract(obs[t], tmp, out=E[t]), out=step)
+            np.add(lb, step[0], out=level)
+            np.add(bt, step[1], out=slope)
+            np.add(seas, step[3], out=seas)
+        np.multiply(E, E, out=E)
+        if live is not None:
+            E = np.where(live, E, 0.0)
+        sse = E[0].copy()
+        for t in range(1, self.T):
+            np.add(sse, E[t], out=sse)
         return sse * (1.0 + drift) + drift
 
-    x0 = _initial_vector(z, spec, fixed_alpha)
-    budget = 200 * max(len(x0), 1)
-    best_x, _, _ = nelder_mead(objective, x0, maxiter=budget, xatol=1e-8, fatol=1e-10)
-    # One polish pass from the first answer; cheap insurance on the
-    # higher-dimensional seasonal specs.
-    best_x, _, _ = nelder_mead(objective, best_x, maxiter=budget, xatol=1e-10, fatol=1e-12)
 
-    alpha, beta, gamma, phi, lvl_z, trd_z, seas_z = _clip_params(spec, best_x, fixed_alpha)
+def _simplex_start(jobs: list[_Job], points: np.ndarray, n_vertices: int):
+    """start(ids) for nelder_mead_batch: the scalar default simplex around each point."""
+
+    def start(ids):
+        simplexes = np.empty((ids.size, n_vertices, _N_COLUMNS))
+        for row, i in enumerate(ids.tolist()):
+            simplexes[row] = points[i]
+            for k, c in enumerate(jobs[i].cols, start=1):
+                v = float(points[i, c])
+                simplexes[row, k, c] = v * 1.05 if v != 0.0 else 0.00025
+        return simplexes
+
+    return start
+
+
+def _search(jobs: list[_Job]):
+    """The raw optimizer vector of every job.
+
+    The search from the scalar starting vector (tolerances 1e-8 / 1e-10)
+    and the polish from its answer (1e-10 / 1e-12), each with a budget of
+    200 iterations per searched coordinate, run as two lockstep batches.
+    """
+    dims = np.asarray([len(job.cols) for job in jobs], dtype=np.intp)
+    budget = 200 * dims
+    n_vertices = 1 + int(dims.max())
+    objective = _SseObjective(jobs)
+    points = np.zeros((len(jobs), _N_COLUMNS))
+    for i, job in enumerate(jobs):
+        points[i, job.cols] = job.x0
+    for xatol, fatol in ((1e-8, 1e-10), (1e-10, 1e-12)):
+        points, _, _ = nelder_mead_batch(
+            objective, _simplex_start(jobs, points, n_vertices), dims,
+            maxiter=budget, xatol=xatol, fatol=fatol, width=BATCH_WIDTH,
+        )
+    return [points[i, job.cols].tolist() for i, job in enumerate(jobs)]
+
+
+def _build_fit(job: _Job, raw) -> EtsFit:
+    spec, series, mu, sigma = job.spec, job.series, job.mu, job.sigma
+    y = series.to_array()
+    n = y.size
+    alpha, beta, gamma, phi, lvl_z, trd_z, seas_z = _clip_params(spec, raw, job.fixed_alpha)
     level0 = mu + sigma * lvl_z
     trend0 = sigma * trd_z if trd_z is not None else None
     seas0 = tuple(sigma * v for v in seas_z) if seas_z is not None else None
@@ -247,8 +420,69 @@ def fit_ets(series: QuarterlySeries, spec: EtsSpec, fixed_alpha: float | None = 
     )
 
 
+def _fit_many(tasks) -> list:
+    """The EtsFit of every (series, spec, fixed_alpha) task, or the error its fit raises.
+
+    Every task's optimizer runs go into one lockstep batch.  The errors
+    are fit_ets's: InsufficientDataError for a series too short for the
+    spec, ValidationError for a fixed alpha outside [0, 1].
+    """
+    results: list = []
+    jobs = []
+    for series, spec, fixed_alpha in tasks:
+        try:
+            job = _prepare(series, spec, fixed_alpha)
+        except (InsufficientDataError, ValidationError) as exc:
+            results.append(exc.with_traceback(None))
+            continue
+        results.append(job)
+        jobs.append(job)
+    raws = iter(_search(jobs) if jobs else ())
+    return [r if isinstance(r, Exception) else _build_fit(r, next(raws)) for r in results]
+
+
+def fit_ets(series: QuarterlySeries, spec: EtsSpec, fixed_alpha: float | None = None) -> EtsFit:
+    """Fit smoothing parameters and initial states by minimizing one-step SSE.
+
+    ``fixed_alpha`` pins the level smoothing weight (test hook for the
+    naive and no-update limits); everything else is still optimized.
+    """
+    (fit,) = _fit_many([(series, spec, fixed_alpha)])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
 def spec_grid(trend_choices=TREND_CHOICES, seasonal_choices=SEASONAL_CHOICES) -> list[EtsSpec]:
     return [EtsSpec(t, s) for t in trend_choices for s in seasonal_choices]
+
+
+def auto_select_ets_many(tasks) -> list:
+    """Fit every spec of every (series, specs) task in one lockstep batch.
+
+    ``specs`` None means the full spec_grid().  Returns, per task, the
+    lowest-AICc fit, or the exception auto_select_ets raises for it
+    (InsufficientDataError below 8 points or when no spec is admissible).
+    Ties resolve to the earlier spec in enumeration order.
+    """
+    tasks = [(series, spec_grid() if specs is None else list(specs)) for series, specs in tasks]
+    results: list = [None] * len(tasks)
+    fits, owners = [], []
+    for i, (series, specs) in enumerate(tasks):
+        if len(series) < 8:
+            results[i] = InsufficientDataError(f"auto selection needs >= 8 points, have {len(series)}")
+            continue
+        fits.extend((series, spec, None) for spec in specs)
+        owners.extend(i for _ in specs)
+    for i, fit in zip(owners, _fit_many(fits)):
+        if isinstance(fit, InsufficientDataError):  # the only error a free-alpha fit returns
+            continue
+        if results[i] is None or fit.aicc < results[i].aicc:
+            results[i] = fit
+    return [
+        InsufficientDataError("no ETS spec admissible on this series") if r is None else r
+        for r in results
+    ]
 
 
 def auto_select_ets(series: QuarterlySeries, specs: list[EtsSpec] | None = None) -> EtsFit:
@@ -257,19 +491,10 @@ def auto_select_ets(series: QuarterlySeries, specs: list[EtsSpec] | None = None)
     Ties resolve to the earlier spec in enumeration order; the (none, none)
     spec always fits, so selection cannot come up empty.
     """
-    if len(series) < 8:
-        raise InsufficientDataError(f"auto selection needs >= 8 points, have {len(series)}")
-    best = None
-    for spec in specs if specs is not None else spec_grid():
-        try:
-            fit = fit_ets(series, spec)
-        except InsufficientDataError:
-            continue
-        if best is None or fit.aicc < best.aicc:
-            best = fit
-    if best is None:
-        raise InsufficientDataError("no ETS spec admissible on this series")
-    return best
+    (fit,) = auto_select_ets_many([(series, specs)])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def forecast_ets(fit: EtsFit, h: int) -> np.ndarray:

@@ -22,11 +22,11 @@ from .errors import (
     UnknownGeographyError,
     ValidationError,
 )
-from .ets import auto_select_ets, forecast_ets
+from .ets import auto_select_ets_many, forecast_ets
 from .fiscal import FiscalQuarter, quarter_add, quarter_diff, quarter_range
 from .metrics import yoy_growth
 from .series import Dataset, QuarterlySeries
-from .stl import stlf_forecast
+from .stl import ADJUSTED_SPECS, reseasonalize, seasonal_adjust
 
 log = logging.getLogger(__name__)
 
@@ -124,18 +124,24 @@ def _forecasts(fit, forecast):
     return tuple(float(v) for v in forecast(fit, MAX_HORIZON))
 
 
-def _stl_forecasts(window: QuarterlySeries) -> tuple:
-    return tuple(float(v) for v in stlf_forecast(window, MAX_HORIZON))
+def _stl_forecasts(adjusted, fit) -> tuple:
+    """STL's forecasts from seasonal_adjust's result and the adjusted series' ETS fit, or the error."""
+    if isinstance(fit, Exception):
+        return fit
+    return tuple(float(v) for v in reseasonalize(adjusted[1], forecast_ets(fit, MAX_HORIZON)))
 
 
 def fit_windows(windows, cache: ForecastCache | None = None) -> list:
     """The cache entries of the windows, fitting every window not cached yet.
 
     The ARIMA order grids of all uncached windows are fit in one lockstep
-    batch (``auto_select_many``); ETS and STL run window by window.  A
-    model whose fit fails is recorded as its exception: Model 1 drops that
-    candidate, a feature row raises it.  Returns the entries in the order
-    of ``windows``.
+    batch (``auto_select_many``).  The ETS specs of every window, and the
+    STL specs of every window's seasonally adjusted copy, are fit in a
+    second one (``auto_select_ets_many``); STL's decomposition and
+    re-seasonalizing run window by window around it.  A model whose fit
+    fails is recorded as its exception: Model 1 drops that candidate, a
+    feature row raises it.  Returns the entries in the order of
+    ``windows``.
     """
     if cache is None:
         cache = ForecastCache()
@@ -144,13 +150,21 @@ def fit_windows(windows, cache: ForecastCache | None = None) -> list:
         if window.values not in fresh and cache.get(window.values) is None:
             fresh[window.values] = window
     fresh_windows = list(fresh.values())
-    for window, arima_fit in zip(fresh_windows, auto_select_many(fresh_windows)):
+    arima_fits = auto_select_many(fresh_windows)
+    adjusted = [_fit_or_error(seasonal_adjust, window) for window in fresh_windows]
+    fits = iter(auto_select_ets_many(
+        [(window, None) for window in fresh_windows]
+        + [(adj[0], ADJUSTED_SPECS) for adj in adjusted if not isinstance(adj, Exception)]
+    ))
+    ets_fits = [next(fits) for _ in fresh_windows]
+    for window, arima_fit, ets_fit, adj in zip(fresh_windows, arima_fits, ets_fits, adjusted):
+        stl_fit = adj if isinstance(adj, Exception) else next(fits)
         cache.put(
             window.values,
             (
                 _forecasts(arima_fit, forecast_arima),
-                _forecasts(_fit_or_error(auto_select_ets, window), forecast_ets),
-                _fit_or_error(_stl_forecasts, window),
+                _forecasts(ets_fit, forecast_ets),
+                _stl_forecasts(adj, stl_fit),
             ),
         )
     return [cache.get(window.values) for window in windows]

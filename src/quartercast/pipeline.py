@@ -255,6 +255,8 @@ def final_origin_forecasts(
     Unlike a backtest there are no later actuals to roll through, so every
     horizon is projected from the same origin (the end of history).
     """
+    if not 1 <= h_max <= MAX_HORIZON:
+        raise ValidationError(f"h_max must be in 1..{MAX_HORIZON}, got {h_max}")
     origin = dataset.total.end
     if not train_range[0] <= train_range[1] <= origin:
         raise ValidationError("training range must be ordered and end within history")

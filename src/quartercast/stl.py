@@ -6,6 +6,11 @@ low-pass the reconstituted seasonal with a 3x3x5 moving-average stack and
 a degree-1 loess, subtract, then re-smooth the deseasonalized series for
 the trend.  The stored seasonal is re-periodized and recentred so that it
 is exactly 4-periodic and sums to zero over a cycle.
+
+Forecasting (``stlf_forecast``) is three steps: ``seasonal_adjust``, an
+ETS selection on the adjusted series, and ``reseasonalize``.  They are
+separate so that ``features.fit_windows`` can put the ETS step of every
+window into one batch with the windows' other ETS fits.
 """
 
 from __future__ import annotations
@@ -16,9 +21,13 @@ from math import ceil
 import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
+from .ets import EtsSpec, auto_select_ets, forecast_ets
 from .series import QuarterlySeries
 
 PERIOD = 4
+
+# The ETS specs fit to the seasonally adjusted series.
+ADJUSTED_SPECS = (EtsSpec("none", "none"), EtsSpec("additive", "none"))
 
 # Fixed trend smoother: the classical span formula degenerates once the
 # seasonal is periodic, so a documented constant is used instead.
@@ -136,24 +145,34 @@ def stl_decompose(series: QuarterlySeries) -> StlDecomposition:
     )
 
 
+def seasonal_adjust(series: QuarterlySeries) -> tuple[QuarterlySeries, StlDecomposition]:
+    """The series minus its STL seasonal, and the decomposition it came from."""
+    dec = stl_decompose(series)
+    adjusted = QuarterlySeries(
+        series.id, series.start, series.to_array() - np.asarray(dec.seasonal)
+    )
+    return adjusted, dec
+
+
+def reseasonalize(dec: StlDecomposition, base) -> np.ndarray:
+    """Add the periodic seasonal back to forecasts 1..h of the adjusted series."""
+    n = len(dec.seasonal)
+    pos = dec.seasonal_by_position()
+    seas = np.asarray([pos[(n + k - 1) % PERIOD] for k in range(1, len(base) + 1)])
+    return base + seas
+
+
 def stlf_forecast(series: QuarterlySeries, h: int) -> np.ndarray:
     """Decompose, forecast the seasonally adjusted part, re-seasonalize.
 
     The seasonally adjusted series is forecast with an ETS restricted to
-    {no trend, additive trend} and no seasonal component (that part was
-    already removed), selected by AICc.
+    ADJUSTED_SPECS ({no trend, additive trend}, no seasonal component: that
+    part was already removed), selected by AICc.  ``features.fit_windows``
+    runs the same three steps, with the ETS fits of all its windows in one
+    batch.
     """
-    from .ets import EtsSpec, auto_select_ets, forecast_ets
-
     if not 1 <= h <= 8:
         raise ValidationError(f"forecast horizon must be in 1..8, got {h}")
-    dec = stl_decompose(series)
-    n = len(series)
-    adjusted = QuarterlySeries(
-        series.id, series.start, series.to_array() - np.asarray(dec.seasonal)
-    )
-    fit = auto_select_ets(adjusted, specs=[EtsSpec("none", "none"), EtsSpec("additive", "none")])
-    base = forecast_ets(fit, h)
-    pos = dec.seasonal_by_position()
-    seas = np.asarray([pos[(n + k - 1) % PERIOD] for k in range(1, h + 1)])
-    return base + seas
+    adjusted, dec = seasonal_adjust(series)
+    fit = auto_select_ets(adjusted, specs=ADJUSTED_SPECS)
+    return reseasonalize(dec, forecast_ets(fit, h))

@@ -30,6 +30,7 @@ from quartercast import (
     stlf_forecast,
     yoy_growth,
 )
+from quartercast import pipeline
 from quartercast.pipeline import ApeDetail, EvaluationReport, HorizonCell
 
 START = FiscalQuarter(2009, 1)
@@ -179,6 +180,16 @@ class TestFinalOrigin:
             assert row.target_quarter not in hist
             assert macro["indicator_yoy_target"] == yoy_growth(extended, row.target_quarter)
             assert macro["indicator_yoy_origin"] == yoy_growth(hist, end)
+
+    @pytest.mark.parametrize("h_max", [0, 5, -1])
+    def test_horizon_out_of_range_rejected_before_any_fit(self, h_max, small_dataset, small_ranges, monkeypatch):
+        def no_fit(windows, cache=None):
+            raise AssertionError("a window was fit")
+
+        monkeypatch.setattr(pipeline, "fit_windows", no_fit)
+        train, _ = small_ranges
+        with pytest.raises(ValidationError, match=f"h_max must be in 1..4, got {h_max}"):
+            final_origin_forecasts(small_dataset, train, ForestParams(n_trees=5, seed=3), h_max=h_max)
 
 
 class TestBacktest:
