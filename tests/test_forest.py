@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,21 @@ def oracle_tree(X, y, indices, min_node_size, depth, max_depth):
 
 
 class TestBuildTree:
+    @pytest.mark.parametrize(
+        "X, y, match",
+        [
+            (np.arange(20.0).reshape(10, 2), np.arange(6.0), "one target per row"),
+            (np.asarray([[1.0, np.nan], [2.0, 3.0]]), np.asarray([1.0, 2.0]), "finite"),
+            (np.zeros((0, 2)), np.zeros(0), "empty"),
+        ],
+        ids=["ragged", "nan", "empty"],
+    )
+    def test_rejects_what_train_forest_rejects(self, X, y, match):
+        params = ForestParams(n_trees=1, seed=1)
+        for fit in (build_tree, train_forest):
+            with pytest.raises(ValidationError, match=match):
+                fit(X, y, params)
+
     def test_constant_targets_single_leaf(self):
         t = build_tree(np.asarray([[1.0], [2.0], [3.0]]), np.asarray([5.0, 5.0, 5.0]),
                        ForestParams(n_trees=1, seed=1))
@@ -229,6 +246,23 @@ class TestTrainForest:
             train_forest(np.asarray([[np.nan, 1.0]]), np.zeros(1), ForestParams(n_trees=1))
 
 
+class TestForestParams:
+    @pytest.mark.parametrize("field", ["n_trees", "min_node_size", "seed", "mtry", "max_depth"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "abc", True, np.int64(2)])
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            ForestParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_trees", "min_node_size", "seed"])
+    def test_none_rejected_where_required(self, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got None"):
+            ForestParams(**{field: None})
+
+    def test_none_accepted_where_optional(self):
+        params = ForestParams(mtry=None, max_depth=None)
+        assert params.mtry is None and params.max_depth is None
+
+
 class TestPredict:
     def test_mean_of_trees(self):
         rng = np.random.default_rng(8)
@@ -271,3 +305,71 @@ class TestSerialization:
     def test_rejects_unknown_document(self):
         with pytest.raises(SchemaMismatchError):
             forest_from_json('{"kind": "something", "schema_version": 1}')
+
+
+def _document(**changes):
+    """A small forest's JSON document as a dict, with top-level changes applied."""
+    forest = train_forest(np.arange(12.0).reshape(6, 2), np.asarray([0.0, 0, 1, 1, 5, 5]),
+                          ForestParams(n_trees=2, seed=1, min_node_size=1, bootstrap=False),
+                          feature_names=["a", "b"])
+    doc = json.loads(forest_to_json(forest))
+    doc.update(changes)
+    return doc
+
+
+def _first_split(doc):
+    node = doc["trees"][0]
+    assert "feature" in node
+    return node
+
+
+class TestFromJsonMalformed:
+    @pytest.mark.parametrize("key", ["params", "feature_names", "trees"])
+    def test_missing_top_level_field(self, key):
+        doc = _document()
+        del doc[key]
+        with pytest.raises(SchemaMismatchError, match=f"no '{key}'"):
+            forest_from_json(json.dumps(doc))
+
+    def test_unknown_params_key(self):
+        doc = _document()
+        doc["params"]["trees"] = 3
+        with pytest.raises(SchemaMismatchError, match="'params'.*'trees'"):
+            forest_from_json(json.dumps(doc))
+
+    def test_bad_params_value(self):
+        doc = _document()
+        doc["params"]["n_trees"] = 2.5
+        with pytest.raises(SchemaMismatchError, match="n_trees must be an integer"):
+            forest_from_json(json.dumps(doc))
+
+    def test_trees_not_a_list(self):
+        with pytest.raises(SchemaMismatchError, match="'trees' must be a list"):
+            forest_from_json(json.dumps(_document(trees={"0": {"value": 1.0}})))
+
+    @pytest.mark.parametrize("key", ["threshold", "left", "right"])
+    def test_split_node_missing_field(self, key):
+        doc = _document()
+        del _first_split(doc)[key]
+        with pytest.raises(SchemaMismatchError, match=f"tree 0 node 0 is a split with no '{key}'"):
+            forest_from_json(json.dumps(doc))
+
+    def test_leaf_missing_value(self):
+        doc = _document()
+        split = _first_split(doc)
+        split["left"] = {}
+        with pytest.raises(SchemaMismatchError, match="tree 0 node 1 has neither 'value'"):
+            forest_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("feature", [2, -1, 1.0, "a"])
+    def test_feature_outside_feature_names(self, feature):
+        doc = _document()
+        _first_split(doc)["feature"] = feature
+        with pytest.raises(SchemaMismatchError, match="'feature' must index one of the 2 feature_names"):
+            forest_from_json(json.dumps(doc))
+
+    def test_tree_count_differs_from_params(self):
+        doc = _document()
+        doc["trees"] = doc["trees"][:1]
+        with pytest.raises(SchemaMismatchError, match="1 'trees' but params.n_trees is 2"):
+            forest_from_json(json.dumps(doc))

@@ -22,6 +22,7 @@ from quartercast import (
     write_revenue_csv,
     yoy_growth,
 )
+from quartercast import features, pipeline
 from quartercast.cli import main
 from quartercast.pipeline import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
 
@@ -506,6 +507,18 @@ class TestCliBadInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'forest'" in err and "'trees'" in err
+
+    @pytest.mark.parametrize("value", [2.5, "abc", None, True])
+    def test_non_integer_forest_setting_rejected_before_any_fit(self, value, tmp_path, capsys, monkeypatch):
+        def no_fit(windows, cache=None):
+            raise AssertionError("a window was fit")
+
+        monkeypatch.setattr(pipeline, "fit_windows", no_fit)
+        monkeypatch.setattr(features, "fit_windows", no_fit)
+        cfg = self._backtest_config(tmp_path, forest={"n_trees": value})
+        rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert f"n_trees must be an integer, got {value!r}" in capsys.readouterr().err
 
     def test_one_element_train_range(self, tmp_path, capsys):
         cfg = self._backtest_config(tmp_path, train_range=["2012Q1"])
