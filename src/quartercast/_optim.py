@@ -4,8 +4,10 @@ Kept in-tree because the fitting loops evaluate tiny objectives millions
 of times.  ``nelder_mead`` is a list-based simplex, which avoids
 per-iteration array overhead for one search; ``nelder_mead_batch`` runs
 many searches as numpy arrays and gives each the bits ``nelder_mead``
-would.  The update rules are the textbook ones (reflect 1, expand 2,
-contract 1/2, shrink 1/2) and the whole search is deterministic.
+would, and ``run_plans`` puts the searches of several fitting modules
+(their plans) into one such run.  The update rules are the
+textbook ones (reflect 1, expand 2, contract 1/2, shrink 1/2) and the
+whole search is deterministic.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import numpy as np
 
 _INF = float("inf")
 
-# Searches run at once in a fitting module's lockstep batch.  Fixed, not a
-# setting: results do not depend on it, only time and memory do (see the
-# README's window-fit section).
-BATCH_WIDTH = 256
+# Searches run at once in a lockstep run.  Fixed, not a setting: results do
+# not depend on it, only time and memory do (see the README's window-fit
+# section).
+BATCH_WIDTH = 512
 
 
 def nelder_mead(
@@ -102,8 +104,8 @@ def nelder_mead(
     return list(simplex[order[0]]), values[order[0]], nit
 
 
-def nelder_mead_batch(f, start, dims, maxiter=500, xatol: float = 1e-4, fatol: float = 1e-8,
-                      width: int | None = None):
+def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
+                      width: int | None = None, then=None):
     """Run many independent ``nelder_mead`` searches in lockstep.
 
     Member m searches in ``dims[m]`` (at least 1) of the N coordinates.
@@ -116,22 +118,39 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol: float = 1e-4, fatol: f
     returns one value per row; it must be a pure function, because each
     iteration scores all four trial points (reflection, expansion, both
     contractions) at once and keeps those the scalar search would have
-    evaluated.  ``maxiter`` is one cap for every member or one per member.
+    evaluated.  ``maxiter``, ``xatol`` and ``fatol`` are one value for
+    every member or one per member.
+
+    ``then(member, x, fun)``, when given, is called as each search ends,
+    with the search's best point (an (N,) row) and value.  It returns None
+    to end the member there, or ``(simplex, maxiter, xatol, fatol)`` to
+    continue it with a follow-on search from that (V, N) simplex.  The
+    follow-on takes the ended search's place in the same pass, ahead of
+    every queued member.
 
     At most ``width`` members (default: all) search at once.  A member
-    leaves as soon as it finishes; once a quarter of the places are free,
-    the next members in order take them.  Memory therefore scales with
-    ``width``, not with the number of members.
+    leaves as soon as its last search ends; once a quarter of the places
+    are free, the next members in order take them.  Memory therefore
+    scales with ``width``, not with the number of members.
 
-    Returns (best_x (M, N), best_f (M,), iterations (M,)).  Each member
-    performs exactly the float operations of ``nelder_mead`` started from
-    its simplex (restricted to the coordinates it searches), in the same
-    order, so its results are bitwise the same as the scalar search's,
-    provided the objective never returns NaN: Python's sort does not order
-    NaN, while the stable argsort here puts it last.  The vertices beyond a
-    member's ``dims[m] + 1`` hold NaN values, so they sort after every real
-    vertex; they are masked out of the spread, the centroid and the shrink
-    step.
+    Each pass calls ``f`` once, with the trial points of every search and
+    the vertices the previous pass's shrink steps moved: a search that
+    shrinks sits out one pass while those are scored.  A pass that starts
+    searches (fresh members or follow-ons) scores their simplexes in one
+    more call first.  So with ``width`` at least the number of members, a
+    run takes as many passes as its longest chain of searches has
+    iterations plus shrink steps.
+
+    Returns (best_x (M, N), best_f (M,), iterations (M,)): the best point
+    and value of each member's last search, and its iterations summed over
+    its searches.  Each search performs exactly the float operations of
+    ``nelder_mead`` started from its simplex (restricted to the coordinates
+    it searches), in the same order, so its results are bitwise the same
+    as the scalar search's, provided the objective never returns NaN:
+    Python's sort does not order NaN, while the stable sort here puts it
+    last.  The vertices beyond a member's ``dims[m] + 1`` hold NaN values,
+    so they sort after every real vertex; they are masked out of the
+    spread, the centroid and the shrink step.
     """
     all_dims = np.asarray(dims, dtype=np.intp)
     n_members = all_dims.size
@@ -140,112 +159,287 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol: float = 1e-4, fatol: f
     if all_dims.min() < 1:
         raise ValueError("every member needs at least one dimension")
     n_vertices = int(all_dims.max()) + 1
-    all_maxit = np.broadcast_to(np.asarray(maxiter, dtype=np.intp), (n_members,))
+    caps = np.broadcast_to(np.asarray(maxiter, dtype=np.intp), (n_members,))
+    xtols = np.broadcast_to(np.asarray(xatol, dtype=float), (n_members,))
+    ftols = np.broadcast_to(np.asarray(fatol, dtype=float), (n_members,))
     width = n_members if width is None else max(1, min(int(width), n_members))
     first = start(np.arange(width))
     n_dims = first.shape[2]
     best_x = np.empty((n_members, n_dims))
     best_f = np.empty(n_members)
-    iterations = np.empty(n_members, dtype=np.intp)
+    iterations = np.zeros(n_members, dtype=np.intp)
 
-    # Active members' simplexes and values; sorting and dropping finished
-    # members gather into the spare buffers, which then swap in.
-    S, S_spare = np.empty((width, n_vertices, n_dims)), np.empty((width, n_vertices, n_dims))
+    # The searches in progress are rows 0..m-1, kept in order of falling
+    # dimension.  Their simplexes are stored vertex-major, S[j, r] being
+    # vertex j of row r, so that one vertex of every row is one contiguous
+    # block; F[r, j] is its value.  Each row also has its member,
+    # dimension, iteration count, cap, tolerances and a flag for a shrink
+    # step whose vertices still await their values.  Sorting and dropping
+    # ended searches gather into the spare buffers, which then swap in.
+    S = np.empty((n_vertices, width, n_dims))
+    S_spare = np.empty_like(S)
     F, F_spare = np.empty((width, n_vertices)), np.empty((width, n_vertices))
+    row_ints = np.zeros((5, width), dtype=np.intp)
+    ids, dim, nit, cap, wait = row_ints
+    row_tols = np.empty((2, width))
+    xtol, ftol = row_tols
     slots = np.arange(n_vertices)
-    ids = np.empty(0, dtype=np.intp)
-    nit = np.empty(0, dtype=np.intp)
-    queued = 0
+    m = queued = 0
+    follow = []  # follow-on searches waiting for the next admission
+    waiting = False  # whether some row's shrunk vertices await their values
 
-    def gather(picks):
-        """The vertex slots ``picks`` (flat indices) become the front rows."""
-        nonlocal S, F, S_spare, F_spare
-        k = picks.size // n_vertices
-        np.take(S.reshape(-1, n_dims), picks, axis=0, out=S_spare[:k].reshape(-1, n_dims), mode="clip")
-        np.take(F.reshape(-1), picks, out=F_spare[:k].reshape(-1), mode="clip")
-        S, S_spare, F, F_spare = S_spare, S, F_spare, F
-
-    while True:
-        m = ids.size
-        if queued < n_members and (m == 0 or 4 * (width - m) >= width):
-            new = np.arange(queued, min(queued + width - m, n_members))
-            S[m : m + new.size] = first if queued == 0 else start(new)
-            first = None
-            queued += new.size
-            F[m : m + new.size] = np.nan
-            r, c = np.nonzero(slots <= all_dims[new][:, None])
-            F[m + r, c] = f(new[r], S[m + r, c])
-            ids = np.concatenate([ids, new])
-            nit = np.concatenate([nit, np.zeros(new.size, dtype=np.intp)])
-            m = ids.size
-        if m == 0:
-            break
-        dims, maxit = all_dims[ids], all_maxit[ids]
-
-        order = np.argsort(F[:m], axis=1, kind="stable")
-        gather((order + (n_vertices * np.arange(m))[:, None]).reshape(-1))
+    def layout():
+        """Index arrays of the current rows: row numbers, dimensions, flat
+        offsets of rows in F, flat positions of the worst and second worst
+        values in F and of the worst vertex in S, which vertex slots are
+        padding, how many rows have each vertex (valid once rows are in
+        order of falling dimension), and the members of the four trial
+        points."""
         rows = np.arange(m)
-        fworst = F[rows, dims]
+        d = dim[:m]
+        at = rows * n_vertices
+        worst_at = at + d
+        members = np.empty((4, m), dtype=np.intp)
+        members[:] = ids[:m]
+        return (rows, d, at[:, None], worst_at, worst_at - 1, d * width + rows, slots[:, None] > d,
+                np.searchsorted(-d, -slots, side="left").tolist(), members.reshape(-1))
 
-        real = slots <= dims[:, None]
-        spread = np.where(real[:, 1:], np.abs(S[:m, 1:] - S[:m, :1]).max(axis=2), 0.0).max(axis=1)
-        fspread = np.full(m, _INF)
-        np.subtract(fworst, F[:m, 0], out=fspread, where=fworst < _INF)
-        done = (nit >= maxit) | ((spread <= xatol) & (fspread <= fatol))
-        if done.any():
-            out = ids[done]
-            best_x[out] = S[:m][done, 0]
-            best_f[out] = F[:m][done, 0]
-            iterations[out] = nit[done]
-            keep = np.nonzero(~done)[0]
-            gather((keep[:, None] * n_vertices + slots).reshape(-1))
-            ids, dims, nit, fworst = ids[keep], dims[keep], nit[keep], fworst[keep]
-            m = ids.size
-            if not m:
+    # inf - inf (a value spread with every vertex infeasible) is NaN, which
+    # passes no tolerance, as the scalar search's inf spread does not.
+    with np.errstate(invalid="ignore"):
+        while True:
+            free = width - m - len(follow)
+            fresh = 0
+            if queued < n_members and (m + len(follow) == 0 or 4 * free >= width):
+                fresh = min(free, n_members - queued)
+            admitted = bool(follow or fresh)
+            if admitted:
+                lo = m
+                for member, simplex, *limits in follow:
+                    S[:, m] = simplex
+                    ids[m] = member
+                    cap[m], xtol[m], ftol[m] = limits
+                    m += 1
+                follow = []
+                if fresh:
+                    new = np.arange(queued, queued + fresh)
+                    S[:, m : m + fresh] = (first if first is not None else start(new)).transpose(1, 0, 2)
+                    first = None
+                    ids[m : m + fresh], cap[m : m + fresh] = new, caps[new]
+                    xtol[m : m + fresh], ftol[m : m + fresh] = xtols[new], ftols[new]
+                    queued += fresh
+                    m += fresh
+                dim[lo:m] = all_dims[ids[lo:m]]
+                nit[lo:m] = wait[lo:m] = 0
+                F[lo:m] = np.nan
+                r, c = np.nonzero(slots <= dim[lo:m, None])
+                F[lo + r, c] = f(ids[lo + r], S[c, lo + r])
+                rows, d, at, worst_at, second_at, worst_in_s, padding, with_vertex, members4 = layout()
+            if m == 0:
+                break
+
+            # Sort every row's vertices by value (stable, so NaN goes last),
+            # except a row whose shrunk vertices are not scored yet; end the
+            # searches that have converged or reached their cap; gather the
+            # rest, sorted, into the front rows, in order of falling
+            # dimension.
+            order = np.argsort(F[:m], axis=1, kind="stable")
+            if waiting:
+                order[wait[:m] == 1] = slots
+            Fs = F_spare[:m]
+            np.take(F, order + at, out=Fs, mode="clip")
+            fspread = Fs.take(worst_at) - Fs[:, 0]
+            done = nit[:m] >= cap[:m]
+            if waiting:
+                ready = wait[:m] == 0
+                done &= ready
+                fspread[~ready] = _INF
+            # The coordinate spread (over the real vertices, against the best)
+            # is needed only where the value spread passes.
+            near = ((fspread <= ftol[:m]) & ~done).nonzero()[0]
+            if near.size:
+                diff = np.abs(S[:, near] - S[order[near, 0], near])
+                diff[padding[:, near]] = 0.0
+                done[near] = diff.max(axis=(0, 2)) <= xtol[near]
+            if admitted or done.any():
+                ended = done.nonzero()[0]
+                out = ids[ended]
+                best_x[out] = S[order[ended, 0], ended]
+                best_f[out] = Fs[ended, 0]
+                iterations[out] += nit[ended]
+                if then is not None:
+                    for member in out.tolist():
+                        nxt = then(member, best_x[member], float(best_f[member]))
+                        if nxt is not None:
+                            follow.append((member, *nxt))
+                keep = (~done).nonzero()[0]
+                if admitted:
+                    keep = keep[np.argsort(-d[keep], kind="stable")]
+                m = keep.size
+                F[:m] = Fs[keep]
+                row_ints[:, :m] = row_ints[:, keep]
+                row_tols[:, :m] = row_tols[:, keep]
+                order = order[keep]
+                np.take(S.reshape(-1, n_dims), order.T * width + keep, axis=0, out=S_spare[:, :m], mode="clip")
+                rows, d, at, worst_at, second_at, worst_in_s, padding, with_vertex, members4 = layout()
+            else:
+                np.take(S.reshape(-1, n_dims), order.T * width + rows, axis=0, out=S_spare[:, :m], mode="clip")
+                F, F_spare = F_spare, F
+            S, S_spare = S_spare, S
+            if follow or not m:
                 continue
-            rows = np.arange(m)
-        nit += 1
-        Sm, Fm = S[:m], F[:m]
 
-        # 0.0 + v_0 + v_1 + ... over the n best vertices, in order.  A
-        # masked-out vertex adds +0.0, which cannot change a sum that
-        # starts from +0.0 (such a sum is never -0.0).
-        terms = np.where((slots[:-1] < dims[:, None])[:, :, None], Sm[:, :-1], 0.0)
-        centroid = 0.0 + terms[:, 0]
-        for j in range(1, n_vertices - 1):
-            centroid += terms[:, j]
-        centroid /= dims[:, None]
-        worst = Sm[rows, dims]
+            # One Nelder-Mead step of every ready row, and the values of the
+            # vertices the last pass's shrink steps moved, in one evaluation.
+            # Trial points 0-3 of every row: reflection, expansion, inside and
+            # outside contraction; the later ones are discarded where the
+            # scalar search would not have reached them.  Point 4 is the
+            # worst vertex, which a row keeps when it shrinks or waits.
+            points = np.empty((5, m, n_dims))
+            worst = points[4]
+            np.take(S.reshape(-1, n_dims), worst_in_s, axis=0, out=worst)
+            np.multiply(_CENTROID_WEIGHT, _centroid(S, m, d, with_vertex), out=points[:4])
+            points[:4] -= _WORST_WEIGHT * worst
+            members, trials = members4, points[:4].reshape(-1, n_dims)
+            if waiting:
+                pr, pj = np.nonzero((wait[:m, None] == 1) & (slots >= 1) & (slots <= d[:, None]))
+                members = np.concatenate([members, ids[pr]])
+                trials = np.concatenate([trials, S[pj, pr]])
+            values = f(members, trials)
+            if waiting:
+                F[pr, pj] = values[4 * m :]
+            fworst = F.take(worst_at)
+            values = np.concatenate([values[: 4 * m], fworst]).reshape(5, m)
+            fr, fe = values[0], values[1]
 
-        # All four trial points of every member in one evaluation: the
-        # later ones are discarded where the scalar search would not have
-        # reached them.
-        reflected = 2.0 * centroid - worst
-        expanded = 3.0 * centroid - 2.0 * worst
-        inside = 1.5 * centroid - 0.5 * worst
-        outside = 0.5 * centroid + 0.5 * worst
-        fr, fe, fi, fo = f(
-            np.tile(ids, 4), np.concatenate([reflected, expanded, inside, outside])
-        ).reshape(4, m)
-
-        expand = fr < Fm[:, 0]
-        better = expand & (fe < fr)
-        new_x = np.where(better[:, None], expanded, reflected)
-        new_f = np.where(better, fe, fr)
-        contract = ~expand & ~(fr < Fm[rows, dims - 1])
-        use_inside = fr < fworst
-        fc = np.where(use_inside, fi, fo)
-        new_x = np.where(contract[:, None], np.where(use_inside[:, None], inside, outside), new_x)
-        new_f = np.where(contract, fc, new_f)
-        shrink = contract & ~(fc < np.where(fworst < fr, fworst, fr))
-
-        move = np.nonzero(~shrink)[0]
-        Sm[move, dims[move]] = new_x[move]
-        Fm[move, dims[move]] = new_f[move]
-
-        if shrink.any():
-            r, j = np.nonzero(shrink[:, None] & (slots >= 1) & (slots <= dims[:, None]))
-            Sm[r, j] = 0.5 * (Sm[r, j] + Sm[r, 0])
-            Fm[r, j] = f(ids[r], Sm[r, j])
+            # The point each row keeps: the one the scalar search would.
+            expand = fr < F[:m, 0]
+            contract = ~(expand | (fr < F.take(second_at)))
+            # A contraction toward the reflection (2) when that beat the worst
+            # vertex, else toward the worst (3); it fails, and the simplex
+            # shrinks, unless it beats the better of the two.
+            toward_reflection = fr < fworst
+            pick = np.where(contract, np.where(toward_reflection, 2, 3), expand & (fe < fr))
+            shrink = contract & ~(values[pick, rows] < np.where(toward_reflection, fr, fworst))
+            if waiting:
+                ready = wait[:m] == 0
+                shrink &= ready
+                pick[~ready] = 4
+                nit[:m] += ready
+            else:
+                nit[:m] += 1
+            pick[shrink] = 4
+            S.reshape(-1, n_dims)[worst_in_s] = points[pick, rows]
+            F.reshape(-1)[worst_at] = values[pick, rows]
+            waiting = bool(shrink.any())
+            wait[:m] = shrink
+            if waiting:
+                r, j = np.nonzero(shrink[:, None] & (slots >= 1) & (slots <= d[:, None]))
+                S[j, r] = 0.5 * (S[j, r] + S[0, r])
 
     return best_x, best_f, iterations
+
+
+# Trial point k is _CENTROID_WEIGHT[k] * centroid - _WORST_WEIGHT[k] * worst:
+# 2c - w, 3c - 2w, 1.5c - 0.5w, and 0.5c - (-0.5w), which is 0.5c + 0.5w
+# exactly (subtracting a negated product is adding it).
+_CENTROID_WEIGHT = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
+_WORST_WEIGHT = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
+
+
+def _centroid(S, m, dims, with_vertex):
+    """The centroid of each row's ``dims`` best vertices, one pass's worth.
+
+    0.0 + v_0 + v_1 + ... + v_{n-1}, then / n, as the scalar search sums
+    it.  The rows come in order of falling ``dims``: the first
+    ``with_vertex[j]`` of them have vertex j, so each add is one
+    contiguous block.
+    """
+    centroid = S[0, :m] + 0.0
+    for j in range(1, len(with_vertex)):
+        k = with_vertex[j]
+        if not k:
+            break
+        centroid[:k] += S[j, :k]
+    centroid /= dims[:, None]
+    return centroid
+
+
+def run_plans(plans) -> list:
+    """Search every member of every plan in one ``nelder_mead_batch`` run.
+
+    A plan is the searches one fitting module submits.  It has
+    ``n_columns`` coordinates and, per member, ``dims``, ``maxiter``,
+    ``xatol`` and ``fatol`` (an array, or one value for all); members are
+    numbered 0.. within the plan.  ``objective(members, points)`` is
+    ``nelder_mead_batch``'s ``f`` over the plan's own columns,
+    ``start(members)`` returns each member's starting simplex as a
+    (dims + 1, n_columns) array, and ``then(member, x, fun)`` is
+    ``nelder_mead_batch``'s ``then`` with such a simplex.
+
+    Members queue plan by plan, in the order given, so the plan with the
+    longest chains of searches should come first.  The objective is a
+    dispatcher: it hands each plan the rows of its own members, restricted
+    to its columns.  Returns, per plan, (best_x, best_f, iterations) of
+    its members, with the plan's columns only.
+    """
+    sizes = [len(plan.dims) for plan in plans]
+    offsets = np.cumsum([0] + sizes)
+    owner = np.repeat(np.arange(len(plans)), sizes)
+    n_columns = max(plan.n_columns for plan in plans)
+
+    def per_member(name):
+        return np.concatenate([np.broadcast_to(getattr(plan, name), (n,)) for plan, n in zip(plans, sizes)])
+
+    dims = per_member("dims").astype(np.intp)
+    n_vertices = int(dims.max(initial=0)) + 1
+
+    def padded(simplexes):
+        out = np.zeros((len(simplexes), n_vertices, n_columns))
+        for row, simplex in zip(out, simplexes):
+            row[: simplex.shape[0], : simplex.shape[1]] = simplex
+        return out
+
+    split = [None, []]  # the last members array f saw, and its rows and members per plan
+
+    def f(ids, points):
+        if split[0] is not ids:
+            kinds = owner[ids]
+            split[:] = ids, []
+            for k, plan in enumerate(plans):
+                rows = (kinds == k).nonzero()[0]
+                if rows.size:
+                    split[1].append((plan, rows, ids.take(rows) - offsets[k]))
+        if len(split[1]) == 1:
+            ((plan, _, members),) = split[1]
+            return plan.objective(members, points[:, : plan.n_columns])
+        out = np.empty(len(ids))
+        for plan, rows, members in split[1]:
+            out[rows] = plan.objective(members, points.take(rows, axis=0)[:, : plan.n_columns])
+        return out
+
+    def start(ids):
+        kinds = owner[ids]
+        out = np.empty((len(ids), n_vertices, n_columns))
+        for k, plan in enumerate(plans):
+            rows = (kinds == k).nonzero()[0]
+            if rows.size:
+                out[rows] = padded(plan.start(ids[rows] - offsets[k]))
+        return out
+
+    def then(member, x, fun):
+        k = owner[member]
+        follow_on = plans[k].then(member - offsets[k], x[: plans[k].n_columns], fun)
+        if follow_on is None:
+            return None
+        simplex, *limits = follow_on
+        return (padded([simplex])[0], *limits)
+
+    best_x, best_f, iterations = nelder_mead_batch(
+        f, start, dims, maxiter=per_member("maxiter"), xatol=per_member("xatol"),
+        fatol=per_member("fatol"), width=BATCH_WIDTH, then=then,
+    )
+    return [
+        (best_x[lo:hi, : plan.n_columns].reshape(hi - lo, plan.n_columns), best_f[lo:hi], iterations[lo:hi])
+        for plan, lo, hi in zip(plans, offsets[:-1], offsets[1:])
+    ]

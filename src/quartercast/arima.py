@@ -5,8 +5,9 @@ the sample mean when no differencing is applied, and minimize the sum of
 squared one-step residuals with a Nelder-Mead search started from a zero
 coefficient vector.  Order selection is an exhaustive grid search over a
 small seasonal grid, scored by AICc.  Every order of every series in one
-call is searched in a single lockstep batch (``auto_select_many``), with
-the bits one scalar search per order would give.
+call is searched in a single lockstep run (``auto_select_many``), with
+the bits one scalar search per order would give; ``features.fit_windows``
+puts the same searches (``GridPlan``) into one run with its ETS fits.
 
 Conventions: the AR polynomial is 1 - phi_1 B - ... and the MA polynomial
 is 1 + theta_1 B + ... (R/statsmodels sign convention); the seasonal
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._optim import BATCH_WIDTH, nelder_mead, nelder_mead_batch  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
+from ._optim import nelder_mead, run_plans  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
 from .errors import InsufficientDataError, NonconvergenceError, ValidationError
 from .series import QuarterlySeries
 
@@ -43,7 +44,7 @@ _LOG_FLOOR = 1e-300
 # Points times series length per objective evaluation inside the lockstep
 # batch.  Fixed, not a setting: results do not depend on it, only time and
 # memory do (see the README's window-fit section).
-_EVAL_CELLS = 16 * 1024
+_EVAL_CELLS = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -337,47 +338,6 @@ class _CssObjective:
         return out
 
 
-def _solve(diffs: list, orders: list) -> list:
-    """Coefficients minimizing each member's CSS, or None where no start found a finite value.
-
-    Member i fits orders[i] (at least one coefficient) to diffs[i].  The
-    members are searched in lockstep, BATCH_WIDTH at a time, each in the
-    kernel's fixed six-slot layout with the slots its order lacks held at
-    zero; every simplex operation is per coordinate, so the layout does not
-    change a bit.  Each search starts from the zero vector with a 0.2 step
-    per axis; a member whose best value is not finite restarts from its own
-    seeded draws, exactly as a one-order fit would.
-    """
-    slots = {order: _slots(order) for order in set(orders)}
-    coeffs: list = [None] * len(orders)
-    pending = list(range(len(orders)))
-    for attempt in range(1 + _N_RESTARTS):
-        batch = [orders[i] for i in pending]
-        dims = np.asarray([o.n_coeffs for o in batch], dtype=np.intp)
-
-        def start(ids, batch=batch, attempt=attempt, n_vertices=1 + int(dims.max())):
-            simplexes = np.zeros((ids.size, n_vertices, 6))
-            for row, i in enumerate(ids.tolist()):
-                order_slots = slots[batch[i]]
-                k = len(order_slots)
-                if attempt:
-                    simplexes[row, : k + 1][:, order_slots] = _restart_starts(k)[attempt - 1]
-                simplexes[row, np.arange(1, k + 1), order_slots] += 0.2
-            return simplexes
-
-        best_x, best_f, _ = nelder_mead_batch(
-            _CssObjective([diffs[i] for i in pending]), start, dims,
-            maxiter=_MAX_ITER, xatol=1e-3, fatol=_CSS_TOL, width=BATCH_WIDTH,
-        )
-        for i, x, fun in zip(pending, best_x, best_f):
-            if np.isfinite(fun):
-                coeffs[i] = x[slots[orders[i]]]
-        pending = [i for i in pending if coeffs[i] is None]
-        if not pending:
-            break
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def _restart_starts(n: int) -> tuple:
     """The restart points of an n-coefficient fit: successive draws of one seeded stream."""
@@ -414,49 +374,97 @@ def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced,
     )
 
 
-def _fit_tasks(jobs):
-    """Fit every order of each (series, orders) job by CSS.
+class _FitPlan:
+    """Every (series, order) task of some jobs, as the members of a lockstep run.
 
-    Yields each (series, order) task's ArimaFit or error, jobs in order and
-    orders in order.  All optimizer runs are made, in one lockstep batch,
-    before the first yield, and each series is differenced once per
-    (d, D).  The errors are those a one-order fit raises:
-    InsufficientDataError when the differenced series is shorter than the
-    free parameter count plus three, and NonconvergenceError when the
-    optimizer finds no admissible coefficient vector.
+    Each series is differenced once per (d, D).  Member i fits
+    orders[i] (at least one coefficient) to diffs[i], in the kernel's
+    fixed six-slot layout with the slots its order lacks held at zero;
+    every simplex operation is per coordinate, so the layout does not
+    change a bit.  A search starts from the zero vector with a 0.2 step
+    per axis; a member whose best value is not finite restarts from its
+    own seeded draws, up to _N_RESTARTS times, exactly as a one-order fit
+    would.
     """
-    jobs = list(jobs)
-    prepared = []
-    diffs, orders = [], []
-    for series, job_orders in jobs:
-        y = series.to_array()
-        differenced: dict = {}
-        for order in job_orders:
-            if (order.d, order.D) not in differenced:
-                differenced[order.d, order.D] = _difference_once(y, order.d, order.D, order.s)
-            diffed = differenced[order.d, order.D]
-            if not isinstance(diffed, Exception):
-                n_res = len(diffed.z)
-                if n_res < order.n_free_params + 3:
-                    diffed = InsufficientDataError(
-                        f"order {order}: differenced length {n_res} < {order.n_free_params + 3}"
-                    )
-                elif order.n_coeffs:
-                    diffs.append(diffed)
-                    orders.append(order)
-            prepared.append(diffed)
-    solved = iter(_solve(diffs, orders) if orders else ())
-    del diffs, orders
-    tasks = ((series, order) for series, job_orders in jobs for order in job_orders)
-    for (series, order), diffed in zip(tasks, prepared):
-        if isinstance(diffed, Exception):
-            yield diffed
-            continue
-        coeffs = next(solved) if order.n_coeffs else []
-        if coeffs is None:
-            yield NonconvergenceError(f"order {order}: optimizer found no admissible point")
-        else:
+
+    n_columns = 6
+    maxiter, xatol, fatol = _MAX_ITER, 1e-3, _CSS_TOL
+
+    def __init__(self, jobs):
+        self.jobs = list(jobs)
+        self.prepared = []
+        diffs, self.orders = [], []
+        for series, job_orders in self.jobs:
+            y = series.to_array()
+            differenced: dict = {}
+            for order in job_orders:
+                if (order.d, order.D) not in differenced:
+                    differenced[order.d, order.D] = _difference_once(y, order.d, order.D, order.s)
+                diffed = differenced[order.d, order.D]
+                if not isinstance(diffed, Exception):
+                    n_res = len(diffed.z)
+                    if n_res < order.n_free_params + 3:
+                        diffed = InsufficientDataError(
+                            f"order {order}: differenced length {n_res} < {order.n_free_params + 3}"
+                        )
+                    elif order.n_coeffs:
+                        diffs.append(diffed)
+                        self.orders.append(order)
+                self.prepared.append(diffed)
+        slots = {order: _slots(order) for order in set(self.orders)}
+        self.slots = [slots[order] for order in self.orders]
+        self.dims = np.asarray([len(s) for s in self.slots], dtype=np.intp)
+        self.objective = _CssObjective(diffs) if diffs else None
+        self.attempts = [0] * len(self.orders)
+
+    def _simplex(self, member: int) -> np.ndarray:
+        order_slots = self.slots[member]
+        k = len(order_slots)
+        simplex = np.zeros((k + 1, 6))
+        if self.attempts[member]:
+            simplex[:, order_slots] = _restart_starts(k)[self.attempts[member] - 1]
+        simplex[np.arange(1, k + 1), order_slots] += 0.2
+        return simplex
+
+    def start(self, members):
+        return [self._simplex(i) for i in members.tolist()]
+
+    def then(self, member, x, fun):
+        if np.isfinite(fun) or self.attempts[member] == _N_RESTARTS:
+            return None
+        self.attempts[member] += 1
+        return self._simplex(member), self.maxiter, self.xatol, self.fatol
+
+    def results(self, best_x, best_f, iterations):
+        """Each task's ArimaFit or error, jobs in order and orders in order.
+
+        A generator, so that a caller that keeps only some fits never
+        holds them all.  The errors are those a one-order fit raises:
+        InsufficientDataError when the differenced series is shorter than
+        the free parameter count plus three, and NonconvergenceError when
+        the optimizer finds no admissible coefficient vector.
+        """
+        solved = zip(best_x, best_f, self.slots)
+        tasks = ((series, order) for series, job_orders in self.jobs for order in job_orders)
+        for (series, order), diffed in zip(tasks, self.prepared):
+            if isinstance(diffed, Exception):
+                yield diffed
+                continue
+            coeffs = []
+            if order.n_coeffs:
+                x, fun, order_slots = next(solved)
+                if not np.isfinite(fun):
+                    yield NonconvergenceError(f"order {order}: optimizer found no admissible point")
+                    continue
+                coeffs = x[order_slots]
             yield _build_fit(series, order, diffed, coeffs)
+
+
+def _fit_tasks(jobs):
+    """Fit every order of each (series, orders) job by CSS, in one lockstep run; yields as results() does."""
+    plan = _FitPlan(jobs)
+    (searched,) = run_plans([plan])
+    return plan.results(*searched)
 
 
 def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
@@ -485,8 +493,39 @@ def order_grid() -> list[ArimaOrder]:
     return grid
 
 
+class GridPlan(_FitPlan):
+    """The whole order grid of every series, for ``run_plans``: auto_select_many's search."""
+
+    def __init__(self, series_list):
+        self.selected: list = [None] * len(series_list)
+        self.fitted = []
+        grid = order_grid()
+        for i, series in enumerate(series_list):
+            if len(series) < 10:
+                self.selected[i] = InsufficientDataError(
+                    f"auto selection needs >= 10 points, have {len(series)}"
+                )
+            else:
+                self.fitted.append(i)
+        super().__init__((series_list[i], grid) for i in self.fitted)
+
+    def results(self, best_x, best_f, iterations) -> list:
+        """Per series, the lowest-AICc converged fit, or the exception auto_select raises for it."""
+        selected = list(self.selected)
+        owners = (i for i, (_, grid) in zip(self.fitted, self.jobs) for _ in grid)
+        for i, fit in zip(owners, super().results(best_x, best_f, iterations)):
+            if isinstance(fit, Exception):
+                continue
+            if selected[i] is None or fit.aicc < selected[i].aicc:
+                selected[i] = fit
+        return [
+            NonconvergenceError("no ARIMA candidate converged on this series") if r is None else r
+            for r in selected
+        ]
+
+
 def auto_select_many(series_list) -> list:
-    """Fit the whole order grid on every series in one lockstep batch.
+    """Fit the whole order grid on every series in one lockstep run.
 
     Returns, per series, the lowest-AICc converged fit, or the exception
     auto_select raises for it (InsufficientDataError below 10 points,
@@ -494,26 +533,9 @@ def auto_select_many(series_list) -> list:
     insufficient after differencing are skipped; ties resolve to the
     earlier order in (p,d,q,P,D,Q) lexicographic order.
     """
-    grid = order_grid()
-    results: list = [None] * len(series_list)
-    fitted = []
-    for i, series in enumerate(series_list):
-        if len(series) < 10:
-            results[i] = InsufficientDataError(
-                f"auto selection needs >= 10 points, have {len(series)}"
-            )
-        else:
-            fitted.append(i)
-    owners = (i for i in fitted for _ in grid)
-    for i, fit in zip(owners, _fit_tasks((series_list[i], grid) for i in fitted)):
-        if isinstance(fit, Exception):
-            continue
-        if results[i] is None or fit.aicc < results[i].aicc:
-            results[i] = fit
-    return [
-        NonconvergenceError("no ARIMA candidate converged on this series") if r is None else r
-        for r in results
-    ]
+    plan = GridPlan(series_list)
+    (searched,) = run_plans([plan])
+    return plan.results(*searched)
 
 
 def auto_select(series: QuarterlySeries) -> ArimaFit:

@@ -76,6 +76,8 @@ def _build(cls, section: str, settings: dict):
         return cls(**settings)
     except TypeError as exc:
         raise ValidationError(f"config section {section!r}: {exc}") from None
+    except ValidationError as exc:
+        raise type(exc)(f"config section {section!r}: {exc}") from None
 
 
 def _forest_params(cfg: dict, seed) -> ForestParams:

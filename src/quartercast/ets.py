@@ -4,9 +4,11 @@ Level, optional (possibly damped) additive trend, optional additive
 seasonal with period 4, additive errors.  Smoothing parameters and initial
 states are optimized jointly with Nelder-Mead on a standardized copy of
 the series; specification selection uses AICc.  Every (series, spec) fit
-of one call is searched in a single lockstep batch
+of one call is searched in a single lockstep run
 (``auto_select_ets_many``), with the bits one scalar search per spec
-would give; ``fit_ets`` and ``auto_select_ets`` are one-task wrappers.
+would give; ``fit_ets`` and ``auto_select_ets`` are one-task wrappers, and
+``features.fit_windows`` puts the same searches (``SelectionPlan``) into
+one run with its ARIMA fits.
 
 Multiplicative variants are deliberately out: 14-16 positive observations
 cannot distinguish them from the additive forms, and the additive family
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import BATCH_WIDTH, nelder_mead, nelder_mead_batch  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
+from ._optim import nelder_mead, run_plans  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
 from .errors import InsufficientDataError, ValidationError
 from .series import QuarterlySeries
 
@@ -280,7 +282,8 @@ class _SseObjective:
         Consecutive iterations of the batch mostly score the same members,
         so the last gather is kept.
         """
-        if self._last is None or not np.array_equal(members, self._last[0]):
+        last = self._last
+        if last is None or (members is not last[0] and not np.array_equal(members, last[0])):
             self._last = (
                 members,
                 np.take(self.table, members, axis=1),
@@ -315,23 +318,26 @@ class _SseObjective:
         drift += square[3]
 
         phi = P[2] + c[_NOT_DAMPED]
-        level = x[_LEVEL]
-        slope = x[_TREND]
+        # Level and slope are adjacent rows, as are lb = level + bt and bt,
+        # so one add updates both: level = lb + alpha * e, slope = bt + beta * e.
+        state = x[_LEVEL : _TREND + 1]
+        level, slope = state
         S = np.zeros((PERIOD, len(members)))
         S[: PERIOD - 1] = x[_SEASON:]
         np.negative(S[0] + S[1] + S[2], out=S[PERIOD - 1], where=seasonal)
 
         E = np.empty(obs.shape)
         step = np.empty_like(P)
-        bt, lb, tmp = np.empty((3, len(members)))
+        tmp = np.empty(len(members))
+        base = np.empty((2, len(members)))
+        lb, bt = base
         for t in range(self.T):
             seas = S[t % PERIOD]
             np.multiply(phi, slope, out=bt)
             np.add(level, bt, out=lb)
             np.add(lb, seas, out=tmp)
             np.multiply(P, np.subtract(obs[t], tmp, out=E[t]), out=step)
-            np.add(lb, step[0], out=level)
-            np.add(bt, step[1], out=slope)
+            np.add(base, step[:2], out=state)
             np.add(seas, step[3], out=seas)
         np.multiply(E, E, out=E)
         if live is not None:
@@ -340,43 +346,6 @@ class _SseObjective:
         for t in range(1, self.T):
             np.add(sse, E[t], out=sse)
         return sse * (1.0 + drift) + drift
-
-
-def _simplex_start(jobs: list[_Job], points: np.ndarray, n_vertices: int):
-    """start(ids) for nelder_mead_batch: the scalar default simplex around each point."""
-
-    def start(ids):
-        simplexes = np.empty((ids.size, n_vertices, _N_COLUMNS))
-        for row, i in enumerate(ids.tolist()):
-            simplexes[row] = points[i]
-            for k, c in enumerate(jobs[i].cols, start=1):
-                v = float(points[i, c])
-                simplexes[row, k, c] = v * 1.05 if v != 0.0 else 0.00025
-        return simplexes
-
-    return start
-
-
-def _search(jobs: list[_Job]):
-    """The raw optimizer vector of every job.
-
-    The search from the scalar starting vector (tolerances 1e-8 / 1e-10)
-    and the polish from its answer (1e-10 / 1e-12), each with a budget of
-    200 iterations per searched coordinate, run as two lockstep batches.
-    """
-    dims = np.asarray([len(job.cols) for job in jobs], dtype=np.intp)
-    budget = 200 * dims
-    n_vertices = 1 + int(dims.max())
-    objective = _SseObjective(jobs)
-    points = np.zeros((len(jobs), _N_COLUMNS))
-    for i, job in enumerate(jobs):
-        points[i, job.cols] = job.x0
-    for xatol, fatol in ((1e-8, 1e-10), (1e-10, 1e-12)):
-        points, _, _ = nelder_mead_batch(
-            objective, _simplex_start(jobs, points, n_vertices), dims,
-            maxiter=budget, xatol=xatol, fatol=fatol, width=BATCH_WIDTH,
-        )
-    return [points[i, job.cols].tolist() for i, job in enumerate(jobs)]
 
 
 def _build_fit(job: _Job, raw) -> EtsFit:
@@ -420,25 +389,73 @@ def _build_fit(job: _Job, raw) -> EtsFit:
     )
 
 
-def _fit_many(tasks) -> list:
-    """The EtsFit of every (series, spec, fixed_alpha) task, or the error its fit raises.
+class _FitPlan:
+    """Every (series, spec, fixed_alpha) task, as the members of a lockstep run.
 
-    Every task's optimizer runs go into one lockstep batch.  The errors
-    are fit_ets's: InsufficientDataError for a series too short for the
-    spec, ValidationError for a fixed alpha outside [0, 1].
+    A member searches from the scalar starting vector (tolerances 1e-8 /
+    1e-10), then polishes from its answer (1e-10 / 1e-12), each search
+    with a budget of 200 iterations per searched coordinate; the polish is
+    the search's follow-on in the same run.  Each search starts from the
+    scalar default simplex around its point.
     """
-    results: list = []
-    jobs = []
-    for series, spec, fixed_alpha in tasks:
-        try:
-            job = _prepare(series, spec, fixed_alpha)
-        except (InsufficientDataError, ValidationError) as exc:
-            results.append(exc.with_traceback(None))
-            continue
-        results.append(job)
-        jobs.append(job)
-    raws = iter(_search(jobs) if jobs else ())
-    return [r if isinstance(r, Exception) else _build_fit(r, next(raws)) for r in results]
+
+    n_columns = _N_COLUMNS
+    xatol, fatol = 1e-8, 1e-10
+
+    def __init__(self, tasks):
+        self.prepared: list = []
+        self.jobs = []
+        for series, spec, fixed_alpha in tasks:
+            try:
+                job = _prepare(series, spec, fixed_alpha)
+            except (InsufficientDataError, ValidationError) as exc:
+                self.prepared.append(exc.with_traceback(None))
+                continue
+            self.prepared.append(job)
+            self.jobs.append(job)
+        self.dims = np.asarray([len(job.cols) for job in self.jobs], dtype=np.intp)
+        self.maxiter = 200 * self.dims
+        self.objective = _SseObjective(self.jobs) if self.jobs else None
+        self.polished = [False] * len(self.jobs)
+
+    def _simplex(self, member: int, point) -> np.ndarray:
+        cols = self.jobs[member].cols
+        simplex = np.empty((1 + len(cols), _N_COLUMNS))
+        simplex[:] = point
+        for k, c in enumerate(cols, start=1):
+            v = float(point[c])
+            simplex[k, c] = v * 1.05 if v != 0.0 else 0.00025
+        return simplex
+
+    def start(self, members):
+        simplexes = []
+        for i in members.tolist():
+            point = np.zeros(_N_COLUMNS)
+            point[self.jobs[i].cols] = self.jobs[i].x0
+            simplexes.append(self._simplex(i, point))
+        return simplexes
+
+    def then(self, member, x, fun):
+        if self.polished[member]:
+            return None
+        self.polished[member] = True
+        return self._simplex(member, x), self.maxiter[member], 1e-10, 1e-12
+
+    def results(self, best_x, best_f, iterations) -> list:
+        """The EtsFit of every task, or the error its fit raises.
+
+        The errors are fit_ets's: InsufficientDataError for a series too
+        short for the spec, ValidationError for a fixed alpha outside [0, 1].
+        """
+        raws = (x[job.cols].tolist() for job, x in zip(self.jobs, best_x))
+        return [r if isinstance(r, Exception) else _build_fit(r, next(raws)) for r in self.prepared]
+
+
+def _fit_many(tasks) -> list:
+    """The EtsFit of every (series, spec, fixed_alpha) task, or its error, from one lockstep run."""
+    plan = _FitPlan(tasks)
+    (searched,) = run_plans([plan])
+    return plan.results(*searched)
 
 
 def fit_ets(series: QuarterlySeries, spec: EtsSpec, fixed_alpha: float | None = None) -> EtsFit:
@@ -457,32 +474,48 @@ def spec_grid(trend_choices=TREND_CHOICES, seasonal_choices=SEASONAL_CHOICES) ->
     return [EtsSpec(t, s) for t in trend_choices for s in seasonal_choices]
 
 
+class SelectionPlan(_FitPlan):
+    """Every spec of every (series, specs) task, for ``run_plans``: auto_select_ets_many's search."""
+
+    def __init__(self, tasks):
+        tasks = [(series, spec_grid() if specs is None else list(specs)) for series, specs in tasks]
+        self.selected: list = [None] * len(tasks)
+        fits, self.owners = [], []
+        for i, (series, specs) in enumerate(tasks):
+            if len(series) < 8:
+                self.selected[i] = InsufficientDataError(
+                    f"auto selection needs >= 8 points, have {len(series)}"
+                )
+                continue
+            fits.extend((series, spec, None) for spec in specs)
+            self.owners.extend(i for _ in specs)
+        super().__init__(fits)
+
+    def results(self, best_x, best_f, iterations) -> list:
+        """Per task, the lowest-AICc fit, or the exception auto_select_ets raises for it."""
+        selected = list(self.selected)
+        for i, fit in zip(self.owners, super().results(best_x, best_f, iterations)):
+            if isinstance(fit, InsufficientDataError):  # the only error a free-alpha fit returns
+                continue
+            if selected[i] is None or fit.aicc < selected[i].aicc:
+                selected[i] = fit
+        return [
+            InsufficientDataError("no ETS spec admissible on this series") if r is None else r
+            for r in selected
+        ]
+
+
 def auto_select_ets_many(tasks) -> list:
-    """Fit every spec of every (series, specs) task in one lockstep batch.
+    """Fit every spec of every (series, specs) task in one lockstep run.
 
     ``specs`` None means the full spec_grid().  Returns, per task, the
     lowest-AICc fit, or the exception auto_select_ets raises for it
     (InsufficientDataError below 8 points or when no spec is admissible).
     Ties resolve to the earlier spec in enumeration order.
     """
-    tasks = [(series, spec_grid() if specs is None else list(specs)) for series, specs in tasks]
-    results: list = [None] * len(tasks)
-    fits, owners = [], []
-    for i, (series, specs) in enumerate(tasks):
-        if len(series) < 8:
-            results[i] = InsufficientDataError(f"auto selection needs >= 8 points, have {len(series)}")
-            continue
-        fits.extend((series, spec, None) for spec in specs)
-        owners.extend(i for _ in specs)
-    for i, fit in zip(owners, _fit_many(fits)):
-        if isinstance(fit, InsufficientDataError):  # the only error a free-alpha fit returns
-            continue
-        if results[i] is None or fit.aicc < results[i].aicc:
-            results[i] = fit
-    return [
-        InsufficientDataError("no ETS spec admissible on this series") if r is None else r
-        for r in results
-    ]
+    plan = SelectionPlan(tasks)
+    (searched,) = run_plans([plan])
+    return plan.results(*searched)
 
 
 def auto_select_ets(series: QuarterlySeries, specs: list[EtsSpec] | None = None) -> EtsFit:

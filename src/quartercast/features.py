@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arima import MAX_FORECAST_STEPS, auto_select, auto_select_many, forecast_arima
+from ._optim import run_plans
+from .arima import MAX_FORECAST_STEPS, GridPlan, auto_select, auto_select_many, forecast_arima
 from .errors import (
     InsufficientDataError,
     MissingIndicatorError,
@@ -22,7 +23,7 @@ from .errors import (
     UnknownGeographyError,
     ValidationError,
 )
-from .ets import auto_select_ets_many, forecast_ets
+from .ets import SelectionPlan, forecast_ets
 from .fiscal import FiscalQuarter, quarter_add, quarter_diff, quarter_range
 from .metrics import yoy_growth
 from .series import Dataset, QuarterlySeries
@@ -134,14 +135,13 @@ def _stl_forecasts(adjusted, fit) -> tuple:
 def fit_windows(windows, cache: ForecastCache | None = None) -> list:
     """The cache entries of the windows, fitting every window not cached yet.
 
-    The ARIMA order grids of all uncached windows are fit in one lockstep
-    batch (``auto_select_many``).  The ETS specs of every window, and the
-    STL specs of every window's seasonally adjusted copy, are fit in a
-    second one (``auto_select_ets_many``); STL's decomposition and
-    re-seasonalizing run window by window around it.  A model whose fit
-    fails is recorded as its exception: Model 1 drops that candidate, a
-    feature row raises it.  Returns the entries in the order of
-    ``windows``.
+    The ARIMA order grids of all uncached windows, the ETS specs of every
+    window and the STL specs of every window's seasonally adjusted copy
+    are fit in one lockstep run (``run_plans``), the ETS searches first;
+    STL's decomposition and re-seasonalizing run window by window around
+    it.  A model whose fit fails is recorded as its exception: Model 1
+    drops that candidate, a feature row raises it.  Returns the entries in
+    the order of ``windows``.
     """
     if cache is None:
         cache = ForecastCache()
@@ -150,12 +150,15 @@ def fit_windows(windows, cache: ForecastCache | None = None) -> list:
         if window.values not in fresh and cache.get(window.values) is None:
             fresh[window.values] = window
     fresh_windows = list(fresh.values())
-    arima_fits = auto_select_many(fresh_windows)
     adjusted = [_fit_or_error(seasonal_adjust, window) for window in fresh_windows]
-    fits = iter(auto_select_ets_many(
+    ets_plan = SelectionPlan(
         [(window, None) for window in fresh_windows]
         + [(adj[0], ADJUSTED_SPECS) for adj in adjusted if not isinstance(adj, Exception)]
-    ))
+    )
+    arima_plan = GridPlan(fresh_windows)
+    ets_searched, arima_searched = run_plans([ets_plan, arima_plan])
+    arima_fits = arima_plan.results(*arima_searched)
+    fits = iter(ets_plan.results(*ets_searched))
     ets_fits = [next(fits) for _ in fresh_windows]
     for window, arima_fit, ets_fit, adj in zip(fresh_windows, arima_fits, ets_fits, adjusted):
         stl_fit = adj if isinstance(adj, Exception) else next(fits)
@@ -339,7 +342,7 @@ def extend_indicators(
 
     Mirrors the test-time protocol: indicator actuals after the training
     period are treated as unavailable and replaced by ARIMA forecasts.  The
-    ARIMA grids of all indicators that need extending are fit in one batch.
+    ARIMA grids of all indicators that need extending are fit in one run.
     An indicator that would need more than MAX_FORECAST_STEPS forecast
     quarters raises MissingIndicatorError before any fit.
     """

@@ -444,7 +444,10 @@ def forest_to_json(forest: Forest) -> str:
 
 def forest_from_json(text: str) -> Forest:
     """Read a ``forest_to_json`` document; a malformed one raises SchemaMismatchError naming the field."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatchError(f"forest document is not JSON: {exc}") from None
     if (
         not isinstance(doc, dict)
         or doc.get("kind") != "forest"

@@ -10,7 +10,7 @@ is exactly 4-periodic and sums to zero over a cycle.
 Forecasting (``stlf_forecast``) is three steps: ``seasonal_adjust``, an
 ETS selection on the adjusted series, and ``reseasonalize``.  They are
 separate so that ``features.fit_windows`` can put the ETS step of every
-window into one batch with the windows' other ETS fits.
+window into one lockstep run with the windows' other fits.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def stlf_forecast(series: QuarterlySeries, h: int) -> np.ndarray:
     The seasonally adjusted series is forecast with an ETS restricted to
     ADJUSTED_SPECS ({no trend, additive trend}, no seasonal component: that
     part was already removed), selected by AICc.  ``features.fit_windows``
-    runs the same three steps, with the ETS fits of all its windows in one
-    batch.
+    runs the same three steps, with the fits of all its windows in one
+    lockstep run.
     """
     if not 1 <= h <= 8:
         raise ValidationError(f"forecast horizon must be in 1..8, got {h}")

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arima_oracle
 import ets_oracle as oracle
-from quartercast import FiscalQuarter, InsufficientDataError, QuarterlySeries, ValidationError
+from quartercast import FiscalQuarter, InsufficientDataError, QuarterlySeries, ValidationError, forecast_arima
 from quartercast.ets import (
     EtsSpec,
     _fit_many,
@@ -100,6 +101,29 @@ def test_selection_and_stl_match_scalar():
     for window, (_, ets_fc, stl_fc) in zip(windows, entries):
         assert bits(ets_fc) == bits(forecast_ets(oracle.auto_select_ets(window), 4))
         assert bits(stl_fc) == bits(oracle.stlf_forecast(window, 4))
+
+
+def test_fit_windows_mixes_kinds_lengths_and_errors():
+    """One fit_windows call, so one lockstep run holding ARIMA, ETS and STL
+    searches: 14- and 16-quarter windows, and a 7-quarter one on which every
+    fit raises InsufficientDataError (no seasonal fit, no STL decomposition,
+    no ARIMA grid).  Each cached forecast has the oracle's bits and each
+    error entry is the oracle's error."""
+    windows = [ragged(5, 14), ragged(6, 16), ragged(7, 7), ragged(8, 14), ragged(9, 16)]
+    entries = fit_windows(windows, ForecastCache())
+    for window, entry in zip(windows, entries):
+        expected = (
+            oracle_or_error(lambda w: forecast_arima(arima_oracle.auto_select(w), 4), window),
+            oracle_or_error(lambda w: forecast_ets(oracle.auto_select_ets(w), 4), window),
+            oracle_or_error(oracle.stlf_forecast, window, 4),
+        )
+        for got, want in zip(entry, expected):
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                assert bits(got) == bits(want)
+    assert all(isinstance(value, InsufficientDataError) for value in entries[2])
+    assert not any(isinstance(value, Exception) for e in entries[:2] + entries[3:] for value in e)
 
 
 def test_errors_match_scalar_and_leave_the_rest_alone():

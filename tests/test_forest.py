@@ -324,6 +324,11 @@ def _first_split(doc):
 
 
 class TestFromJsonMalformed:
+    @pytest.mark.parametrize("text", ['{"kind": "forest", "schema_', ""])
+    def test_text_that_is_not_json(self, text):
+        with pytest.raises(SchemaMismatchError, match="not JSON"):
+            forest_from_json(text)
+
     @pytest.mark.parametrize("key", ["params", "feature_names", "trees"])
     def test_missing_top_level_field(self, key):
         doc = _document()

@@ -501,6 +501,14 @@ class TestCliBadInputs:
         err = capsys.readouterr().err
         assert "'synth'" in err and "'n_geo'" in err
 
+    def test_bad_synth_value_names_the_section(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"n_geos": 0}}))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'synth'" in err and "n_geos must be >= 1, got 0" in err
+
     def test_unknown_forest_key(self, tmp_path, capsys):
         cfg = self._backtest_config(tmp_path, forest={"n_trees": 2, "trees": 5})
         rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
@@ -518,7 +526,8 @@ class TestCliBadInputs:
         cfg = self._backtest_config(tmp_path, forest={"n_trees": value})
         rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert rc == 2
-        assert f"n_trees must be an integer, got {value!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'forest'" in err and f"n_trees must be an integer, got {value!r}" in err
 
     def test_one_element_train_range(self, tmp_path, capsys):
         cfg = self._backtest_config(tmp_path, train_range=["2012Q1"])
