@@ -2,14 +2,15 @@
 
 Each tree draws its bootstrap sample and feature subsets from a generator
 derived only from (seed, tree index), so a forest does not depend on the
-order or the worker its trees are built in.  Trees are built serially:
-under the interpreter lock, threads only slow the growth down.
-Splits minimize total child SSE over midpoint thresholds; ties break to
-the lowest feature index, then the lowest threshold.  One numpy pass
-scores every candidate feature and cut of a node.
+order its trees are built in.  All trees of a forest grow together in
+one thread: each step scores the next node to split of every unfinished
+tree in one batched numpy scan.  Splits minimize total child SSE over
+midpoint thresholds; ties break to the lowest feature index, then the
+lowest threshold.
 
 A tree is stored as flat preorder arrays (see ``TreeNode``).  Prediction
-walks many (tree, row) pairs at once, one numpy step per tree level.
+walks many (tree, row) pairs at once, one numpy step per tree level, and
+the JSON text of a forest is written straight from the arrays.
 """
 
 from __future__ import annotations
@@ -134,17 +135,31 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int, where: str) -> "TreeNode":
-        """Inverse of ``to_dict``; a malformed node raises SchemaMismatchError naming it."""
-        nodes: list = []
+        """Inverse of ``to_dict``; a malformed node raises SchemaMismatchError naming it.
 
-        def add(d, depth) -> int:
+        Nodes are read in preorder from an explicit stack, so a deep tree
+        needs no recursion.  A split's threshold is read once both its
+        subtrees are, so the first malformed field named is the one a
+        recursive reader would meet first.
+        """
+        nodes: list = []  # [feature, threshold, left, right, value] in preorder
+        deepest = 0
+        todo: list = [(d, 0, -1)]  # (subtree, depth, split it is the right child of or -1)
+        while todo:
+            d, depth, parent = todo.pop()
             me = len(nodes)
+            if depth < 0:  # both subtrees of split ``parent`` (d) are read
+                nodes[parent][1] = _number(d["threshold"], f"{where} node {parent} 'threshold'")
+                continue
+            if parent >= 0:
+                nodes[parent][3] = me
             at = f"{where} node {me}"
             if not isinstance(d, dict):
                 raise SchemaMismatchError(f"{at} must be an object, got {d!r}")
             if "value" in d:
-                nodes.append((-1, np.nan, me, me, _number(d["value"], f"{at} 'value'")))
-                return depth
+                nodes.append([-1, np.nan, me, me, _number(d["value"], f"{at} 'value'")])
+                deepest = max(deepest, depth)
+                continue
             if "feature" not in d:
                 raise SchemaMismatchError(f"{at} has neither 'value' (leaf) nor 'feature' (split)")
             for key in ("threshold", "left", "right"):
@@ -155,15 +170,9 @@ class TreeNode:
                 raise SchemaMismatchError(
                     f"{at} 'feature' must index one of the {n_features} feature_names, got {f!r}"
                 )
-            nodes.append(None)  # filled in once the right child's index is known
-            deepest = add(d["left"], depth + 1)
-            right = len(nodes)
-            deepest = max(deepest, add(d["right"], depth + 1))
-            nodes[me] = (f, _number(d["threshold"], f"{at} 'threshold'"), me + 1, right, np.nan)
-            return deepest
-
-        depth = add(d, 0)
-        return cls._from_nodes(nodes, depth)
+            nodes.append([f, np.nan, me + 1, -1, np.nan])
+            todo += [(d, -1, me), (d["right"], depth + 1, me), (d["left"], depth + 1, -1)]
+        return cls._from_nodes(nodes, deepest)
 
     def __eq__(self, other):
         if not isinstance(other, TreeNode):
@@ -219,82 +228,224 @@ class Forest:
         return _stack(self.trees)
 
 
+# Cells (nodes x candidate features x padded rows) that one batched scan
+# holds at most, unless a single node is larger: bounds its temporaries.
+_SCAN_CELLS = 1 << 13
+
+
+def _exact_sums(values: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the sum of its targets and of their squares, bit for bit as ``y.sum()``.
+
+    ``values`` holds the nodes' targets end to end, nodes sorted by size.
+    numpy sums pairwise, so a sum's bits depend on its exact length: each
+    run of nodes of one size is summed as rows of exactly that length,
+    never over padding.
+    """
+    tot, tot2 = np.empty(sizes.size), np.empty(sizes.size)
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
+    offset = 0
+    for a, b in zip(starts, starts[1:] + [sizes.size]):
+        size = int(sizes[a])
+        block = values[offset : offset + (b - a) * size].reshape(b - a, size)
+        offset += block.size
+        tot[a:b] = block.sum(axis=1)
+        tot2[a:b] = (block * block).sum(axis=1)
+    return tot, tot2
+
+
+def _scan(V: np.ndarray, Y: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best cut of K nodes at once: (feature slot, threshold, gain) per node.
+
+    Node k has n[k] real rows, nodes sorted by n.  ``V`` (K, m, L) holds
+    its m candidate feature columns along the last axis, ``Y`` (K, L) its
+    targets.  Rows past n[k] are padding: +inf in V, so a stable sort puts
+    them last, and 0 in Y, so every running sum over real rows keeps its
+    bits.  Cuts at or past row n[k] - 1 are masked out.  The gain is -inf
+    for a node with no cut of positive gain.
+    """
+    K, m, L = V.shape
+    tot, tot2 = _exact_sums(Y[np.arange(L) < n[:, None]], n)
+    parent_sse = tot2 - tot * tot / n
+    order = V.argsort(axis=-1, kind="stable")
+    vs = np.take_along_axis(V, order, axis=-1)
+    ys = Y[np.arange(K)[:, None, None], order]
+    cum = ys.cumsum(axis=-1)[..., :-1]  # cut i: sorted rows 0..i go left
+    cum2 = (ys * ys).cumsum(axis=-1)[..., :-1]
+    n_l = np.arange(1, L, dtype=float)
+    n_r = n[:, None, None] - n_l
+    with np.errstate(divide="ignore", invalid="ignore"):  # n_r <= 0 past a node's last row
+        sse_l = cum2 - cum * cum / n_l
+        sum_r = tot[:, None, None] - cum
+        sse_r = (tot2[:, None, None] - cum2) - sum_r * sum_r / n_r
+        gain = parent_sse[:, None, None] - (sse_l + sse_r)
+        gain[~((vs[..., :-1] < vs[..., 1:]) & (gain > 0.0) & (n_r > 0.0))] = -np.inf
+    best = gain.reshape(K, -1).argmax(axis=1)  # first maximum, feature-major
+    j, i = np.divmod(best, L - 1)
+    k = np.arange(K)
+    lo, hi = vs[k, j, i], vs[k, j, i + 1]
+    thr = 0.5 * (lo + hi)
+    thr = np.where(thr >= hi, lo, thr)  # midpoint of adjacent floats can round up
+    return j, thr, gain[k, j, i]
+
+
 def best_split(X: np.ndarray, y: np.ndarray, candidate_features) -> tuple[int, float, float] | None:
     """The (feature, threshold, sse_reduction) minimizing total child SSE.
 
     Thresholds are midpoints between consecutive distinct sorted values.
     Returns None when no candidate feature has two distinct values or no
-    split has positive gain.  Every (feature, cut) is scored in one pass:
-    a stable sort and a running sum down each column, the gain expressions
+    split has positive gain.  This is the batched scan on one node: a
+    stable sort and a running sum down each column, the gain expressions
     elementwise, and the first maximum in (sorted feature, cut) order.
     """
     n = y.size
     features = sorted({int(c) for c in candidate_features})
     if n < 2 or not features:
         return None
-    tot = float(y.sum())
-    tot2 = float((y * y).sum())
-    parent_sse = tot2 - tot * tot / n
-    v = X[:, features]
-    order = v.argsort(axis=0, kind="stable")
-    vs = v[order, np.arange(len(features))]
-    ys = y[order]
-    cum = ys.cumsum(axis=0)[:-1]  # cut i: rows 0..i go left
-    cum2 = (ys * ys).cumsum(axis=0)[:-1]
-    n_l = np.arange(1, n, dtype=float)[:, None]
-    n_r = n - n_l
-    sse_l = cum2 - cum * cum / n_l
-    sum_r = tot - cum
-    sse_r = (tot2 - cum2) - sum_r * sum_r / n_r
-    gain = parent_sse - (sse_l + sse_r)
-    gain[~((vs[:-1] < vs[1:]) & (gain > 0.0))] = -np.inf
-    j, i = divmod(int(np.argmax(gain.T)), n - 1)  # first maximum, feature-major
-    if gain[i, j] == -np.inf:
+    j, thr, gain = _scan(X[:, features].T[None], y[None], np.array([n]))
+    if gain[0] == -np.inf:
         return None
-    thr = 0.5 * (vs[i, j] + vs[i + 1, j])
-    if thr >= vs[i + 1, j]:  # midpoint of adjacent floats can round up
-        thr = vs[i, j]
-    return features[j], float(thr), float(gain[i, j])
-
-
-def _grow(X, y, indices, params: ForestParams, rng, active, mtry, depth, nodes: list) -> int:
-    """Append the subtree over ``indices`` to ``nodes`` in preorder; return its deepest level."""
-    node_y = y[indices]
-    me = len(nodes)
-    if not (
-        indices.size <= params.min_node_size
-        or (params.max_depth is not None and depth >= params.max_depth)
-        or (node_y == node_y[0]).all()
-    ):
-        candidates = rng.permutation(active)[:mtry]
-        split = best_split(X[indices], node_y, candidates)
-        if split is not None:
-            f, thr, _ = split
-            mask = X[indices, f] <= thr
-            nodes.append(None)  # filled in once the right child's index is known
-            deepest = _grow(X, y, indices[mask], params, rng, active, mtry, depth + 1, nodes)
-            right = len(nodes)
-            deepest = max(deepest, _grow(X, y, indices[~mask], params, rng, active, mtry, depth + 1, nodes))
-            nodes[me] = (f, thr, me + 1, right, np.nan)
-            return deepest
-    nodes.append((-1, np.nan, me, me, float(node_y.mean())))
-    return depth
+    return features[j[0]], float(thr[0]), float(gain[0])
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
 
 
-def _build_one(X, y, params: ForestParams, active, mtry, rng) -> tuple[TreeNode, np.ndarray]:
-    n = y.size
-    if params.bootstrap:
-        sample = rng.integers(0, n, size=n)
-        X, y = X[sample], y[sample]
-    else:
-        sample = np.arange(n)
-    nodes: list = []
-    depth = _grow(X, y, np.arange(n), params, rng, active, mtry, 0, nodes)
-    return TreeNode._from_nodes(nodes, depth), sample
+class _Growing:
+    """A tree being grown: its generator, its stack of pending nodes, its preorder nodes so far."""
+
+    __slots__ = ("rng", "sample", "todo", "nodes", "depth")
+
+    def __init__(self, rng: np.random.Generator, y: np.ndarray, bootstrap: bool):
+        self.rng = rng
+        self.sample = rng.integers(0, y.size, size=y.size) if bootstrap else np.arange(y.size)
+        root_y = y[self.sample]
+        # (rows of X in the node, its depth, the split it is the right child of or -1, all targets equal)
+        self.todo = [(self.sample, 0, -1, bool((root_y == root_y[0]).all()))]
+        self.nodes: list = []  # [feature, threshold, left, right, value], as TreeNode._from_nodes takes them
+        self.depth = 0
+
+    def next_tried(self, min_node_size, max_depth, active, mtry, leaves: list):
+        """Settle leaves in preorder up to the next node to split: (rows, depth, drawn features), or None."""
+        while self.todo:
+            rows, depth, parent, pure = self.todo.pop()
+            if parent >= 0:
+                self.nodes[parent][3] = len(self.nodes)
+            if rows.size > min_node_size and depth < max_depth and not pure:
+                return rows, depth, self.rng.permutation(active)[:mtry]
+            self.leaf(rows, depth, leaves)
+        return None
+
+    def leaf(self, rows: np.ndarray, depth: int, leaves: list) -> None:
+        """Add a leaf; ``leaves`` gets (its node, rows) so that its value can be filled in."""
+        me = len(self.nodes)
+        self.nodes.append([-1, np.nan, me, me, np.nan])
+        leaves.append((self.nodes[me], rows))
+        self.depth = max(self.depth, depth)
+
+    def split(self, f: int, thr: float, depth: int, left, right) -> None:
+        """Add a split; ``left`` and ``right`` are each child's (rows, all targets equal)."""
+        me = len(self.nodes)
+        self.nodes.append([f, thr, me + 1, -1, np.nan])  # right is set when that child is reached
+        self.todo.append((right[0], depth + 1, me, right[1]))
+        self.todo.append((left[0], depth + 1, -1, left[1]))
+
+
+def _score(X_pad: np.ndarray, y: np.ndarray, rows: list, F: np.ndarray):
+    """(feature slot, threshold, gain) of each node's best cut; gain -inf for no cut.
+
+    Nodes are scanned sorted by row count, in chunks of at most
+    ``_SCAN_CELLS`` cells, each padded to its widest node.  Column n of
+    ``X_pad`` (feature, row) is the +inf padding row.
+    """
+    K, m = F.shape
+    sizes = np.array([r.size for r in rows])
+    slot, thr, gain = np.zeros(K, dtype=np.intp), np.zeros(K), np.full(K, -np.inf)
+    by_size = np.argsort(sizes, kind="stable")
+    start = 0
+    while m and start < K:
+        fits = np.arange(1, K - start + 1) * sizes[by_size[start:]] * m <= _SCAN_CELLS
+        chunk = by_size[start : start + max(1, int(np.count_nonzero(fits)))]
+        start += chunk.size
+        n = sizes[chunk]
+        real = np.arange(n[-1]) < n[:, None]
+        R = np.full(real.shape, y.size)
+        R[real] = np.concatenate([rows[k] for k in chunk.tolist()])
+        Y = np.zeros(real.shape)
+        Y[real] = y[R[real]]
+        slot[chunk], thr[chunk], gain[chunk] = _scan(X_pad[F[chunk][:, :, None], R[:, None, :]], Y, n)
+    return slot, thr, gain
+
+
+def _children(X: np.ndarray, y: np.ndarray, rows: list, f: np.ndarray, thr: np.ndarray) -> list:
+    """Per split node, its (left, right) children as (rows in node order, all targets equal)."""
+    sizes = np.array([r.size for r in rows])
+    node_of = np.repeat(np.arange(len(rows)), sizes)
+    cat = np.concatenate(rows)
+    go_left = X[cat, f[node_of]] <= thr[node_of]
+    parts = cat[np.argsort(2 * node_of + ~go_left, kind="stable")]  # each node's left rows, then its right
+    n_left = np.bincount(node_of[go_left], minlength=len(rows))
+    bounds = np.cumsum(np.stack([n_left, sizes - n_left], axis=1).ravel())
+    starts = np.concatenate([[0], bounds[:-1]])
+    part_y = y[parts]
+    pure = (np.minimum.reduceat(part_y, starts) == np.maximum.reduceat(part_y, starts)).tolist()
+    edges = [0] + bounds.tolist()
+    return [
+        ((parts[edges[2 * k] : edges[2 * k + 1]], pure[2 * k]),
+         (parts[edges[2 * k + 1] : edges[2 * k + 2]], pure[2 * k + 1]))
+        for k in range(len(rows))
+    ]
+
+
+def _settle(y: np.ndarray, leaves: list) -> None:
+    """Give each leaf (node, rows) its value, bit for bit ``y[rows].mean()``."""
+    sizes = np.array([rows.size for _, rows in leaves])
+    by_size = np.argsort(sizes, kind="stable")
+    tot, _ = _exact_sums(y[np.concatenate([leaves[k][1] for k in by_size.tolist()])], sizes[by_size])
+    for k, mean in zip(by_size.tolist(), (tot / sizes[by_size]).tolist()):
+        leaves[k][0][4] = mean
+
+
+def _grow(X, y, params: ForestParams, active, mtry, rngs) -> list[tuple[TreeNode, np.ndarray]]:
+    """One tree per generator, grown in lockstep; each with its bootstrap sample.
+
+    Each tree walks its nodes in preorder on its own stack and draws from
+    its own generator: the bootstrap sample, then one feature subset per
+    node it tries to split, as a recursive grower would.  A node that is a
+    leaf by size, depth or purity is settled at once.  Every step scores
+    the next node that each unfinished tree tries to split, all in one
+    batched scan, and splits them all at once.
+    """
+    X_pad = np.vstack([X, np.full(X.shape[1], np.inf)]).T.copy()
+    max_depth = np.inf if params.max_depth is None else params.max_depth
+    trees = [_Growing(rng, y, params.bootstrap) for rng in rngs]
+    live = trees
+    while live:
+        leaves: list = []
+        tried = []  # (tree, rows, depth, drawn features)
+        for tree in live:
+            node = tree.next_tried(params.min_node_size, max_depth, active, mtry, leaves)
+            if node is not None:
+                tried.append((tree, *node))
+        live = [tree for tree, _, _, _ in tried]
+        if tried:
+            rows = [r for _, r, _, _ in tried]
+            F = np.sort(np.stack([drawn for _, _, _, drawn in tried]), axis=1)
+            slot, thr, gain = _score(X_pad, y, rows, F)
+            cut = gain > -np.inf
+            for k in np.flatnonzero(~cut).tolist():
+                tree, _, depth, _ = tried[k]
+                tree.leaf(rows[k], depth, leaves)
+            split = np.flatnonzero(cut)
+            if split.size:
+                f = F[split, slot[split]]
+                children = _children(X, y, [rows[k] for k in split.tolist()], f, thr[split])
+                for k, fk, tk, (left, right) in zip(split.tolist(), f.tolist(), thr[split].tolist(), children):
+                    tree, _, depth, _ = tried[k]
+                    tree.split(fk, tk, depth, left, right)
+        if leaves:
+            _settle(y, leaves)
+    return [(TreeNode._from_nodes(tree.nodes, tree.depth), tree.sample) for tree in trees]
 
 
 def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +470,7 @@ def build_tree(X, y, params: ForestParams, tree_rng: np.random.Generator | None 
         tree_rng = _tree_rng(0, 0)
     active = _active_features(X)
     mtry = _resolve_mtry(params, X.shape[1], len(active))
-    tree, _ = _build_one(X, y, params, active, mtry, tree_rng)
+    [(tree, _)] = _grow(X, y, params, active, mtry, [tree_rng])
     return tree
 
 
@@ -387,10 +538,7 @@ def train_forest(
     mtry = _resolve_mtry(params, X.shape[1], len(active))
 
     resolve_threads(n_threads)
-    built = [
-        _build_one(X, y, params, active, mtry, _tree_rng(params.seed, i))
-        for i in range(params.n_trees)
-    ]
+    built = _grow(X, y, params, active, mtry, [_tree_rng(params.seed, i) for i in range(params.n_trees)])
     trees = tuple(tree for tree, _ in built)
     oob_mse, n_never = _oob_score(trees, [sample for _, sample in built], X, y)
     if n_never and params.bootstrap:
@@ -422,24 +570,77 @@ def predict_forest(forest: Forest, row) -> float:
     return float(np.mean(_walk(flat, x, roots)))
 
 
+def _number_texts(tree: TreeNode) -> list[str]:
+    """Each node's threshold (split) or value (leaf) as ``json.dumps`` writes it.
+
+    Each distinct bit pattern is formatted once: a forest repeats its
+    thresholds and leaf values many times over.
+    """
+    number = np.where(tree.feature < 0, tree.value, tree.threshold)
+    distinct, index = np.unique(number.view(np.int64), return_inverse=True)
+    texts = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
+    return list(map(texts.__getitem__, index.tolist()))
+
+
+def _tree_json(feature: list, numbers: list, depth: int, level: int) -> str:
+    """``json.dumps(tree.to_dict(), sort_keys=True, indent=2)``, nested ``level`` deep, from preorder lists."""
+    pad = ["  " * d for d in range(level, level + depth + 2)]
+    out = []
+    owed: list = []  # due as subtrees end: a split's closing lines (str), or its right child's depth (int)
+    d = 0
+    for f, number in zip(feature, numbers):
+        inner = pad[d + 1]
+        if f >= 0:
+            out.append(f'{{\n{inner}"feature": {f},\n{inner}"left": ')
+            owed.append(f',\n{inner}"threshold": {number}\n{pad[d]}}}')
+            owed.append(d + 1)
+            d += 1
+            continue
+        out.append(f'{{\n{inner}"value": {number}\n{pad[d]}}}')
+        while owed:
+            due = owed.pop()
+            if isinstance(due, int):
+                d = due
+                out.append(f',\n{pad[d]}"right": ')
+                break
+            out.append(due)
+    return "".join(out)
+
+
 def forest_to_json(forest: Forest) -> str:
-    doc = {
-        "schema_version": FOREST_SCHEMA_VERSION,
-        "kind": "forest",
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "mtry": forest.params.mtry,
-            "min_node_size": forest.params.min_node_size,
-            "max_depth": forest.params.max_depth,
-            "seed": forest.params.seed,
-            "bootstrap": forest.params.bootstrap,
+    """The schema-1 document, byte for byte ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+    All but the trees goes through ``json.dumps``.  The trees, nearly all
+    of the text, are written straight from their arrays; "trees" sorts
+    last among the keys, so their text closes the document.
+    """
+    head = json.dumps(
+        {
+            "schema_version": FOREST_SCHEMA_VERSION,
+            "kind": "forest",
+            "params": {
+                "n_trees": forest.params.n_trees,
+                "mtry": forest.params.mtry,
+                "min_node_size": forest.params.min_node_size,
+                "max_depth": forest.params.max_depth,
+                "seed": forest.params.seed,
+                "bootstrap": forest.params.bootstrap,
+            },
+            "feature_names": list(forest.feature_names),
+            "oob_mse": forest.oob_mse,
+            "n_never_oob": forest.n_never_oob,
         },
-        "feature_names": list(forest.feature_names),
-        "oob_mse": forest.oob_mse,
-        "n_never_oob": forest.n_never_oob,
-        "trees": [tree.to_dict() for tree in forest.trees],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        sort_keys=True,
+        indent=2,
+    )
+    flat, roots = forest._flat
+    numbers = _number_texts(flat)
+    bounds = roots.tolist() + [len(numbers)]
+    trees = ",\n".join(
+        "    " + _tree_json(tree.feature.tolist(), numbers[a:b], tree.depth, 2)
+        for tree, a, b in zip(forest.trees, bounds, bounds[1:])
+    )
+    return f'{head[:-2]},\n  "trees": [\n{trees}\n  ]\n}}\n'
 
 
 def forest_from_json(text: str) -> Forest:
@@ -448,6 +649,8 @@ def forest_from_json(text: str) -> Forest:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaMismatchError(f"forest document is not JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaMismatchError("forest document is nested too deeply to read") from None
     if (
         not isinstance(doc, dict)
         or doc.get("kind") != "forest"

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from quartercast import (
+    Forest,
     ForestParams,
     SchemaMismatchError,
     ValidationError,
@@ -14,7 +16,10 @@ from quartercast import (
     predict_forest,
     train_forest,
 )
-from quartercast.forest import _tree_rng
+from quartercast.forest import TreeNode, _tree_rng
+
+# A padded lane of the batched split scan divides by zero; that must never reach a user's log.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def friedman(n, seed):
@@ -378,3 +383,30 @@ class TestFromJsonMalformed:
         doc["trees"] = doc["trees"][:1]
         with pytest.raises(SchemaMismatchError, match="1 'trees' but params.n_trees is 2"):
             forest_from_json(json.dumps(doc))
+
+    def test_too_deeply_nested(self):
+        depth = 3000
+        split = '{"feature": 0, "threshold": 0.5, "left": '
+        tree = split * depth + '{"value": 1.0}' + ', "right": {"value": 2.0}}' * depth
+        text = json.dumps(_document(trees=[])).replace('"trees": []', f'"trees": [{tree}, {tree}]')
+        with pytest.raises(SchemaMismatchError, match="nested too deeply"):
+            forest_from_json(text)
+
+
+def test_deep_tree_reads_and_writes_without_recursion():
+    depth = 1200  # deeper than the default recursion limit
+    d = {"value": 0.0}
+    for i in range(depth):
+        d = {"feature": 0, "threshold": float(i), "left": {"value": 1.0}, "right": d}
+    tree = TreeNode.from_dict(d, 1, "tree 0")
+    assert tree.depth == depth and tree.feature.size == 2 * depth + 1
+    assert tree.predict([-1.0]) == 1.0 and tree.predict([depth + 1.0]) == 0.0
+    forest = Forest(trees=(tree,), params=ForestParams(n_trees=1, seed=1), feature_names=("a",), oob_mse=0.5)
+    text = forest_to_json(forest)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * depth)  # only for json's own recursive encoder and decoder
+    try:
+        assert json.loads(text)["trees"] == [d]
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
