@@ -5,7 +5,7 @@ selector and the global regression forest over the final fiscal year, and
 prints the per-horizon MAPE table plus the relative-performance table
 (positive cells mean the forest improved on the selector).
 
-Runtime: a couple of minutes; every 16-quarter window refit is real.
+Runtime: several seconds; every 16-quarter window refit is real.
 """
 
 from quartercast import (

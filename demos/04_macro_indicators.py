@@ -6,7 +6,7 @@ that growth (at the origin and, via ARIMA-forecast indicator values, at
 the target quarter) to the feature set; the table compares the two models
 per horizon on the worldwide aggregate.
 
-Runtime: a few minutes.
+Runtime: several seconds.
 """
 
 from quartercast import (

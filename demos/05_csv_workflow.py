@@ -7,7 +7,7 @@ Everything the CLI does is driven by a JSON config plus CSV inputs:
 This script runs those commands in-process inside a temp directory and
 shows the artifacts they produce.
 
-Runtime: about a minute.
+Runtime: several seconds.
 """
 
 import json

@@ -1,11 +1,10 @@
 """Minimal Nelder-Mead simplex search, one at a time or many in lockstep.
 
 Kept in-tree because the fitting loops evaluate tiny objectives millions
-of times.  ``nelder_mead`` is a list-based simplex, which avoids
-per-iteration array overhead for one search; ``nelder_mead_batch`` runs
-many searches as numpy arrays and gives each the bits ``nelder_mead``
-would, and ``run_plans`` puts the searches of several fitting modules
-(their plans) into one such run.  The update rules are the
+of times.  ``nelder_mead_batch`` runs many searches as numpy arrays, each
+with the bits of the textbook scalar search; ``nelder_mead`` is its
+one-search call, and ``run_plans`` puts the searches of several fitting
+modules (their plans) into one such run.  The update rules are the
 textbook ones (reflect 1, expand 2, contract 1/2, shrink 1/2) and the
 whole search is deterministic.
 """
@@ -36,77 +35,30 @@ def nelder_mead(
     best vertex) to fall below ``xatol`` and the value spread below
     ``fatol``.  Vertices with infinite values are handled like any other
     bad vertex, so objectives may return inf for infeasible points.
+    Without ``initial_simplex`` each coordinate of ``x0`` steps by 5% (from
+    zero, to 0.00025).  This is ``nelder_mead_batch`` with one member, so
+    ``f`` (called with a list of floats) must be pure.
     """
     x0 = [float(v) for v in x0]
     n = len(x0)
     if n == 0:
         return x0, f(x0), 0
     if initial_simplex is not None:
-        simplex = [[float(v) for v in row] for row in initial_simplex]
+        simplex = np.array(initial_simplex, dtype=float)
     else:
-        simplex = [list(x0)]
-        for i in range(n):
-            vertex = list(x0)
-            vertex[i] = vertex[i] * 1.05 if vertex[i] != 0.0 else 0.00025
-            simplex.append(vertex)
-    values = [f(v) for v in simplex]
-
-    nit = 0
-    while nit < maxiter:
-        order = sorted(range(n + 1), key=lambda i: values[i])
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        best, worst = simplex[0], simplex[-1]
-
-        spread = 0.0
-        for vertex in simplex[1:]:
-            for a, b in zip(vertex, best):
-                d = a - b if a >= b else b - a
-                if d > spread:
-                    spread = d
-        fspread = values[-1] - values[0] if values[-1] < _INF else _INF
-        if spread <= xatol and fspread <= fatol:
-            break
-        nit += 1
-
-        centroid = [0.0] * n
-        for vertex in simplex[:-1]:
-            for i in range(n):
-                centroid[i] += vertex[i]
-        for i in range(n):
-            centroid[i] /= n
-
-        reflected = [2.0 * centroid[i] - worst[i] for i in range(n)]
-        fr = f(reflected)
-        if fr < values[0]:
-            expanded = [3.0 * centroid[i] - 2.0 * worst[i] for i in range(n)]
-            fe = f(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            if fr < values[-1]:
-                contracted = [1.5 * centroid[i] - 0.5 * worst[i] for i in range(n)]
-            else:
-                contracted = [0.5 * centroid[i] + 0.5 * worst[i] for i in range(n)]
-            fc = f(contracted)
-            if fc < min(fr, values[-1]):
-                simplex[-1], values[-1] = contracted, fc
-            else:
-                for j in range(1, n + 1):
-                    simplex[j] = [0.5 * (simplex[j][i] + best[i]) for i in range(n)]
-                    values[j] = f(simplex[j])
-
-    order = sorted(range(n + 1), key=lambda i: values[i])
-    return list(simplex[order[0]]), values[order[0]], nit
+        simplex = np.array([x0] * (n + 1))
+        for i, v in enumerate(x0):
+            simplex[i + 1, i] = v * 1.05 if v != 0.0 else 0.00025
+    best_x, best_f, nit = nelder_mead_batch(
+        lambda members, points: np.array([f(point) for point in points.tolist()], dtype=float),
+        lambda members: simplex[None], [n], maxiter, xatol, fatol,
+    )
+    return best_x[0].tolist(), float(best_f[0]), int(nit[0])
 
 
 def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
                       width: int | None = None, then=None):
-    """Run many independent ``nelder_mead`` searches in lockstep.
+    """Run many independent Nelder-Mead searches in lockstep.
 
     Member m searches in ``dims[m]`` (at least 1) of the N coordinates.
     With V one more than the largest ``dims``, ``start(members)`` returns
@@ -144,7 +96,8 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
     Returns (best_x (M, N), best_f (M,), iterations (M,)): the best point
     and value of each member's last search, and its iterations summed over
     its searches.  Each search performs exactly the float operations of
-    ``nelder_mead`` started from its simplex (restricted to the coordinates
+    the list-based scalar search (``tests/arima_oracle.py`` keeps it as
+    the reference) started from its simplex (restricted to the coordinates
     it searches), in the same order, so its results are bitwise the same
     as the scalar search's, provided the objective never returns NaN:
     Python's sort does not order NaN, while the stable sort here puts it
@@ -374,14 +327,16 @@ def run_plans(plans) -> list:
     numbered 0.. within the plan.  ``objective(members, points)`` is
     ``nelder_mead_batch``'s ``f`` over the plan's own columns,
     ``start(members)`` returns each member's starting simplex as a
-    (dims + 1, n_columns) array, and ``then(member, x, fun)`` is
-    ``nelder_mead_batch``'s ``then`` with such a simplex.
+    (dims + 1, n_columns) array, ``then(member, x, fun)`` is
+    ``nelder_mead_batch``'s ``then`` with such a simplex, and
+    ``results(best_x, best_f, iterations)`` turns the members' answers
+    into what the module returns.
 
     Members queue plan by plan, in the order given, so the plan with the
     longest chains of searches should come first.  The objective is a
     dispatcher: it hands each plan the rows of its own members, restricted
-    to its columns.  Returns, per plan, (best_x, best_f, iterations) of
-    its members, with the plan's columns only.
+    to its columns.  Returns, per plan, ``results(best_x, best_f,
+    iterations)`` of its members, with the plan's columns only.
     """
     sizes = [len(plan.dims) for plan in plans]
     offsets = np.cumsum([0] + sizes)
@@ -440,6 +395,8 @@ def run_plans(plans) -> list:
         fatol=per_member("fatol"), width=BATCH_WIDTH, then=then,
     )
     return [
-        (best_x[lo:hi, : plan.n_columns].reshape(hi - lo, plan.n_columns), best_f[lo:hi], iterations[lo:hi])
+        plan.results(
+            best_x[lo:hi, : plan.n_columns].reshape(hi - lo, plan.n_columns), best_f[lo:hi], iterations[lo:hi]
+        )
         for plan, lo, hi in zip(plans, offsets[:-1], offsets[1:])
     ]

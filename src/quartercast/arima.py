@@ -19,7 +19,6 @@ residual count always equals the differenced length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,8 +35,6 @@ MAX_SP, MAX_SD, MAX_SQ = 1, 1, 1
 
 _MAX_ITER = 500
 _CSS_TOL = 1e-8
-_N_RESTARTS = 3
-_RESTART_SEED = 20090401  # fixed so refits are bit-reproducible
 
 _LOG_FLOOR = 1e-300
 
@@ -117,21 +114,6 @@ def difference(values, d: int, D: int, s: int = SEASONAL_PERIOD) -> np.ndarray:
     for _ in range(D):
         out = out[s:] - out[:-s]
     return out
-
-
-def _ar_factor_stationary(phi) -> bool:
-    """Roots of 1 - phi_1 B - phi_2 B^2 outside the unit circle (closed form)."""
-    if len(phi) == 0:
-        return True
-    if len(phi) == 1:
-        return abs(phi[0]) < 1.0
-    p1, p2 = phi[0], phi[1]
-    return abs(p2) < 1.0 and p1 + p2 < 1.0 and p2 - p1 < 1.0
-
-
-def _ma_factor_invertible(theta) -> bool:
-    """Roots of 1 + theta_1 B + theta_2 B^2 outside the unit circle."""
-    return _ar_factor_stationary([-t for t in theta])
 
 
 def _split_params(x, order: ArimaOrder):
@@ -219,7 +201,8 @@ def _difference_once(y, d: int, D: int, s: int):
     intercept = float(np.mean(w)) if d + D == 0 else None
     z = (w - intercept if intercept is not None else w).tolist()
     scale = sum(v * v for v in z)
-    return _Differenced(z, intercept, scale if scale > 0.0 else 1.0)
+    # A scale that is not finite (the squares overflow) stays so: _FitPlan rejects those fits.
+    return _Differenced(z, intercept, 1.0 if scale == 0.0 else scale)
 
 
 def _slots(order: ArimaOrder) -> list[int]:
@@ -231,11 +214,11 @@ def _slots(order: ArimaOrder) -> list[int]:
 def _admissible_mask(c) -> np.ndarray:
     """Which columns of c = (phi_1, phi_2, theta_1, theta_2, Phi_1, Theta_1) are admissible.
 
-    Admissible means every factor is stationary or invertible, the
-    conditions of _ar_factor_stationary and _ma_factor_invertible.  A
-    coefficient the order lacks is +0.0 here; the triangle test of a padded
-    factor then reduces to |phi_1| < 1 (or to True) with the same
-    comparisons, so the mask equals the scalar test bit for bit.
+    Admissible means every factor's roots lie outside the unit circle.  For
+    1 - phi_1 B - phi_2 B^2 that is the triangle |phi_2| < 1, phi_1 + phi_2 < 1,
+    phi_2 - phi_1 < 1; an MA factor 1 + theta_1 B + theta_2 B^2 passes when
+    (-theta_1, -theta_2) does.  A coefficient the order lacks is +0.0, which
+    reduces a factor's test to |coefficient| < 1 (or to True).
     """
     p1, p2, t1, t2, sp, st = c
     q1, q2 = -t1, -t2
@@ -338,13 +321,6 @@ class _CssObjective:
         return out
 
 
-@lru_cache(maxsize=None)
-def _restart_starts(n: int) -> tuple:
-    """The restart points of an n-coefficient fit: successive draws of one seeded stream."""
-    rng = np.random.default_rng(_RESTART_SEED)
-    return tuple(tuple(rng.uniform(-0.2, 0.2, size=n).tolist()) for _ in range(_N_RESTARTS))
-
-
 def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced, coeffs) -> ArimaFit:
     z = diffed.z
     n_res = len(z)
@@ -382,9 +358,10 @@ class _FitPlan:
     fixed six-slot layout with the slots its order lacks held at zero;
     every simplex operation is per coordinate, so the layout does not
     change a bit.  A search starts from the zero vector with a 0.2 step
-    per axis; a member whose best value is not finite restarts from its
-    own seeded draws, up to _N_RESTARTS times, exactly as a one-order fit
-    would.
+    per axis.  The zero vector is admissible and scores the series' sum of
+    squares over itself, a finite value, and a simplex's best value never
+    rises, so every search ends finite; a series whose sum of squares
+    overflows has its fits with coefficients rejected up front.
     """
 
     n_columns = 6
@@ -407,6 +384,10 @@ class _FitPlan:
                         diffed = InsufficientDataError(
                             f"order {order}: differenced length {n_res} < {order.n_free_params + 3}"
                         )
+                    elif order.n_coeffs and not np.isfinite(diffed.denom):
+                        diffed = NonconvergenceError(
+                            f"order {order}: the sum of squares of the differenced series overflows"
+                        )
                     elif order.n_coeffs:
                         diffs.append(diffed)
                         self.orders.append(order)
@@ -415,25 +396,18 @@ class _FitPlan:
         self.slots = [slots[order] for order in self.orders]
         self.dims = np.asarray([len(s) for s in self.slots], dtype=np.intp)
         self.objective = _CssObjective(diffs) if diffs else None
-        self.attempts = [0] * len(self.orders)
-
-    def _simplex(self, member: int) -> np.ndarray:
-        order_slots = self.slots[member]
-        k = len(order_slots)
-        simplex = np.zeros((k + 1, 6))
-        if self.attempts[member]:
-            simplex[:, order_slots] = _restart_starts(k)[self.attempts[member] - 1]
-        simplex[np.arange(1, k + 1), order_slots] += 0.2
-        return simplex
 
     def start(self, members):
-        return [self._simplex(i) for i in members.tolist()]
+        simplexes = []
+        for i in members.tolist():
+            order_slots = self.slots[i]
+            simplex = np.zeros((len(order_slots) + 1, 6))
+            simplex[np.arange(1, len(order_slots) + 1), order_slots] = 0.2
+            simplexes.append(simplex)
+        return simplexes
 
     def then(self, member, x, fun):
-        if np.isfinite(fun) or self.attempts[member] == _N_RESTARTS:
-            return None
-        self.attempts[member] += 1
-        return self._simplex(member), self.maxiter, self.xatol, self.fatol
+        return None  # one search per member
 
     def results(self, best_x, best_f, iterations):
         """Each task's ArimaFit or error, jobs in order and orders in order.
@@ -442,7 +416,8 @@ class _FitPlan:
         holds them all.  The errors are those a one-order fit raises:
         InsufficientDataError when the differenced series is shorter than
         the free parameter count plus three, and NonconvergenceError when
-        the optimizer finds no admissible coefficient vector.
+        its sum of squares overflows or the optimizer finds no admissible
+        coefficient vector.
         """
         solved = zip(best_x, best_f, self.slots)
         tasks = ((series, order) for series, job_orders in self.jobs for order in job_orders)
@@ -462,9 +437,7 @@ class _FitPlan:
 
 def _fit_tasks(jobs):
     """Fit every order of each (series, orders) job by CSS, in one lockstep run; yields as results() does."""
-    plan = _FitPlan(jobs)
-    (searched,) = run_plans([plan])
-    return plan.results(*searched)
+    return run_plans([_FitPlan(jobs)])[0]
 
 
 def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
@@ -472,7 +445,8 @@ def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
 
     Raises InsufficientDataError when the differenced series is shorter
     than the free parameter count plus three, and NonconvergenceError when
-    the optimizer cannot find an admissible coefficient vector.
+    its sum of squares overflows or the optimizer cannot find an
+    admissible coefficient vector.
     """
     (fit,) = _fit_tasks([(series, [order])])
     if isinstance(fit, Exception):
@@ -533,9 +507,7 @@ def auto_select_many(series_list) -> list:
     insufficient after differencing are skipped; ties resolve to the
     earlier order in (p,d,q,P,D,Q) lexicographic order.
     """
-    plan = GridPlan(series_list)
-    (searched,) = run_plans([plan])
-    return plan.results(*searched)
+    return run_plans([GridPlan(series_list)])[0]
 
 
 def auto_select(series: QuarterlySeries) -> ArimaFit:

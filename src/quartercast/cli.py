@@ -22,6 +22,7 @@ from .features import FeatureConfig, IndicatorConfig
 from .fiscal import parse_quarter, quarter_add
 from .forest import ForestParams, resolve_threads
 from .io import (
+    REPORT_FORMATS,
     load_expert_forecasts_csv,
     load_indicator_csv,
     load_revenue_csv,
@@ -80,8 +81,17 @@ def _build(cls, section: str, settings: dict):
         raise type(exc)(f"config section {section!r}: {exc}") from None
 
 
+def _section(cfg: dict, key: str, kind: type, default):
+    """cfg[key] (or default), which must be a ``kind``: a JSON object or list."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ValidationError(f"config section {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _forest_params(cfg: dict, seed) -> ForestParams:
-    forest = dict(cfg.get("forest", {}))
+    forest = dict(_section(cfg, "forest", dict, {}))
     if seed is None:
         raise ValidationError("models m2 and m3 require a seed")
     forest["seed"] = int(seed)
@@ -89,14 +99,18 @@ def _forest_params(cfg: dict, seed) -> ForestParams:
     return _build(ForestParams, "forest", forest)
 
 
+def _indicator(k: int, item) -> IndicatorConfig:
+    where = f"config section 'indicators' item {k}"
+    if not isinstance(item, dict) or "id" not in item:
+        raise ValidationError(f"{where} must be an object with an 'id', got {item!r}")
+    geos = item.get("geos")
+    if geos is not None and not (isinstance(geos, list) and all(isinstance(g, str) for g in geos)):
+        raise ValidationError(f"{where}: 'geos' must be a list of geography names, got {geos!r}")
+    return IndicatorConfig(indicator_id=str(item["id"]), geos=tuple(geos) if geos else None)
+
+
 def _feature_config(cfg: dict) -> FeatureConfig:
-    indicators = tuple(
-        IndicatorConfig(
-            indicator_id=str(item["id"]),
-            geos=tuple(item["geos"]) if item.get("geos") else None,
-        )
-        for item in cfg.get("indicators", [])
-    )
+    indicators = tuple(_indicator(k, item) for k, item in enumerate(_section(cfg, "indicators", list, [])))
     return FeatureConfig(
         indicators=indicators,
         macro_at_origin=bool(cfg.get("macro_at_origin", True)),
@@ -163,15 +177,27 @@ def _run_model_forecasts(cfg: dict, model: str, seed):
     return rows
 
 
+def _out(args, cfg: dict, command: str) -> str:
+    out = args.out or cfg.get("out")
+    if out is None:
+        raise ValidationError(f"{command} needs --out (or 'out' in the config)")
+    return out
+
+
+def _output_format(cfg: dict) -> str:
+    fmt = cfg.get("output_format", "json")
+    if fmt not in REPORT_FORMATS:
+        raise ValidationError(f"config 'output_format' must be 'json' or 'csv', got {fmt!r}")
+    return fmt
+
+
 def _cmd_forecast(args, cfg: dict) -> int:
     model = args.model or cfg.get("model")
     if model is None:
         raise ValidationError("forecast needs --model (or 'model' in the config)")
     seed = args.seed if args.seed is not None else cfg.get("seed")
+    out = _out(args, cfg, "forecast")
     rows = _run_model_forecasts(cfg, model, seed)
-    out = args.out or cfg.get("out")
-    if out is None:
-        raise ValidationError("forecast needs --out (or 'out' in the config)")
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["geo", "fiscal_year", "fiscal_quarter", "horizon", "forecast", "source"])
@@ -185,6 +211,7 @@ def _cmd_backtest(args, cfg: dict) -> int:
     model = args.model or cfg.get("model")
     if model is None:
         raise ValidationError("backtest needs --model (or 'model' in the config)")
+    out, fmt = _out(args, cfg, "backtest"), _output_format(cfg)
     dataset = _load_dataset(cfg)
     train_range = _parse_range(cfg, "train_range")
     test_range = _parse_range(cfg, "test_range")
@@ -204,16 +231,14 @@ def _cmd_backtest(args, cfg: dict) -> int:
         config=config,
         include_average=bool(cfg.get("model1_include_average", True)),
     )
-    out = args.out or cfg.get("out")
-    if out is None:
-        raise ValidationError("backtest needs --out (or 'out' in the config)")
-    write_report(report, cfg.get("output_format", "json"), out)
+    write_report(report, fmt, out)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_compare(args, cfg: dict) -> int:
     mode = args.mode or cfg.get("mode")
+    out, fmt = _out(args, cfg, "compare"), _output_format(cfg)
     if mode == "models":
         baseline = args.baseline or cfg.get("baseline_report")
         candidate = args.candidate or cfg.get("candidate_report")
@@ -233,10 +258,7 @@ def _cmd_compare(args, cfg: dict) -> int:
         table = compare_expert(read_report(report), load_expert_forecasts_csv(expert))
     else:
         raise ValidationError(f"compare mode must be models, horizons or expert, got {mode!r}")
-    out = args.out or cfg.get("out")
-    if out is None:
-        raise ValidationError("compare needs --out (or 'out' in the config)")
-    write_report(table, cfg.get("output_format", "json"), out)
+    write_report(table, fmt, out)
     print(f"wrote {out}")
     return 0
 

@@ -453,9 +453,7 @@ class _FitPlan:
 
 def _fit_many(tasks) -> list:
     """The EtsFit of every (series, spec, fixed_alpha) task, or its error, from one lockstep run."""
-    plan = _FitPlan(tasks)
-    (searched,) = run_plans([plan])
-    return plan.results(*searched)
+    return run_plans([_FitPlan(tasks)])[0]
 
 
 def fit_ets(series: QuarterlySeries, spec: EtsSpec, fixed_alpha: float | None = None) -> EtsFit:
@@ -513,9 +511,7 @@ def auto_select_ets_many(tasks) -> list:
     (InsufficientDataError below 8 points or when no spec is admissible).
     Ties resolve to the earlier spec in enumeration order.
     """
-    plan = SelectionPlan(tasks)
-    (searched,) = run_plans([plan])
-    return plan.results(*searched)
+    return run_plans([SelectionPlan(tasks)])[0]
 
 
 def auto_select_ets(series: QuarterlySeries, specs: list[EtsSpec] | None = None) -> EtsFit:

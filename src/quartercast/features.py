@@ -150,15 +150,15 @@ def fit_windows(windows, cache: ForecastCache | None = None) -> list:
         if window.values not in fresh and cache.get(window.values) is None:
             fresh[window.values] = window
     fresh_windows = list(fresh.values())
+    if not fresh_windows:
+        return [cache.get(window.values) for window in windows]
     adjusted = [_fit_or_error(seasonal_adjust, window) for window in fresh_windows]
     ets_plan = SelectionPlan(
         [(window, None) for window in fresh_windows]
         + [(adj[0], ADJUSTED_SPECS) for adj in adjusted if not isinstance(adj, Exception)]
     )
-    arima_plan = GridPlan(fresh_windows)
-    ets_searched, arima_searched = run_plans([ets_plan, arima_plan])
-    arima_fits = arima_plan.results(*arima_searched)
-    fits = iter(ets_plan.results(*ets_searched))
+    ets_selected, arima_fits = run_plans([ets_plan, GridPlan(fresh_windows)])
+    fits = iter(ets_selected)
     ets_fits = [next(fits) for _ in fresh_windows]
     for window, arima_fit, ets_fit, adj in zip(fresh_windows, arima_fits, ets_fits, adjusted):
         stl_fit = adj if isinstance(adj, Exception) else next(fits)

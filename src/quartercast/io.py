@@ -19,6 +19,7 @@ from .pipeline import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
 from .series import TOTAL_ID, Dataset, QuarterlySeries
 
 REPORT_SCHEMA_VERSION = 1
+REPORT_FORMATS = ("json", "csv")
 
 REVENUE_HEADER = ["geo", "fiscal_year", "fiscal_quarter", "revenue"]
 INDICATOR_HEADER = ["geo", "indicator", "fiscal_year", "fiscal_quarter", "value"]
@@ -172,22 +173,54 @@ def report_to_dict(report: EvaluationReport) -> dict:
     }
 
 
+_NUMBER = (int, float)
+_KIND_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number", list: "a list", dict: "an object"}
+
+
+def _field(doc: dict, key: str, where: str, kind):
+    """doc[key]; a missing key or a value not of ``kind`` raises SchemaMismatchError naming the field."""
+    if key not in doc:
+        raise SchemaMismatchError(f"{where} has no {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise SchemaMismatchError(f"{where} field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _objects(doc: dict, key: str, where: str) -> list:
+    """doc[key] as a list of JSON objects; anything else raises SchemaMismatchError naming the field."""
+    items = _field(doc, key, where, list)
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SchemaMismatchError(f"{where} field {key!r}[{k}] must be an object, got {item!r}")
+    return items
+
+
+def _is_document(doc, kind: str) -> bool:
+    return isinstance(doc, dict) and doc.get("kind") == kind and doc.get("schema_version") == REPORT_SCHEMA_VERSION
+
+
 def report_from_dict(doc: dict) -> EvaluationReport:
-    if doc.get("kind") != "evaluation_report" or doc.get("schema_version") != REPORT_SCHEMA_VERSION:
+    """Inverse of ``report_to_dict``; a malformed document raises SchemaMismatchError naming the field."""
+    if not _is_document(doc, "evaluation_report"):
         raise SchemaMismatchError("not a recognized evaluation report document")
     cells = {}
-    for entry in doc["results"]:
-        details = tuple(
-            ApeDetail(parse_quarter(d["quarter"]), d["actual"], d["forecast"], d["ape"])
-            for d in entry["details"]
-        )
-        cells[(entry["geo"], entry["horizon"])] = HorizonCell(mape=entry["mape"], details=details)
+    for k, entry in enumerate(_objects(doc, "results", "report")):
+        at = f"report 'results'[{k}]"
+        details = []
+        for j, d in enumerate(_objects(entry, "details", at)):
+            where = f"{at} 'details'[{j}]"
+            quarter = parse_quarter(_field(d, "quarter", where, str))
+            values = (_field(d, key, where, _NUMBER) for key in ("actual", "forecast", "ape"))
+            details.append(ApeDetail(quarter, *values))
+        key = (_field(entry, "geo", at, str), _field(entry, "horizon", at, int))
+        cells[key] = HorizonCell(mape=_field(entry, "mape", at, _NUMBER), details=tuple(details))
     return EvaluationReport(
-        model=doc["model"],
-        geos=tuple(doc["geos"]),
-        horizons=tuple(doc["horizons"]),
+        model=_field(doc, "model", "report", str),
+        geos=tuple(_field(doc, "geos", "report", list)),
+        horizons=tuple(_field(doc, "horizons", "report", list)),
         cells=cells,
-        metadata=doc["metadata"],
+        metadata=_field(doc, "metadata", "report", dict),
     )
 
 
@@ -204,14 +237,19 @@ def table_to_dict(table: ComparisonTable) -> dict:
 
 
 def table_from_dict(doc: dict) -> ComparisonTable:
-    if doc.get("kind") != "comparison_table" or doc.get("schema_version") != REPORT_SCHEMA_VERSION:
+    """Inverse of ``table_to_dict``; a malformed document raises SchemaMismatchError naming the field."""
+    if not _is_document(doc, "comparison_table"):
         raise SchemaMismatchError("not a recognized comparison table document")
+    rows = _field(doc, "cells", "table", list)
+    for k, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaMismatchError(f"table field 'cells'[{k}] must be a list, got {row!r}")
     return ComparisonTable(
-        mode=doc["mode"],
-        row_labels=tuple(doc["row_labels"]),
-        col_labels=tuple(doc["col_labels"]),
-        cells=tuple(tuple(row) for row in doc["cells"]),
-        metadata=doc["metadata"],
+        mode=_field(doc, "mode", "table", str),
+        row_labels=tuple(_field(doc, "row_labels", "table", list)),
+        col_labels=tuple(_field(doc, "col_labels", "table", list)),
+        cells=tuple(tuple(row) for row in rows),
+        metadata=_field(doc, "metadata", "table", dict),
     )
 
 
@@ -240,7 +278,7 @@ def _table_csv(table: ComparisonTable) -> str:
 
 def write_report(obj, fmt: str, path) -> None:
     """Write a report or comparison table as json or csv."""
-    if fmt not in ("json", "csv"):
+    if fmt not in REPORT_FORMATS:
         raise ValidationError(f"output format must be 'json' or 'csv', got {fmt!r}")
     if isinstance(obj, EvaluationReport):
         text = _dump_json(report_to_dict(obj)) if fmt == "json" else _report_csv(obj)
@@ -251,11 +289,20 @@ def write_report(obj, fmt: str, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _read_document(path, from_dict):
+    """from_dict of the JSON in the file; text that is not JSON, or a malformed
+    document, raises SchemaMismatchError naming the path (and the field)."""
+    try:
+        return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatchError(f"{path}: not JSON: {exc}") from None
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_report(path) -> EvaluationReport:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return report_from_dict(doc)
+    return _read_document(path, report_from_dict)
 
 
 def read_table(path) -> ComparisonTable:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return table_from_dict(doc)
+    return _read_document(path, table_from_dict)

@@ -3,7 +3,8 @@
 A verbatim copy of the list-based ``nelder_mead`` and of ``fit_arima`` /
 ``auto_select`` with their helpers, frozen here so that the batched kernel
 in ``quartercast.arima`` can be checked against it bit for bit.  Only the
-imports differ.  The objective's ``sum`` adds in sequence on CPython 3.11;
+imports differ, and the restart constants, which the package no longer
+has, are defined here.  The objective's ``sum`` adds in sequence on CPython 3.11;
 from 3.12 ``sum`` of floats is compensated, and this oracle (like the
 original code) then rounds differently from the sequential kernel.
 """
@@ -22,8 +23,6 @@ from quartercast.arima import (
     _LOG_FLOOR,
     _MAX_ITER,
     _CSS_TOL,
-    _N_RESTARTS,
-    _RESTART_SEED,
     ArimaFit,
     ArimaOrder,
     difference,
@@ -32,6 +31,8 @@ from quartercast.errors import InsufficientDataError, NonconvergenceError
 from quartercast.series import QuarterlySeries
 
 _INF = float("inf")
+_N_RESTARTS = 3
+_RESTART_SEED = 20090401  # fixed so refits are bit-reproducible
 
 
 def nelder_mead(

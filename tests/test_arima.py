@@ -36,18 +36,26 @@ class TestDifference:
 
 class TestAdmissibility:
     def test_triangle_matches_polynomial_roots(self):
-        from quartercast.arima import _ar_factor_stationary, _ma_factor_invertible
+        from quartercast.arima import _admissible_mask
+
+        def admissible(slot, coeffs):
+            c = np.zeros(6)
+            c[slot : slot + len(coeffs)] = coeffs
+            return bool(_admissible_mask(c[:, None])[0])
+
+        def outside_unit_circle(poly):  # coefficients from the highest power down
+            roots = np.roots(np.trim_zeros(poly, "f"))
+            return bool(np.all(np.abs(roots) > 1.0)) if roots.size else True
 
         rng = np.random.default_rng(19)
         for _ in range(300):
             phi = rng.uniform(-1.6, 1.6, size=2)
-            roots = np.roots([-phi[1], -phi[0], 1.0]) if phi[1] != 0 else np.roots([-phi[0], 1.0])
-            by_roots = bool(np.all(np.abs(roots) > 1.0)) if roots.size else True
-            assert _ar_factor_stationary(phi.tolist()) == by_roots
+            assert admissible(0, phi) == outside_unit_circle([-phi[1], -phi[0], 1.0])
             theta = rng.uniform(-1.6, 1.6, size=2)
-            mroots = np.roots([theta[1], theta[0], 1.0]) if theta[1] != 0 else np.roots([theta[0], 1.0])
-            by_mroots = bool(np.all(np.abs(mroots) > 1.0)) if mroots.size else True
-            assert _ma_factor_invertible(theta.tolist()) == by_mroots
+            assert admissible(2, theta) == outside_unit_circle([theta[1], theta[0], 1.0])
+            sphi, stheta = rng.uniform(-1.6, 1.6, size=2)
+            assert admissible(4, [sphi]) == outside_unit_circle([-sphi, 0.0, 0.0, 0.0, 1.0])
+            assert admissible(5, [stheta]) == outside_unit_circle([stheta, 0.0, 0.0, 0.0, 1.0])
 
 
 class TestOrder:

@@ -1,13 +1,15 @@
 """The lockstep ARIMA grid against the frozen scalar fit, bit for bit."""
 
+import re
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arima_oracle as oracle
-from quartercast import FiscalQuarter, QuarterlySeries, arima, forecast_arima
+from quartercast import FiscalQuarter, NonconvergenceError, QuarterlySeries, arima, forecast_arima
 from quartercast.arima import auto_select_many, fit_arima, order_grid
 
 START = FiscalQuarter(2009, 1)
@@ -42,9 +44,8 @@ def assert_same(batch, scalar):
     assert bits(forecast_arima(batch, 4)) == bits(forecast_arima(scalar, 4))
 
 
-# Values stay far from overflow: the CSS objective returns NaN only when
-# the squared scale of the series overflows, and NaN is outside the
-# contract (Python's sort does not order it).
+# Values stay far from overflow: a series whose squares overflow is not
+# searched at all (see the overflow test below).
 values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 series_values = st.lists(values, min_size=10, max_size=24)
 
@@ -86,30 +87,26 @@ def test_short_and_failing_series_give_the_oracle_errors():
                     oracle_or_error(oracle.fit_arima, short, order))
 
 
-def test_forced_restart_matches_oracle(monkeypatch):
-    """No coefficient vector within 0.25 of zero is admissible.
+def test_overflowing_scale_is_rejected_without_a_search(monkeypatch):
+    """A series whose squares overflow: no CSS fit with coefficients, and selection falls back.
 
-    Every vertex of the zero-start simplex then scores inf, the search only
-    shrinks, and each fit must restart from its seeded draws.
+    The CSS objective divides by the series' own sum of squares, inf here,
+    so even the zero start scores NaN.  Those fits are rejected before any
+    objective call, and auto_select picks the first order without
+    coefficients, as the oracle's restarts, all failing, led to.
     """
-    box = 0.25
-    batch_mask = arima._admissible_mask
-    scalar_test = oracle._admissible
-    monkeypatch.setattr(
-        arima, "_admissible_mask", lambda c: batch_mask(c) & (np.abs(c).max(axis=0) >= box)
-    )
-    monkeypatch.setattr(
-        oracle, "_admissible",
-        lambda *parts: scalar_test(*parts) and max(abs(v) for part in parts for v in part) >= box,
-    )
-    series = QuarterlySeries("r", START, np.random.default_rng(21).normal(100.0, 5.0, 16))
-    orders = [o for o in order_grid() if 1 <= o.n_coeffs <= 3 and o.d == 1 and o.D == 0]
-    fits = list(arima._fit_tasks([(series, orders)]))
-    restarted = 0
-    for order, fit in zip(orders, fits):
-        assert_same(fit, oracle_or_error(oracle.fit_arima, series, order))
-        restarted += not isinstance(fit, Exception)
-    assert restarted
+    big = QuarterlySeries("big", START, 1e160 * np.random.default_rng(5).normal(100.0, 5.0, 16))
+
+    def no_call(self, members, X):
+        raise AssertionError("the CSS objective was called")
+
+    monkeypatch.setattr(arima._CssObjective, "__call__", no_call)
+    for order in (arima.ArimaOrder(1, 0, 0), arima.ArimaOrder(0, 1, 1, 0, 1, 0)):
+        with pytest.raises(NonconvergenceError, match=re.escape(f"order {order}: the sum of squares")):
+            fit_arima(big, order)
+    best = arima.auto_select(big)
+    assert best.order == arima.ArimaOrder(0, 0, 0)
+    assert best.aicc == np.inf
 
 
 def test_admissible_mask_matches_the_factor_tests():
@@ -122,10 +119,15 @@ def test_admissible_mask_matches_the_factor_tests():
             c = np.zeros(6)
             c[slots] = rng.choice(values, size=len(slots))
             phi, theta, sphi, stheta = arima._split_params(c[slots].tolist(), order)
-            expected = (
-                arima._ar_factor_stationary(phi)
-                and arima._ma_factor_invertible(theta)
-                and arima._ar_factor_stationary(sphi)
-                and arima._ma_factor_invertible(stheta)
-            )
+            expected = oracle._admissible(phi, theta, sphi, stheta)
             assert bool(arima._admissible_mask(c[:, None])[0]) == expected, (order, c)
+    # Every pair of edge values in each factor, the others zero: random draws rarely land on an edge.
+    edges = values[-8:]
+    full = arima.ArimaOrder(2, 0, 2, 1, 0, 1)
+    for a in edges:
+        for b in edges:
+            for slots in ([0, 1], [2, 3], [4], [5]):
+                c = np.zeros(6)
+                c[slots] = [a, b][: len(slots)]
+                expected = oracle._admissible(*arima._split_params(c.tolist(), full))
+                assert bool(arima._admissible_mask(c[:, None])[0]) == expected, c

@@ -282,6 +282,43 @@ class TestReportSerialization:
         with pytest.raises(ValidationError):
             write_report(sample_report(), "xml", tmp_path / "x")
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"kind": "evaluation_report", "schema', "not JSON"),
+            ('{"kind": "evaluation_report", "schema_version": 1}', "'results'"),
+            ('{"kind": "evaluation_report", "schema_version": 1, "results": [{"geo": "A"}]}', "'details'"),
+            ('{"kind": "evaluation_report", "schema_version": 1, "results": 3}', "'results'"),
+            ('[1, 2]', "not a recognized evaluation report"),
+        ],
+        ids=["truncated", "no-results", "no-details", "results-not-a-list", "not-an-object"],
+    )
+    def test_damaged_report_names_the_path_and_field(self, text, named, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaMismatchError, match=f"{path}: .*{named}"):
+            read_report(path)
+        rc = main(["compare", "--mode", "horizons", "--report", str(path), "--out", str(tmp_path / "t.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"kind": "comparison_table"', "not JSON"),
+            ('{"kind": "comparison_table", "schema_version": 1, "mode": "m"}', "'cells'"),
+            ('{"kind": "comparison_table", "schema_version": 1, "cells": [1]}', "'cells'[0]"),
+        ],
+        ids=["truncated", "no-cells", "row-not-a-list"],
+    )
+    def test_damaged_table_names_the_path_and_field(self, text, named, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaMismatchError) as info:
+            read_table(path)
+        assert str(path) in str(info.value) and named in str(info.value)
+
     def test_horizons_table_csv_shape(self, tmp_path):
         # rows per geography plus TOTAL, one column per horizon beyond 1
         from quartercast import compare_horizons
@@ -528,6 +565,39 @@ class TestCliBadInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'forest'" in err and f"n_trees must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"indicators": [{"geos": ["A"]}]}, "'indicators' item 0"),
+            ({"indicators": [{"id": "gdp", "geos": "A"}]}, "'indicators' item 0"),
+            ({"indicators": "gdp"}, "'indicators'"),
+            ({"forest": [1]}, "'forest'"),
+            ({"forest": None}, "'forest'"),
+            ({"output_format": "xml"}, "'output_format'"),
+        ],
+        ids=["indicator-without-id", "geos-not-a-list", "indicators-not-a-list", "forest-a-list",
+             "forest-null", "output-format-xml"],
+    )
+    def test_malformed_section_rejected_before_any_fit(self, overrides, named, tmp_path, capsys, monkeypatch):
+        def no_fit(windows, cache=None):
+            raise AssertionError("a window was fit")
+
+        monkeypatch.setattr(pipeline, "fit_windows", no_fit)
+        monkeypatch.setattr(features, "fit_windows", no_fit)
+        cfg = self._backtest_config(tmp_path, **overrides)
+        rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_compare_checks_the_output_format_first(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_format": "xml"}))
+        missing = str(tmp_path / "missing.json")
+        rc = main(["compare", "--config", str(cfg), "--mode", "models", "--baseline", missing,
+                   "--candidate", missing, "--out", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert "'output_format'" in capsys.readouterr().err
 
     def test_one_element_train_range(self, tmp_path, capsys):
         cfg = self._backtest_config(tmp_path, train_range=["2012Q1"])

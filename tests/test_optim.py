@@ -1,4 +1,4 @@
-"""nelder_mead_batch against the scalar nelder_mead, bit for bit.
+"""nelder_mead_batch, and its one-search call nelder_mead, against the scalar search, bit for bit.
 
 Every member of a batch gets its own objective; the same Python function
 scores a point in both searches, so any difference in the results comes
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartercast import _optim
 from quartercast._optim import nelder_mead_batch
 
 from arima_oracle import nelder_mead
@@ -22,6 +23,12 @@ from arima_oracle import nelder_mead
 
 def bits(values):
     return [struct.pack("<d", float(v)) for v in values]
+
+
+def assert_same_search(got, expected):
+    """Two (best_x, best_f, iterations) results, bit for bit."""
+    (x, fun, iters), (x_ref, fun_ref, iters_ref) = got, expected
+    assert (bits(x), bits([fun]), iters) == (bits(x_ref), bits([fun_ref]), iters_ref)
 
 
 def bowl_in_box(center, weight):
@@ -111,6 +118,10 @@ def test_batch_matches_scalar_search_bit_for_bit(width):
 
         x, fun, iters = nelder_mead(counted, simplex[0], initial_simplex=simplex, maxiter=cap,
                                     xatol=1e-6, fatol=1e-10)
+        assert_same_search(
+            _optim.nelder_mead(f, simplex[0], initial_simplex=simplex, maxiter=cap, xatol=1e-6, fatol=1e-10),
+            (x, fun, iters),
+        )
         assert bits(best_x[m, :n]) == bits(x), m
         assert bits(best_x[m, n:]) == bits([0.0] * (best_x.shape[1] - n)), m
         assert bits([best_f[m]]) == bits([fun]), m
@@ -123,6 +134,7 @@ def test_batch_matches_scalar_search_bit_for_bit(width):
 
 
 def test_one_cap_for_all_members_and_zero_iterations():
+    """Also nelder_mead's own starting simplex (a zero coordinate included) and an empty x0."""
     cases = members()[:6]
     for cap in (0, 1, 30):
         best_x, best_f, nit = run_batch(cases, cap)
@@ -132,6 +144,10 @@ def test_one_cap_for_all_members_and_zero_iterations():
             assert bits(best_x[m, : len(x)]) == bits(x)
             assert bits([best_f[m]]) == bits([fun])
             assert nit[m] == iters
+            x0 = [0.0, *simplex[0][1:]]
+            assert_same_search(_optim.nelder_mead(f, x0, maxiter=cap, xatol=1e-6, fatol=1e-10),
+                               nelder_mead(f, x0, maxiter=cap, xatol=1e-6, fatol=1e-10))
+    assert_same_search(_optim.nelder_mead(lambda x: 7.0 + len(x), []), nelder_mead(lambda x: 7.0 + len(x), []))
 
 
 def test_rejects_a_member_without_dimensions():
