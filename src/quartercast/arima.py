@@ -37,6 +37,9 @@ _MAX_ITER = 500
 _CSS_TOL = 1e-8
 
 _LOG_FLOOR = 1e-300
+# Shrinks an AICc floor's variance ratio, so that np.log's rounding cannot
+# lift the floor above a fit's AICc (see _aicc_floor).  Not a setting.
+_FLOOR_SHRINK = 1.0 - 1e-9
 
 # Points times series length per objective evaluation inside the lockstep
 # batch.  Fixed, not a setting: results do not depend on it, only time and
@@ -321,6 +324,42 @@ class _CssObjective:
         return out
 
 
+def _aicc(css: float, n_res: int, order: ArimaOrder, shrink: float = 1.0) -> float:
+    """The AICc of a CSS fit of order with n_res residuals.
+
+    shrink scales the variance estimate, after the floor and before the
+    log; below 1 it makes an AICc floor (_aicc_floor).  At 1.0 the product
+    is the estimate itself, bit for bit.
+    """
+    k = order.n_free_params + 1
+    if n_res - k - 1 <= 0:
+        return float(np.inf)
+    return float(n_res * np.log(max(css / n_res, _LOG_FLOOR) * shrink) + 2.0 * k * n_res / (n_res - k - 1))
+
+
+def _aicc_floor(order: ArimaOrder, diffed: _Differenced) -> float:
+    """A value that no CSS fit of order (with coefficients) to diffed has an AICc below.
+
+    With zero pre-sample values, the first residual is z[0] whatever the
+    coefficients, and when p = q = 0 so are the first s (the first nonzero
+    lag is s): the lags before it have coefficient +0.0, which moves a
+    finite value at most by the sign of a zero.  The CSS adds the squares
+    in sequence, and a float sum of non-negative terms never falls below
+    its prefix, so the CSS is at least this head sum.  Dividing by n_res,
+    the max with _LOG_FLOOR, the multiplication by n_res and the added
+    penalty are monotone.  np.log is not promised to be: it is within a
+    few ulps of the exact logarithm, under 1e-12 as |log x| < 750 for any
+    float, and the head's ratio is shrunk by _FLOOR_SHRINK first, which
+    lowers its exact logarithm by about 1e-9.  So the AICc _build_fit
+    gives any such fit is at least this floor.
+    """
+    z = diffed.z
+    head = 0.0
+    for v in z[: order.s if order.p == order.q == 0 else 1]:
+        head += v * v
+    return _aicc(head, len(z), order, _FLOOR_SHRINK)
+
+
 def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced, coeffs) -> ArimaFit:
     z = diffed.z
     n_res = len(z)
@@ -328,14 +367,6 @@ def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced,
     ar, ma = _combined_polys(phi, theta, sphi, stheta, order.s)
     e = _residuals_from_polys(z, ar, ma)
     css = sum(v * v for v in e)
-    sigma2 = css / n_res
-
-    k = order.n_free_params + 1
-    if n_res - k - 1 > 0:
-        aicc = n_res * np.log(max(css / n_res, _LOG_FLOOR)) + 2.0 * k * n_res / (n_res - k - 1)
-    else:
-        aicc = np.inf
-
     return ArimaFit(
         order=order,
         ar_coeffs=tuple(float(v) for v in phi),
@@ -343,11 +374,37 @@ def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced,
         seasonal_ar=tuple(float(v) for v in sphi),
         seasonal_ma=tuple(float(v) for v in stheta),
         intercept=diffed.intercept,
-        sigma2=sigma2,
-        aicc=float(aicc),
+        sigma2=css / n_res,
+        aicc=_aicc(css, n_res, order),
         training_series=series,
         residuals=tuple(float(v) for v in e),
     )
+
+
+def _prepare(series: QuarterlySeries, orders) -> list:
+    """Per order, the _Differenced its CSS fits, or the error its fit raises before any search.
+
+    The series is differenced once per (d, D).
+    """
+    y = series.to_array()
+    differenced: dict = {}
+    prepared = []
+    for order in orders:
+        if (order.d, order.D) not in differenced:
+            differenced[order.d, order.D] = _difference_once(y, order.d, order.D, order.s)
+        diffed = differenced[order.d, order.D]
+        if not isinstance(diffed, Exception):
+            n_res = len(diffed.z)
+            if n_res < order.n_free_params + 3:
+                diffed = InsufficientDataError(
+                    f"order {order}: differenced length {n_res} < {order.n_free_params + 3}"
+                )
+            elif order.n_coeffs and not np.isfinite(diffed.denom):
+                diffed = NonconvergenceError(
+                    f"order {order}: the sum of squares of the differenced series overflows"
+                )
+        prepared.append(diffed)
+    return prepared
 
 
 class _FitPlan:
@@ -368,34 +425,24 @@ class _FitPlan:
     maxiter, xatol, fatol = _MAX_ITER, 1e-3, _CSS_TOL
 
     def __init__(self, jobs):
-        self.jobs = list(jobs)
-        self.prepared = []
+        self.jobs, self.prepared = [], []
         diffs, self.orders = [], []
-        for series, job_orders in self.jobs:
-            y = series.to_array()
-            differenced: dict = {}
-            for order in job_orders:
-                if (order.d, order.D) not in differenced:
-                    differenced[order.d, order.D] = _difference_once(y, order.d, order.D, order.s)
-                diffed = differenced[order.d, order.D]
-                if not isinstance(diffed, Exception):
-                    n_res = len(diffed.z)
-                    if n_res < order.n_free_params + 3:
-                        diffed = InsufficientDataError(
-                            f"order {order}: differenced length {n_res} < {order.n_free_params + 3}"
-                        )
-                    elif order.n_coeffs and not np.isfinite(diffed.denom):
-                        diffed = NonconvergenceError(
-                            f"order {order}: the sum of squares of the differenced series overflows"
-                        )
-                    elif order.n_coeffs:
-                        diffs.append(diffed)
-                        self.orders.append(order)
-                self.prepared.append(diffed)
+        for series, job_orders in jobs:
+            job_orders, prepared = self._candidates(series, job_orders, _prepare(series, job_orders))
+            self.jobs.append((series, job_orders))
+            self.prepared += prepared
+            for order, diffed in zip(job_orders, prepared):
+                if order.n_coeffs and not isinstance(diffed, Exception):
+                    diffs.append(diffed)
+                    self.orders.append(order)
         slots = {order: _slots(order) for order in set(self.orders)}
         self.slots = [slots[order] for order in self.orders]
         self.dims = np.asarray([len(s) for s in self.slots], dtype=np.intp)
         self.objective = _CssObjective(diffs) if diffs else None
+
+    def _candidates(self, series, orders, prepared):
+        """The orders to fit, with what _prepare gave for each: here all of them."""
+        return orders, prepared
 
     def start(self, members):
         simplexes = []
@@ -468,7 +515,11 @@ def order_grid() -> list[ArimaOrder]:
 
 
 class GridPlan(_FitPlan):
-    """The whole order grid of every series, for ``run_plans``: auto_select_many's search."""
+    """The whole order grid of every series, for ``run_plans``: auto_select_many's search.
+
+    Orders that provably lose the AICc selection are dropped before the
+    run (_candidates), so the selection is that of the whole grid.
+    """
 
     def __init__(self, series_list):
         self.selected: list = [None] * len(series_list)
@@ -482,6 +533,32 @@ class GridPlan(_FitPlan):
             else:
                 self.fitted.append(i)
         super().__init__((series_list[i], grid) for i in self.fitted)
+
+    def _candidates(self, series, orders, prepared):
+        """The orders that can still win: those whose AICc floor is not above the best exact AICc.
+
+        The orders without coefficients, one per (d, D), need no search:
+        best is the lowest of their AICcs, from the _build_fit call
+        results() makes.  An order with coefficients whose _aicc_floor is
+        strictly above best has an AICc strictly above it, so it can
+        neither win nor tie (a tie would go to the earlier order) and is
+        not searched.  Orders whose fit fails before any search stay, to
+        give their errors.
+        """
+        best = min(
+            (
+                _build_fit(series, order, diffed, []).aicc
+                for order, diffed in zip(orders, prepared)
+                if not order.n_coeffs and not isinstance(diffed, Exception)
+            ),
+            default=np.inf,
+        )
+        kept = [
+            (order, diffed)
+            for order, diffed in zip(orders, prepared)
+            if not order.n_coeffs or isinstance(diffed, Exception) or _aicc_floor(order, diffed) <= best
+        ]
+        return [order for order, _ in kept], [diffed for _, diffed in kept]
 
     def results(self, best_x, best_f, iterations) -> list:
         """Per series, the lowest-AICc converged fit, or the exception auto_select raises for it."""

@@ -47,11 +47,14 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _parse_range(cfg: dict, key: str):
@@ -94,7 +97,7 @@ def _forest_params(cfg: dict, seed) -> ForestParams:
     forest = dict(_section(cfg, "forest", dict, {}))
     if seed is None:
         raise ValidationError("models m2 and m3 require a seed")
-    forest["seed"] = int(seed)
+    forest["seed"] = seed
     resolve_threads()  # reject a malformed QUARTERCAST_THREADS before any fitting
     return _build(ForestParams, "forest", forest)
 
@@ -123,9 +126,14 @@ def _feature_config(cfg: dict) -> FeatureConfig:
 def _load_dataset(cfg: dict):
     if "revenue_csv" not in cfg:
         raise ValidationError("config is missing 'revenue_csv'")
-    dataset = load_revenue_csv(cfg["revenue_csv"])
-    if cfg.get("indicators_csv"):
-        dataset = with_indicators(dataset, load_indicator_csv(cfg["indicators_csv"]))
+    revenue_csv, indicators_csv = cfg["revenue_csv"], cfg.get("indicators_csv")
+    if not isinstance(revenue_csv, str):
+        raise ValidationError(f"config 'revenue_csv' must be a file path, got {revenue_csv!r}")
+    if indicators_csv is not None and not isinstance(indicators_csv, str):
+        raise ValidationError(f"config 'indicators_csv' must be a file path or null, got {indicators_csv!r}")
+    dataset = load_revenue_csv(revenue_csv)
+    if indicators_csv:
+        dataset = with_indicators(dataset, load_indicator_csv(indicators_csv))
     return dataset
 
 

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arima_oracle as oracle
-from quartercast import FiscalQuarter, NonconvergenceError, QuarterlySeries, arima, forecast_arima
+from quartercast import (
+    FiscalQuarter,
+    NonconvergenceError,
+    QuarterlySeries,
+    SynthSpec,
+    arima,
+    forecast_arima,
+    generate_synthetic,
+)
 from quartercast.arima import auto_select_many, fit_arima, order_grid
 
 START = FiscalQuarter(2009, 1)
@@ -73,6 +81,60 @@ def test_grid_matches_oracle(value_lists):
         for fit, expected in zip(per_order[k * len(grid) : (k + 1) * len(grid)], scalar):
             assert_same(fit, expected)
         assert_same(best, oracle_select(scalar))
+
+
+@st.composite
+def seasonal_trending(draw):
+    """A level, a trend, a fixed seasonal pattern and small noise: differencing wins, so orders get skipped."""
+    n = draw(st.integers(min_value=10, max_value=24))
+    level = draw(st.floats(min_value=50.0, max_value=500.0))
+    trend = draw(st.floats(min_value=-10.0, max_value=10.0))
+    season = draw(st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=4, max_size=4))
+    noise = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n))
+    return [level + trend * t + season[t % 4] + noise[t] for t in range(n)]
+
+
+def assert_selection_is_the_whole_grids(series):
+    """auto_select_many, whose GridPlan skips orders, against the selection over every order's fit."""
+    grid = order_grid()
+    per_order = list(arima._fit_tasks([(s, grid) for s in series]))
+    for k, best in enumerate(auto_select_many(series)):
+        assert_same(best, oracle_select(per_order[k * len(grid) : (k + 1) * len(grid)]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(seasonal_trending(), min_size=1, max_size=3))
+def test_skipping_orders_keeps_the_selection(value_lists):
+    assert_selection_is_the_whole_grids(
+        [QuarterlySeries(f"s{i}", START, v) for i, v in enumerate(value_lists)]
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(seasonal_trending(), series_values))
+def test_aicc_floor_is_at_most_the_fitted_aicc(values):
+    s = QuarterlySeries("s", START, values)
+    grid = order_grid()
+    prepared = arima._prepare(s, grid)
+    for order, diffed, fit in zip(grid, prepared, arima._fit_tasks([(s, grid)])):
+        if order.n_coeffs and not isinstance(fit, Exception):
+            assert arima._aicc_floor(order, diffed) <= fit.aicc, order
+
+
+@pytest.mark.parametrize("length", [14, 16])
+def test_windows_skip_orders_and_keep_the_selection(length):
+    """The window lengths the models fit: some orders are skipped, the choice is the whole grid's."""
+    panel = generate_synthetic(SynthSpec(n_geos=2, n_quarters=28, noise_scale=0.5, seed=20150101))
+    windows = [
+        QuarterlySeries(geo, START, panel.series_for(geo).to_array()[lo : lo + length])
+        for geo in panel.series_ids()
+        for lo in (0, 28 - length)
+    ]
+    # GridPlan searches fewer than the grid's 140 orders with coefficients on every window.
+    assert all(len(arima.GridPlan([w]).orders) < 140 for w in windows)
+    assert_selection_is_the_whole_grids(windows)
+    (first,) = auto_select_many(windows[:1])
+    assert_same(first, oracle.auto_select(windows[0]))
 
 
 def test_short_and_failing_series_give_the_oracle_errors():

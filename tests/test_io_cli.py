@@ -575,9 +575,15 @@ class TestCliBadInputs:
             ({"forest": [1]}, "'forest'"),
             ({"forest": None}, "'forest'"),
             ({"output_format": "xml"}, "'output_format'"),
+            ({"revenue_csv": ["rev.csv"]}, "'revenue_csv'"),
+            ({"revenue_csv": None}, "'revenue_csv'"),
+            ({"indicators_csv": 3}, "'indicators_csv'"),
+            ({"seed": "abc"}, "'forest': seed must be an integer, got 'abc'"),
+            ({"seed": 1.7}, "'forest': seed must be an integer, got 1.7"),
         ],
         ids=["indicator-without-id", "geos-not-a-list", "indicators-not-a-list", "forest-a-list",
-             "forest-null", "output-format-xml"],
+             "forest-null", "output-format-xml", "revenue-csv-a-list", "revenue-csv-null",
+             "indicators-csv-a-number", "seed-a-string", "seed-a-fraction"],
     )
     def test_malformed_section_rejected_before_any_fit(self, overrides, named, tmp_path, capsys, monkeypatch):
         def no_fit(windows, cache=None):
@@ -589,6 +595,16 @@ class TestCliBadInputs:
         rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1]", '"cfg"', "null", "3"])
+    @pytest.mark.parametrize("command", ["synth", "backtest", "forecast", "compare"])
+    def test_config_that_is_not_an_object_names_the_file(self, text, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "JSON object" in err
 
     def test_compare_checks_the_output_format_first(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
