@@ -4,8 +4,10 @@ Everything the CLI does is driven by a JSON config plus CSV inputs:
   quartercast synth    --config cfg.json --out revenue.csv
   quartercast backtest --config cfg.json --model m1 --out m1.json
   quartercast compare  --mode models --baseline m1.json --candidate m2.json
+  quartercast forecast --config cfg.json --model m2 --out m2_forecast.csv
 This script runs those commands in-process inside a temp directory and
-shows the artifacts they produce.
+shows the artifacts they produce.  ``forecast --model m1`` fits the
+Model-1 windows of every series in one run.
 
 Runtime: several seconds.
 """
@@ -52,6 +54,10 @@ def main():
         run(["compare", "--mode", "horizons", "--report", str(tmp / "m2.json"),
              "--out", str(tmp / "horizons.json")])
 
+        for model in ("m1", "m2"):
+            run(["forecast", "--config", str(cfg), "--model", model,
+                 "--out", str(tmp / f"{model}_forecast.csv")])
+
         table = json.loads((tmp / "m2_vs_m1.json").read_text())
         print("\nmodel 2 vs model 1 at horizon 1:")
         for label, row in zip(table["row_labels"], table["cells"]):
@@ -64,6 +70,10 @@ def main():
         for label, row in zip(horizons["row_labels"], horizons["cells"]):
             cells = ["       n/a" if v is None else f"{v:10.2f}" for v in row]
             print(f"  {label:<8} " + "  ".join(cells))
+
+        for model in ("m1", "m2"):
+            print(f"\n{model} forecasts past the end of history:")
+            print((tmp / f"{model}_forecast.csv").read_text().rstrip())
 
 
 if __name__ == "__main__":

@@ -195,6 +195,15 @@ class _Differenced:
     denom: float
 
 
+def _sum_of_squares(values) -> float:
+    """The squares added left to right from 0.0, as ``sum`` does before
+    CPython 3.12 (from 3.12 it compensates, which rounds differently)."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return total
+
+
 def _difference_once(y, d: int, D: int, s: int):
     """The _Differenced of y at (d, D), or the InsufficientDataError differencing raises."""
     try:
@@ -203,7 +212,7 @@ def _difference_once(y, d: int, D: int, s: int):
         return exc
     intercept = float(np.mean(w)) if d + D == 0 else None
     z = (w - intercept if intercept is not None else w).tolist()
-    scale = sum(v * v for v in z)
+    scale = _sum_of_squares(z)
     # A scale that is not finite (the squares overflow) stays so: _FitPlan rejects those fits.
     return _Differenced(z, intercept, 1.0 if scale == 0.0 else scale)
 
@@ -354,9 +363,7 @@ def _aicc_floor(order: ArimaOrder, diffed: _Differenced) -> float:
     gives any such fit is at least this floor.
     """
     z = diffed.z
-    head = 0.0
-    for v in z[: order.s if order.p == order.q == 0 else 1]:
-        head += v * v
+    head = _sum_of_squares(z[: order.s if order.p == order.q == 0 else 1])
     return _aicc(head, len(z), order, _FLOOR_SHRINK)
 
 
@@ -366,7 +373,7 @@ def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced,
     phi, theta, sphi, stheta = _split_params([float(v) for v in coeffs], order)
     ar, ma = _combined_polys(phi, theta, sphi, stheta, order.s)
     e = _residuals_from_polys(z, ar, ma)
-    css = sum(v * v for v in e)
+    css = _sum_of_squares(e)
     return ArimaFit(
         order=order,
         ar_coeffs=tuple(float(v) for v in phi),

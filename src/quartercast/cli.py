@@ -38,7 +38,8 @@ from .pipeline import (
     compare_horizons,
     compare_reports,
     final_origin_forecasts,
-    model1_forecast,
+    model1_run,
+    model_config,
 )
 from .synth import SynthSpec, generate_synthetic
 
@@ -112,14 +113,22 @@ def _indicator(k: int, item) -> IndicatorConfig:
     return IndicatorConfig(indicator_id=str(item["id"]), geos=tuple(geos) if geos else None)
 
 
+def _flag(cfg: dict, key: str) -> bool:
+    """cfg[key] (default true), which must be a JSON boolean."""
+    value = cfg.get(key, True)
+    if not isinstance(value, bool):
+        raise ValidationError(f"config {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _feature_config(cfg: dict) -> FeatureConfig:
     indicators = tuple(_indicator(k, item) for k, item in enumerate(_section(cfg, "indicators", list, [])))
     return FeatureConfig(
         indicators=indicators,
-        macro_at_origin=bool(cfg.get("macro_at_origin", True)),
-        macro_at_target=bool(cfg.get("macro_at_target", True)),
+        macro_at_origin=_flag(cfg, "macro_at_origin"),
+        macro_at_target=_flag(cfg, "macro_at_target"),
         macro_source=str(cfg.get("macro_source", "indicator")),
-        lag_includes_origin=bool(cfg.get("lag_includes_origin", True)),
+        lag_includes_origin=_flag(cfg, "lag_includes_origin"),
     )
 
 
@@ -138,7 +147,7 @@ def _load_dataset(cfg: dict):
 
 
 def _cmd_synth(args, cfg: dict) -> int:
-    synth_cfg = dict(cfg.get("synth", {}))
+    synth_cfg = dict(_section(cfg, "synth", dict, {}))
     if args.seed is not None:
         synth_cfg["seed"] = args.seed
     if "start" in synth_cfg:
@@ -153,36 +162,6 @@ def _cmd_synth(args, cfg: dict) -> int:
     write_indicator_csv(dataset.indicators, indicators_out)
     print(f"wrote {out} and {indicators_out}")
     return 0
-
-
-def _run_model_forecasts(cfg: dict, model: str, seed):
-    """Final-origin forecasts: horizon 1 (m1) or 1..4 (m2/m3) past history end."""
-    dataset = _load_dataset(cfg)
-    config = _feature_config(cfg)
-    origin = dataset.total.end
-    rows = []
-    if model == "m1":
-        for geo in dataset.series_ids():
-            result = model1_forecast(
-                dataset.series_for(geo), origin, bool(cfg.get("model1_include_average", True))
-            )
-            rows.append((geo, quarter_add(origin, 1), 1, result.forecast, result.chosen))
-    elif model in ("m2", "m3"):
-        train_range = _parse_range(cfg, "train_range")
-        params = _forest_params(cfg, seed)
-        if model == "m3" and not config.indicators:
-            raise ValidationError("model m3 requires at least one configured indicator")
-        if model == "m2":
-            config = FeatureConfig(
-                indicators=(),
-                lag_includes_origin=config.lag_includes_origin,
-            )
-        run = final_origin_forecasts(dataset, train_range, params, config)
-        for (geo, target, h), fc in sorted(run.predictions.items()):
-            rows.append((geo, target, h, fc, model))
-    else:
-        raise ValidationError(f"unknown model {model!r}, expected m1, m2 or m3")
-    return rows
 
 
 def _out(args, cfg: dict, command: str) -> str:
@@ -200,12 +179,26 @@ def _output_format(cfg: dict) -> str:
 
 
 def _cmd_forecast(args, cfg: dict) -> int:
+    """Final-origin forecasts: horizon 1 (m1) or 1..4 (m2/m3) past history end."""
     model = args.model or cfg.get("model")
     if model is None:
         raise ValidationError("forecast needs --model (or 'model' in the config)")
     seed = args.seed if args.seed is not None else cfg.get("seed")
     out = _out(args, cfg, "forecast")
-    rows = _run_model_forecasts(cfg, model, seed)
+    dataset = _load_dataset(cfg)
+    config = model_config(model, _feature_config(cfg))
+    if model == "m1":
+        origin = dataset.total.end
+        results = model1_run(dataset, [origin], _flag(cfg, "model1_include_average"))
+        rows = [
+            (geo, quarter_add(origin, 1), 1, result.forecast, result.chosen)
+            for (geo, _), result in results.items()
+        ]
+    else:
+        run = final_origin_forecasts(
+            dataset, _parse_range(cfg, "train_range"), _forest_params(cfg, seed), config
+        )
+        rows = [(geo, target, h, fc, model) for (geo, target, h), fc in sorted(run.predictions.items())]
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["geo", "fiscal_year", "fiscal_quarter", "horizon", "forecast", "source"])
@@ -221,23 +214,12 @@ def _cmd_backtest(args, cfg: dict) -> int:
         raise ValidationError("backtest needs --model (or 'model' in the config)")
     out, fmt = _out(args, cfg, "backtest"), _output_format(cfg)
     dataset = _load_dataset(cfg)
-    train_range = _parse_range(cfg, "train_range")
-    test_range = _parse_range(cfg, "test_range")
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    config = _feature_config(cfg)
-    params = None
-    if model in ("m2", "m3"):
-        params = _forest_params(cfg, seed)
-    if model == "m2":
-        config = FeatureConfig(indicators=(), lag_includes_origin=config.lag_includes_origin)
     report = backtest(
-        dataset,
-        model,
-        train_range,
-        test_range,
-        forest_params=params,
-        config=config,
-        include_average=bool(cfg.get("model1_include_average", True)),
+        dataset, model, _parse_range(cfg, "train_range"), _parse_range(cfg, "test_range"),
+        config=_feature_config(cfg),
+        forest_params=_forest_params(cfg, seed) if model in ("m2", "m3") else None,
+        include_average=_flag(cfg, "model1_include_average"),
     )
     write_report(report, fmt, out)
     print(f"wrote {out}")
@@ -306,10 +288,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuartercastError as exc:
+    except (QuartercastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

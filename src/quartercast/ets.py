@@ -110,38 +110,6 @@ def _box(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
-def _clip_params(spec: EtsSpec, raw, fixed_alpha=None):
-    """Map a raw optimizer vector onto the admissible parameter box."""
-    i = 0
-    if fixed_alpha is None:
-        alpha = _box(float(raw[0]), _ALPHA_LO, _ALPHA_HI)
-        i = 1
-    else:
-        alpha = float(fixed_alpha)
-    beta = gamma = phi = None
-    if spec.has_trend:
-        beta = _box(float(raw[i]), _ALPHA_LO, alpha)
-        i += 1
-    if spec.damped:
-        phi = _box(float(raw[i]), _PHI_LO, _PHI_HI)
-        i += 1
-    if spec.has_seasonal:
-        gamma = _box(float(raw[i]), _ALPHA_LO, max(1.0 - alpha, _ALPHA_LO))
-        i += 1
-    level = float(raw[i])
-    i += 1
-    trend = None
-    if spec.has_trend:
-        trend = float(raw[i])
-        i += 1
-    seasonal = None
-    if spec.has_seasonal:
-        free = [float(v) for v in raw[i : i + PERIOD - 1]]
-        seasonal = tuple(free) + (-(free[0] + free[1] + free[2]),)
-        i += PERIOD - 1
-    return alpha, beta, gamma, phi, level, trend, seasonal
-
-
 def _initial_vector(z, spec: EtsSpec, fixed_alpha=None):
     head = z[: min(PERIOD, len(z))]
     level0 = float(np.mean(head))
@@ -348,14 +316,22 @@ class _SseObjective:
         return sse * (1.0 + drift) + drift
 
 
-def _build_fit(job: _Job, raw) -> EtsFit:
+def _build_fit(job: _Job, x) -> EtsFit:
+    """The EtsFit at batch point ``x``, its parameters clipped to their box."""
     spec, series, mu, sigma = job.spec, job.series, job.mu, job.sigma
     y = series.to_array()
     n = y.size
-    alpha, beta, gamma, phi, lvl_z, trd_z, seas_z = _clip_params(spec, raw, job.fixed_alpha)
-    level0 = mu + sigma * lvl_z
-    trend0 = sigma * trd_z if trd_z is not None else None
-    seas0 = tuple(sigma * v for v in seas_z) if seas_z is not None else None
+    x = x.tolist()
+    alpha = _box(x[_ALPHA], _ALPHA_LO, _ALPHA_HI) if job.fixed_alpha is None else float(job.fixed_alpha)
+    beta = _box(x[_BETA], _ALPHA_LO, alpha) if spec.has_trend else None
+    phi = _box(x[_PHI], _PHI_LO, _PHI_HI) if spec.damped else None
+    gamma = _box(x[_GAMMA], _ALPHA_LO, max(1.0 - alpha, _ALPHA_LO)) if spec.has_seasonal else None
+    level0 = mu + sigma * x[_LEVEL]
+    trend0 = sigma * x[_TREND] if spec.has_trend else None
+    seas0 = None
+    if spec.has_seasonal:
+        free = x[_SEASON : _SEASON + PERIOD - 1]
+        seas0 = tuple(sigma * v for v in free + [-(free[0] + free[1] + free[2])])
 
     sse, final_level, final_trend, final_seasonal = _run_recursion(
         y, spec, alpha, beta, gamma, phi, level0, trend0 if trend0 is not None else 0.0, seas0
@@ -447,8 +423,8 @@ class _FitPlan:
         The errors are fit_ets's: InsufficientDataError for a series too
         short for the spec, ValidationError for a fixed alpha outside [0, 1].
         """
-        raws = (x[job.cols].tolist() for job, x in zip(self.jobs, best_x))
-        return [r if isinstance(r, Exception) else _build_fit(r, next(raws)) for r in self.prepared]
+        points = iter(best_x)
+        return [r if isinstance(r, Exception) else _build_fit(r, next(points)) for r in self.prepared]
 
 
 def _fit_many(tasks) -> list:

@@ -343,29 +343,28 @@ def extend_indicators(
     Mirrors the test-time protocol: indicator actuals after the training
     period are treated as unavailable and replaced by ARIMA forecasts.  The
     ARIMA grids of all indicators that need extending are fit in one run.
-    An indicator that would need more than MAX_FORECAST_STEPS forecast
-    quarters raises MissingIndicatorError before any fit.
+    An enabled indicator that is absent for a series it applies to, or that
+    would need more than MAX_FORECAST_STEPS forecast quarters, raises
+    MissingIndicatorError before any fit.
     """
     out: dict[tuple[str, str], QuarterlySeries] = {}
     short = []
-    for (geo, ind), series in dataset.indicators.items():
-        enabled = any(
-            cfg.indicator_id == ind and config.applies_to(cfg, geo) for cfg in config.indicators
-        )
-        if not enabled:
-            continue
-        cut = min(series.end, known_through)
-        hist = series.truncated(cut)
-        out[(geo, ind)] = hist
-        steps = quarter_diff(needed_through, hist.end)
-        if steps > MAX_FORECAST_STEPS:
-            raise MissingIndicatorError(
-                f"indicator {ind!r} for geography {geo!r} is known through {hist.end} but is "
-                f"needed through {needed_through}: {steps} quarters, more than the "
-                f"{MAX_FORECAST_STEPS} an ARIMA extension forecasts"
-            )
-        if steps > 0:
-            short.append(((geo, ind), steps))
+    for cfg in config.indicators:
+        ind = cfg.indicator_id
+        for geo in dataset.series_ids():
+            if (geo, ind) in out or not config.applies_to(cfg, geo):
+                continue
+            series = dataset.indicator_for(geo, ind)
+            hist = out[(geo, ind)] = series.truncated(min(series.end, known_through))
+            steps = quarter_diff(needed_through, hist.end)
+            if steps > MAX_FORECAST_STEPS:
+                raise MissingIndicatorError(
+                    f"indicator {ind!r} for geography {geo!r} is known through {hist.end} but is "
+                    f"needed through {needed_through}: {steps} quarters, more than the "
+                    f"{MAX_FORECAST_STEPS} an ARIMA extension forecasts"
+                )
+            if steps > 0:
+                short.append(((geo, ind), steps))
     fits = auto_select_many([out[key] for key, _ in short])
     for (key, steps), fit in zip(short, fits):
         if isinstance(fit, Exception):
@@ -375,7 +374,18 @@ def extend_indicators(
 
 
 def feature_names(series_ids: list[str], config: FeatureConfig) -> list[str]:
-    """Canonical column order; macro columns always come last."""
+    """Canonical column order; macro columns always come last.
+
+    Every row carries every macro column, so each indicator must apply to
+    every series.
+    """
+    for cfg in config.indicators:
+        for geo in series_ids:
+            if not config.applies_to(cfg, geo):
+                raise ValidationError(
+                    f"indicator {cfg.indicator_id!r} leaves out series {geo!r}: "
+                    "its 'geos' must cover every modeled series"
+                )
     names = ["horizon"]
     names += [f"lag_{k}" for k in range(1, N_LAGS + 1)]
     names += ["arima_fc", "ets_fc", "stl_fc", "avg_ts_fc"]

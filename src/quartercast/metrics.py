@@ -25,7 +25,10 @@ def mape(pairs: Iterable[tuple[float, float]]) -> float:
     apes = [ape(a, f) for a, f in pairs]
     if not apes:
         raise ValidationError("MAPE undefined for an empty set of pairs")
-    return sum(apes) / len(apes)
+    total = 0.0
+    for value in apes:  # left to right: from CPython 3.12 ``sum`` compensates
+        total += value
+    return total / len(apes)
 
 
 def relative_improvement(x: float, y: float) -> float:

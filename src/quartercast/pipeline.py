@@ -19,12 +19,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .errors import (
-    InsufficientDataError,
-    NonconvergenceError,
-    SchemaMismatchError,
-    ValidationError,
-)
+from .errors import NonconvergenceError, SchemaMismatchError, ValidationError
 from .features import (
     MAX_HORIZON,
     FeatureConfig,
@@ -138,6 +133,40 @@ def model1_forecast(
     return Model1Result(forecast=candidates[chosen].forecast, chosen=chosen, candidates=candidates)
 
 
+def model1_run(
+    dataset: Dataset,
+    origins: list[FiscalQuarter],
+    include_average: bool = True,
+    cache: ForecastCache | None = None,
+) -> dict[tuple[str, FiscalQuarter], Model1Result]:
+    """model1_forecast of every series at every origin, keyed (series id, origin).
+
+    All keys' windows are listed first (InsufficientDataError comes before
+    any fit) and fit in one run; each selection then reads the warm cache.
+    """
+    if cache is None:
+        cache = ForecastCache()
+    keys = [(geo, origin) for geo in dataset.series_ids() for origin in origins]
+    windows = [w for geo, origin in keys for w in _model1_windows(dataset.series_for(geo), origin)]
+    fit_windows(windows, cache)
+    return {
+        (geo, origin): model1_forecast(dataset.series_for(geo), origin, include_average, cache)
+        for geo, origin in keys
+    }
+
+
+def model_config(model: str, config: FeatureConfig) -> FeatureConfig:
+    """The feature config ``model`` runs with: m2 keeps only ``config``'s lag
+    convention, m3 requires an indicator, and m1 takes ``config`` as given."""
+    if model == "m2":
+        return FeatureConfig(indicators=(), lag_includes_origin=config.lag_includes_origin)
+    if model == "m3" and not config.indicators:
+        raise ValidationError("model m3 requires at least one configured indicator")
+    if model not in ("m1", "m3"):
+        raise ValidationError(f"unknown model {model!r}, expected m1, m2 or m3")
+    return config
+
+
 @dataclass
 class ModelRunResult:
     """Forecasts plus the trained artifacts, for inspection and testing."""
@@ -157,14 +186,14 @@ def _validate_ranges(train_range, test_range):
         raise ValidationError("test range must start after the training range ends")
 
 
-def _test_keys(dataset: Dataset, test_range, max_h: int) -> list[tuple[str, FiscalQuarter, int]]:
-    """(geo, origin, h) of every backtest forecast, h <= max_h, whose target is in the test range."""
+def _test_keys(dataset: Dataset, test_range) -> list[tuple[str, FiscalQuarter, int]]:
+    """(geo, origin, h) of every backtest forecast whose target is in the test range."""
     start, end = test_range
     return [
         (geo, origin, h)
         for geo in dataset.series_ids()
         for origin in quarter_range(quarter_add(start, -1), quarter_add(end, -1))
-        for h in range(1, max_h + 1)
+        for h in range(1, MAX_HORIZON + 1)
         if quarter_add(origin, h) <= end
     ]
 
@@ -187,6 +216,12 @@ def _forest_run(
     if cache is None:
         cache = ForecastCache()
     ids = dataset.series_ids()
+    # The indicator checks and extensions come before any window fit, so a
+    # bad indicator is reported first.
+    names = feature_names(ids, config)
+    indicator_series = None
+    if config.indicators and config.macro_source == "indicator":
+        indicator_series = extend_indicators(dataset, config, known_through, needed_through)
     fit_windows(
         training_windows(dataset, train_range)
         + row_windows(dataset, ((geo, origin) for geo, origin, _ in keys)),
@@ -194,11 +229,7 @@ def _forest_run(
     )
     train_rows = build_training_matrix(dataset, train_range, config, cache)
     X, y = rows_to_matrix(train_rows, ids, config)
-    forest = train_forest(X, y, forest_params, feature_names(ids, config))
-
-    indicator_series = None
-    if config.indicators and config.macro_source == "indicator":
-        indicator_series = extend_indicators(dataset, config, known_through, needed_through)
+    forest = train_forest(X, y, forest_params, names)
 
     test_rows = []
     predictions: dict[tuple[str, FiscalQuarter, int], float] = {}
@@ -223,7 +254,7 @@ def model2_run(
     """Train one global forest on the training range, predict the test range."""
     _validate_ranges(train_range, test_range)
     return _forest_run(
-        dataset, train_range, _test_keys(dataset, test_range, MAX_HORIZON), forest_params, config,
+        dataset, train_range, _test_keys(dataset, test_range), forest_params, config,
         cache, known_through=quarter_add(test_range[0], -1), needed_through=test_range[1],
     )
 
@@ -237,9 +268,7 @@ def model3_run(
     cache: ForecastCache | None = None,
 ) -> ModelRunResult:
     """Model 2 with macro indicator features enabled."""
-    if not config.indicators:
-        raise ValidationError("model 3 requires at least one enabled indicator")
-    return model2_run(dataset, train_range, test_range, forest_params, config, cache)
+    return model2_run(dataset, train_range, test_range, forest_params, model_config("m3", config), cache)
 
 
 def final_origin_forecasts(
@@ -335,12 +364,12 @@ def backtest(
 ) -> EvaluationReport:
     """Run one model over the test range and score per-horizon MAPE.
 
-    ``oracle`` is a test hook: a callable (geo, origin, horizon) -> forecast
-    that replaces the model entirely.
+    The model runs with ``model_config(model, config)``, which the report's
+    config hash records.  ``oracle`` is a test hook: a callable (geo,
+    origin, horizon) -> forecast that replaces the model entirely.
     """
     _validate_ranges(train_range, test_range)
-    if cache is None:
-        cache = ForecastCache()
+    config = model_config(model, config)
     meta = {
         "model": model,
         "train_range": [str(train_range[0]), str(train_range[1])],
@@ -358,36 +387,21 @@ def backtest(
         }
     )
 
+    horizons = tuple(range(1, MAX_HORIZON + 1))
     if oracle is not None:
         predictions = {
             (geo, quarter_add(origin, h), h): float(oracle(geo, origin, h))
-            for geo, origin, h in _test_keys(dataset, test_range, MAX_HORIZON)
+            for geo, origin, h in _test_keys(dataset, test_range)
         }
-        horizons = tuple(range(1, MAX_HORIZON + 1))
     elif model == "m1":
-        keys = _test_keys(dataset, test_range, 1)
-        windows = []
-        for geo, origin, _ in keys:
-            try:
-                windows += _model1_windows(dataset.series_for(geo), origin)
-            except InsufficientDataError:
-                continue  # model1_forecast raises it below
-        fit_windows(windows, cache)
-        predictions = {}
-        for geo, origin, _ in keys:
-            result = model1_forecast(dataset.series_for(geo), origin, include_average, cache)
-            predictions[(geo, quarter_add(origin, 1), 1)] = result.forecast
+        origins = quarter_range(quarter_add(test_range[0], -1), quarter_add(test_range[1], -1))
+        results = model1_run(dataset, origins, include_average, cache)
+        predictions = {(geo, quarter_add(origin, 1), 1): r.forecast for (geo, origin), r in results.items()}
         horizons = (1,)
-    elif model in ("m2", "m3"):
+    else:
         if forest_params is None:
             raise ValidationError(f"model {model} requires forest parameters (and a seed)")
-        run = (model2_run if model == "m2" else model3_run)(
-            dataset, train_range, test_range, forest_params, config, cache
-        )
-        predictions = run.predictions
-        horizons = tuple(range(1, MAX_HORIZON + 1))
-    else:
-        raise ValidationError(f"unknown model {model!r}, expected m1, m2 or m3")
+        predictions = model2_run(dataset, train_range, test_range, forest_params, config, cache).predictions
 
     return _report_from_predictions(dataset, model, horizons, predictions, meta)
 

@@ -3,10 +3,10 @@
 A verbatim copy of the list-based ``nelder_mead`` and of ``fit_arima`` /
 ``auto_select`` with their helpers, frozen here so that the batched kernel
 in ``quartercast.arima`` can be checked against it bit for bit.  Only the
-imports differ, and the restart constants, which the package no longer
-has, are defined here.  The objective's ``sum`` adds in sequence on CPython 3.11;
-from 3.12 ``sum`` of floats is compensated, and this oracle (like the
-original code) then rounds differently from the sequential kernel.
+imports differ, the restart constants, which the package no longer has,
+are defined here, and ``sum`` of squares is the explicit left fold
+``_sum_of_squares``: from CPython 3.12 ``sum`` of floats is compensated,
+while the kernel adds in sequence as ``sum`` did before.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ from quartercast.series import QuarterlySeries
 _INF = float("inf")
 _N_RESTARTS = 3
 _RESTART_SEED = 20090401  # fixed so refits are bit-reproducible
+
+
+def _sum_of_squares(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v * v
+    return total
 
 
 def nelder_mead(
@@ -226,7 +233,7 @@ def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
     intercept = float(np.mean(w)) if order.has_intercept else None
     z = (w - intercept if intercept is not None else w).tolist()
 
-    scale = sum(v * v for v in z)
+    scale = _sum_of_squares(z)
     denom = scale if scale > 0.0 else 1.0
 
     if order.n_coeffs == 0:
@@ -239,7 +246,7 @@ def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
                 return np.inf
             ar, ma = _combined_polys(phi, theta, sphi, stheta, order.s)
             e = _residuals_from_polys(z, ar, ma)
-            return sum(v * v for v in e) / denom
+            return _sum_of_squares(e) / denom
 
         coeffs = None
         rng = np.random.default_rng(_RESTART_SEED)
@@ -270,7 +277,7 @@ def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
     phi, theta, sphi, stheta = _split_params(list(coeffs), order)
     ar, ma = _combined_polys(phi, theta, sphi, stheta, order.s)
     e = _residuals_from_polys(z, ar, ma)
-    css = sum(v * v for v in e)
+    css = _sum_of_squares(e)
     sigma2 = css / n_res
 
     k = order.n_free_params + 1

@@ -11,6 +11,7 @@ from quartercast import (
     MissingIndicatorError,
     QuarterlySeries,
     UnknownGeographyError,
+    ValidationError,
     base_forecasts,
     build_row,
     build_training_matrix,
@@ -221,8 +222,25 @@ class TestIndicatorForecast:
 class TestExtendIndicators:
     def _ragged(self, n_indicator):
         rev = {"A": QuarterlySeries("A", START, [100.0 + i for i in range(24)])}
-        ind = {("A", "gdp"): QuarterlySeries("A", START, [50.0 + i for i in range(n_indicator)])}
+        ind = {
+            (geo, "gdp"): QuarterlySeries(geo, START, [50.0 + i for i in range(n_indicator)])
+            for geo in ("A", "TOTAL")
+        }
         return Dataset.build(rev, indicators=ind), FeatureConfig(indicators=(IndicatorConfig("gdp"),))
+
+    def test_absent_indicator_of_a_modeled_series_is_named(self, monkeypatch):
+        import quartercast.features as features
+
+        def no_fit(series_list):
+            raise AssertionError("an ARIMA fit ran before the missing indicator was reported")
+
+        monkeypatch.setattr(features, "auto_select_many", no_fit)
+        rev = {"A": QuarterlySeries("A", START, [100.0 + i for i in range(24)])}
+        ind = {("A", "gdp"): QuarterlySeries("A", START, [50.0 + i for i in range(24)])}
+        ds, cfg = Dataset.build(rev, indicators=ind), FeatureConfig(indicators=(IndicatorConfig("gdp"),))
+        end = quarter_add(START, 23)
+        with pytest.raises(MissingIndicatorError, match="no indicator 'gdp' for geography 'TOTAL'"):
+            extend_indicators(ds, cfg, known_through=end, needed_through=end)
 
     def test_gap_beyond_forecast_reach_names_the_indicator(self, monkeypatch):
         import quartercast.features as features
@@ -260,6 +278,11 @@ class TestVectorization:
             "stock_yoy_origin",
             "stock_yoy_target",
         ]
+
+    def test_indicator_leaving_out_a_series_is_rejected(self):
+        cfg = FeatureConfig(indicators=(IndicatorConfig("gdp", geos=("A", "TOTAL")),))
+        with pytest.raises(ValidationError, match="indicator 'gdp' leaves out series 'B'"):
+            feature_names(["A", "B", "TOTAL"], cfg)
 
     def test_unknown_geography(self, cache):
         ds = counting_dataset()

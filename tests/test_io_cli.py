@@ -7,6 +7,7 @@ from quartercast import (
     ContiguityError,
     DuplicateKeyError,
     FiscalQuarter,
+    ForecastCache,
     SchemaMismatchError,
     SynthSpec,
     TOTAL_ID,
@@ -15,6 +16,8 @@ from quartercast import (
     load_expert_forecasts_csv,
     load_indicator_csv,
     load_revenue_csv,
+    model1_forecast,
+    quarter_add,
     read_report,
     read_table,
     write_indicator_csv,
@@ -498,6 +501,32 @@ class TestCli:
             assert (int(fy), int(fq)) >= (2015, 1)
             assert float(fc) > 0
 
+    def test_forecast_m1_fits_every_series_in_one_run(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SynthSpec(n_geos=2, n_quarters=24, noise_scale=0.3, seed=8))
+        rev = tmp_path / "rev.csv"
+        write_revenue_csv(ds, rev)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"revenue_csv": str(rev)}))
+        runs = []
+
+        def counting_run_plans(plans, run_plans=features.run_plans):
+            runs.append(plans)
+            return run_plans(plans)
+
+        monkeypatch.setattr(features, "run_plans", counting_run_plans)
+        out = tmp_path / "m1.csv"
+        assert main(["forecast", "--config", str(cfg), "--model", "m1", "--out", str(out)]) == 0
+        assert len(runs) == 1
+
+        origin = ds.total.end
+        target = quarter_add(origin, 1)
+        expected = ["geo,fiscal_year,fiscal_quarter,horizon,forecast,source"]
+        for geo in ds.series_ids():  # Geo_1, Geo_2, TOTAL: one run each
+            result = model1_forecast(ds.series_for(geo), origin, cache=ForecastCache())
+            expected.append(f"{geo},{target.year},{target.quarter},1,{result.forecast!r},{result.chosen}")
+        assert len(runs) == 4
+        assert out.read_text().splitlines() == expected
+
     def test_compare_empty_expert_errors(self, tmp_path):
         rep = sample_report()
         pr = tmp_path / "r.json"
@@ -513,6 +542,10 @@ class TestCli:
 
 class TestCliBadInputs:
     """Malformed configuration and environment end in exit code 2 with a named input."""
+
+    @staticmethod
+    def _no_fit(*args, **kwargs):
+        raise AssertionError("a window or indicator was fit")
 
     def _backtest_config(self, tmp_path, **overrides):
         rev = tmp_path / "rev.csv"
@@ -545,6 +578,14 @@ class TestCliBadInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'synth'" in err and "n_geos must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("value", [[1], None, "abc"])
+    def test_synth_section_not_an_object(self, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": value}))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"config section 'synth' must be an object, got {value!r}" in capsys.readouterr().err
 
     def test_unknown_forest_key(self, tmp_path, capsys):
         cfg = self._backtest_config(tmp_path, forest={"n_trees": 2, "trees": 5})
@@ -580,10 +621,15 @@ class TestCliBadInputs:
             ({"indicators_csv": 3}, "'indicators_csv'"),
             ({"seed": "abc"}, "'forest': seed must be an integer, got 'abc'"),
             ({"seed": 1.7}, "'forest': seed must be an integer, got 1.7"),
+            ({"lag_includes_origin": "false"}, "'lag_includes_origin' must be true or false, got 'false'"),
+            ({"macro_at_origin": 1}, "'macro_at_origin' must be true or false, got 1"),
+            ({"macro_at_target": None}, "'macro_at_target' must be true or false, got None"),
+            ({"model1_include_average": "no"}, "'model1_include_average' must be true or false"),
         ],
         ids=["indicator-without-id", "geos-not-a-list", "indicators-not-a-list", "forest-a-list",
              "forest-null", "output-format-xml", "revenue-csv-a-list", "revenue-csv-null",
-             "indicators-csv-a-number", "seed-a-string", "seed-a-fraction"],
+             "indicators-csv-a-number", "seed-a-string", "seed-a-fraction", "lag-flag-a-string",
+             "origin-flag-a-number", "target-flag-null", "average-flag-a-string"],
     )
     def test_malformed_section_rejected_before_any_fit(self, overrides, named, tmp_path, capsys, monkeypatch):
         def no_fit(windows, cache=None):
@@ -593,6 +639,38 @@ class TestCliBadInputs:
         monkeypatch.setattr(features, "fit_windows", no_fit)
         cfg = self._backtest_config(tmp_path, **overrides)
         rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_forecast_m1_flag_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
+        cfg = self._backtest_config(tmp_path, model="m1", model1_include_average="false")
+        rc = main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert "'model1_include_average' must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "indicators, last, named",
+        [
+            ([{"id": "gdp"}], None, "no indicator 'gdp' for geography 'Geo_1'"),
+            ([{"id": "indicator", "geos": ["Geo_1"]}], None, "'indicator' leaves out series 'TOTAL'"),
+            ([{"id": "indicator"}], FiscalQuarter(2010, 4), "'indicator' for geography 'Geo_1' is known through 2010Q4"),
+        ],
+        ids=["absent", "geos-leave-out-a-series", "too-short"],
+    )
+    @pytest.mark.parametrize("command", ["backtest", "forecast"])
+    def test_bad_m3_indicator_rejected_before_any_fit(
+        self, command, indicators, last, named, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "auto_select_many", self._no_fit)
+        ds = generate_synthetic(SynthSpec(n_geos=1, n_quarters=24, seed=2))  # the revenue of _backtest_config
+        ind = tmp_path / "ind.csv"
+        end = last or ds.total.end
+        write_indicator_csv({key: s.truncated(end) for key, s in ds.indicators.items()}, ind)
+        cfg = self._backtest_config(tmp_path, model="m3", indicators_csv=str(ind), indicators=indicators)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert named in capsys.readouterr().err
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ class TestMape:
     def test_empty(self):
         with pytest.raises(ValidationError):
             mape([])
+
+    def test_apes_add_left_to_right(self):
+        # APEs of 1e16, 1 and 1: added in sequence each 1 is lost to rounding
+        # (1e16 + 1 == 1e16), while a compensated sum (math.fsum, or sum()
+        # from CPython 3.12) keeps both.
+        pairs = [(1.0, 1e14 + 1.0), (100.0, 99.0), (100.0, 101.0)]
+        apes = [ape(a, f) for a, f in pairs]
+        assert apes == [1e16, 1.0, 1.0]
+        assert mape(pairs) == (1e16 + 1.0 + 1.0) / 3
+        assert mape(pairs) != math.fsum(apes) / 3
 
     def test_singleton_equals_ape(self):
         rng = np.random.default_rng(9)

@@ -9,6 +9,7 @@ from quartercast import (
     ForestParams,
     IndicatorConfig,
     InsufficientDataError,
+    MissingIndicatorError,
     QuarterlySeries,
     SchemaMismatchError,
     ValidationError,
@@ -25,12 +26,13 @@ from quartercast import (
     mape,
     model1_forecast,
     model3_run,
+    model_config,
     parse_quarter,
     quarter_add,
     stlf_forecast,
     yoy_growth,
 )
-from quartercast import pipeline
+from quartercast import features, pipeline
 from quartercast.pipeline import ApeDetail, EvaluationReport, HorizonCell
 
 START = FiscalQuarter(2009, 1)
@@ -159,6 +161,58 @@ class TestModel3:
         from quartercast import MissingIndicatorError
 
         assert isinstance(err.value, MissingIndicatorError)
+
+
+def bad_indicator_input(case, dataset):
+    """A dataset and m3 config with one bad indicator input, the error it raises and what it names."""
+    one = FeatureConfig(indicators=(IndicatorConfig("indicator"),))
+    if case == "absent":
+        return dataset, FeatureConfig(indicators=(IndicatorConfig("gdp"),)), MissingIndicatorError, "'gdp'"
+    if case == "geos-leave-out-a-series":
+        cfg = FeatureConfig(indicators=(IndicatorConfig("indicator", geos=("Geo_1",)),))
+        return dataset, cfg, ValidationError, "'indicator' leaves out series 'Geo_2'"
+    short = {key: s.truncated(quarter_add(s.start, 11)) for key, s in dataset.indicators.items()}
+    return Dataset.build(dataset.revenue, indicators=short), one, MissingIndicatorError, "known through 2011Q4"
+
+
+BAD_INDICATOR_CASES = ("absent", "geos-leave-out-a-series", "too-short")
+
+
+class TestModelRules:
+    def test_m2_drops_the_indicator_settings(self):
+        cfg = FeatureConfig(
+            indicators=(IndicatorConfig("indicator"),), macro_at_target=False,
+            macro_source="revenue", lag_includes_origin=False,
+        )
+        assert model_config("m2", cfg) == FeatureConfig(lag_includes_origin=False)
+        assert model_config("m1", cfg) is cfg and model_config("m3", cfg) is cfg
+
+    def test_m2_backtest_ignores_an_indicator_config(self, small_dataset, small_ranges, small_cache):
+        train, test = small_ranges
+        params = ForestParams(n_trees=5, seed=3)
+        cfg = FeatureConfig(indicators=(IndicatorConfig("indicator"),), macro_at_target=False)
+        plain = backtest(small_dataset, "m2", train, test, params, cache=small_cache)
+        configured = backtest(small_dataset, "m2", train, test, params, config=cfg, cache=small_cache)
+        assert configured.metadata == plain.metadata
+        assert configured == plain
+
+    @pytest.mark.parametrize("case", BAD_INDICATOR_CASES)
+    @pytest.mark.parametrize("run", ["backtest", "final-origin"])
+    def test_bad_indicator_rejected_before_any_fit(self, run, case, small_dataset, small_ranges, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a window or indicator was fit")
+
+        monkeypatch.setattr(pipeline, "fit_windows", no_fit)
+        monkeypatch.setattr(features, "fit_windows", no_fit)
+        monkeypatch.setattr(features, "auto_select_many", no_fit)
+        dataset, cfg, error, named = bad_indicator_input(case, small_dataset)
+        train, test = small_ranges
+        params = ForestParams(n_trees=2, seed=1)
+        with pytest.raises(error, match=named):
+            if run == "backtest":
+                backtest(dataset, "m3", train, test, params, config=cfg)
+            else:
+                final_origin_forecasts(dataset, train, params, cfg)
 
 
 class TestFinalOrigin:
