@@ -110,7 +110,7 @@ def _indicator(k: int, item) -> IndicatorConfig:
     geos = item.get("geos")
     if geos is not None and not (isinstance(geos, list) and all(isinstance(g, str) for g in geos)):
         raise ValidationError(f"{where}: 'geos' must be a list of geography names, got {geos!r}")
-    return IndicatorConfig(indicator_id=str(item["id"]), geos=tuple(geos) if geos else None)
+    return IndicatorConfig(indicator_id=str(item["id"]), geos=None if geos is None else tuple(geos))
 
 
 def _flag(cfg: dict, key: str) -> bool:

@@ -288,7 +288,8 @@ class _SseObjective:
         phi = P[2] + c[_NOT_DAMPED]
         # Level and slope are adjacent rows, as are lb = level + bt and bt,
         # so one add updates both: level = lb + alpha * e, slope = bt + beta * e.
-        state = x[_LEVEL : _TREND + 1]
+        # A copy: for one point, x is a view of the caller's X.
+        state = x[_LEVEL : _TREND + 1].copy()
         level, slope = state
         S = np.zeros((PERIOD, len(members)))
         S[: PERIOD - 1] = x[_SEASON:]

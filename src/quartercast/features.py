@@ -343,9 +343,10 @@ def extend_indicators(
     Mirrors the test-time protocol: indicator actuals after the training
     period are treated as unavailable and replaced by ARIMA forecasts.  The
     ARIMA grids of all indicators that need extending are fit in one run.
-    An enabled indicator that is absent for a series it applies to, or that
-    would need more than MAX_FORECAST_STEPS forecast quarters, raises
-    MissingIndicatorError before any fit.
+    An enabled indicator that is absent for a series it applies to, that
+    starts after ``known_through``, or that would need more than
+    MAX_FORECAST_STEPS forecast quarters, raises MissingIndicatorError
+    before any fit.
     """
     out: dict[tuple[str, str], QuarterlySeries] = {}
     short = []
@@ -355,6 +356,11 @@ def extend_indicators(
             if (geo, ind) in out or not config.applies_to(cfg, geo):
                 continue
             series = dataset.indicator_for(geo, ind)
+            if series.start > known_through:
+                raise MissingIndicatorError(
+                    f"indicator {ind!r} for geography {geo!r} starts in {series.start}, after "
+                    f"{known_through}, the last quarter known when the forest is trained"
+                )
             hist = out[(geo, ind)] = series.truncated(min(series.end, known_through))
             steps = quarter_diff(needed_through, hist.end)
             if steps > MAX_FORECAST_STEPS:
@@ -377,9 +383,14 @@ def feature_names(series_ids: list[str], config: FeatureConfig) -> list[str]:
     """Canonical column order; macro columns always come last.
 
     Every row carries every macro column, so each indicator must apply to
-    every series.
+    every series, and its ``geos`` may name only modeled series.
     """
     for cfg in config.indicators:
+        for geo in cfg.geos or ():
+            if geo not in series_ids:
+                raise ValidationError(
+                    f"indicator {cfg.indicator_id!r} 'geos' names {geo!r}, which is not a modeled series"
+                )
         for geo in series_ids:
             if not config.applies_to(cfg, geo):
                 raise ValidationError(

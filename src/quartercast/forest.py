@@ -101,18 +101,6 @@ class TreeNode:
         self.value = value
         self.depth = depth
 
-    @classmethod
-    def _from_nodes(cls, nodes: list, depth: int) -> "TreeNode":
-        feature, threshold, left, right, value = zip(*nodes)
-        return cls(
-            np.array(feature, dtype=np.intp),
-            np.array(threshold, dtype=float),
-            np.array(left, dtype=np.intp),
-            np.array(right, dtype=np.intp),
-            np.array(value, dtype=float),
-            depth,
-        )
-
     @property
     def is_leaf(self) -> bool:
         """True when the whole tree is one leaf."""
@@ -138,46 +126,77 @@ class TreeNode:
         """Inverse of ``to_dict``; a malformed node raises SchemaMismatchError naming it.
 
         Nodes are read in preorder from an explicit stack, so a deep tree
-        needs no recursion.  A split's threshold is read once both its
-        subtrees are, so the first malformed field named is the one a
-        recursive reader would meet first.
+        needs no recursion.  A split's threshold that is not a number is
+        named only once both its subtrees are read, so the first malformed
+        field named is the one a recursive reader would meet first.
         """
-        nodes: list = []  # [feature, threshold, left, right, value] in preorder
+        feature: list = []
+        threshold: list = []
+        right: list = []
+        value: list = []
         deepest = 0
+        nan = float("nan")
         todo: list = [(d, 0, -1)]  # (subtree, depth, split it is the right child of or -1)
         while todo:
             d, depth, parent = todo.pop()
-            me = len(nodes)
+            me = len(feature)
             if depth < 0:  # both subtrees of split ``parent`` (d) are read
-                nodes[parent][1] = _number(d["threshold"], f"{where} node {parent} 'threshold'")
+                threshold[parent] = _number(d["threshold"], f"{where} node {parent} 'threshold'")
                 continue
             if parent >= 0:
-                nodes[parent][3] = me
-            at = f"{where} node {me}"
+                right[parent] = me
             if not isinstance(d, dict):
-                raise SchemaMismatchError(f"{at} must be an object, got {d!r}")
+                raise SchemaMismatchError(f"{where} node {me} must be an object, got {d!r}")
             if "value" in d:
-                nodes.append([-1, np.nan, me, me, _number(d["value"], f"{at} 'value'")])
-                deepest = max(deepest, depth)
+                v = d["value"]
+                if type(v) is not float:
+                    v = _number(v, f"{where} node {me} 'value'")
+                feature.append(-1)
+                threshold.append(nan)
+                right.append(me)
+                value.append(v)
+                if depth > deepest:
+                    deepest = depth
                 continue
-            if "feature" not in d:
-                raise SchemaMismatchError(f"{at} has neither 'value' (leaf) nor 'feature' (split)")
-            for key in ("threshold", "left", "right"):
-                if key not in d:
-                    raise SchemaMismatchError(f"{at} is a split with no {key!r}")
-            f = d["feature"]
-            if not isinstance(f, int) or isinstance(f, bool) or not 0 <= f < n_features:
+            try:
+                f, t, left_d, right_d = d["feature"], d["threshold"], d["left"], d["right"]
+            except KeyError:
+                raise SchemaMismatchError(_missing(d, f"{where} node {me}")) from None
+            if type(f) is bool or not isinstance(f, int) or not 0 <= f < n_features:
                 raise SchemaMismatchError(
-                    f"{at} 'feature' must index one of the {n_features} feature_names, got {f!r}"
+                    f"{where} node {me} 'feature' must index one of the {n_features} feature_names, got {f!r}"
                 )
-            nodes.append([f, np.nan, me + 1, -1, np.nan])
-            todo += [(d, -1, me), (d["right"], depth + 1, me), (d["left"], depth + 1, -1)]
-        return cls._from_nodes(nodes, deepest)
+            if type(t) is not float:
+                todo.append((d, -1, me))
+            feature.append(f)
+            threshold.append(t)
+            right.append(-1)
+            value.append(nan)
+            todo.append((right_d, depth + 1, me))
+            todo.append((left_d, depth + 1, -1))
+        feature = np.array(feature, dtype=np.intp)
+        index = np.arange(feature.size)
+        return cls(
+            feature,
+            np.array(threshold, dtype=float),
+            np.where(feature < 0, index, index + 1),
+            np.array(right, dtype=np.intp),
+            np.array(value, dtype=float),
+            deepest,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TreeNode):
             return NotImplemented
         return self.to_dict() == other.to_dict()
+
+
+def _missing(d: dict, at: str) -> str:
+    """Why split-or-leaf node ``d``, which lacks a key, is malformed."""
+    if "feature" not in d:
+        return f"{at} has neither 'value' (leaf) nor 'feature' (split)"
+    key = next(key for key in ("threshold", "left", "right") if key not in d)
+    return f"{at} is a split with no {key!r}"
 
 
 def _number(value, what: str) -> float:
@@ -253,22 +272,39 @@ def _exact_sums(values: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.n
     return tot, tot2
 
 
-def _scan(V: np.ndarray, Y: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best cut of K nodes at once: (feature slot, threshold, gain) per node.
+def _dense_ranks(V: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values of its row of ``V``, 0 for the smallest."""
+    order = V.argsort(axis=1)
+    s = np.take_along_axis(V, order, axis=1)
+    step = np.zeros(V.shape, dtype=np.intp)
+    step[:, 1:] = s[:, 1:] > s[:, :-1]
+    ranks = np.empty_like(step)
+    np.put_along_axis(ranks, order, step.cumsum(axis=1), axis=1)
+    return ranks
 
-    Node k has n[k] real rows, nodes sorted by n.  ``V`` (K, m, L) holds
-    its m candidate feature columns along the last axis, ``Y`` (K, L) its
-    targets.  Rows past n[k] are padding: +inf in V, so a stable sort puts
-    them last, and 0 in Y, so every running sum over real rows keeps its
-    bits.  Cuts at or past row n[k] - 1 are masked out.  The gain is -inf
-    for a node with no cut of positive gain.
+
+def _scan(rank: np.ndarray, Y: np.ndarray, n: np.ndarray):
+    """The best cut of K nodes at once: (feature slot, positions either side of the cut, gain) per node.
+
+    Node k has n[k] real rows, nodes sorted by n.  ``rank`` (K, m, L),
+    which the scan overwrites, holds the dense rank of each of its rows in
+    m candidate feature columns, ``Y`` (K, L) its targets.  Rows past n[k]
+    are padding: a rank above every real one, and 0 in Y, so every running
+    sum over real rows keeps its bits.  Each key ``rank << shift |
+    position`` is unique, so sorting the keys orders a column as a stable
+    sort of its values would.  Cuts at or past row n[k] - 1 are masked
+    out.  The gain is -inf for a node with no cut of positive gain.
     """
-    K, m, L = V.shape
+    K, m, L = rank.shape
     tot, tot2 = _exact_sums(Y[np.arange(L) < n[:, None]], n)
     parent_sse = tot2 - tot * tot / n
-    order = V.argsort(axis=-1, kind="stable")
-    vs = np.take_along_axis(V, order, axis=-1)
-    ys = Y[np.arange(K)[:, None, None], order]
+    shift = (L - 1).bit_length()
+    rank <<= shift
+    rank |= np.arange(L)
+    rank.sort(axis=-1)
+    pos = rank & ((1 << shift) - 1)
+    rank >>= shift
+    ys = Y[np.arange(K)[:, None, None], pos]
     cum = ys.cumsum(axis=-1)[..., :-1]  # cut i: sorted rows 0..i go left
     cum2 = (ys * ys).cumsum(axis=-1)[..., :-1]
     n_l = np.arange(1, L, dtype=float)
@@ -278,14 +314,17 @@ def _scan(V: np.ndarray, Y: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.n
         sum_r = tot[:, None, None] - cum
         sse_r = (tot2[:, None, None] - cum2) - sum_r * sum_r / n_r
         gain = parent_sse[:, None, None] - (sse_l + sse_r)
-        gain[~((vs[..., :-1] < vs[..., 1:]) & (gain > 0.0) & (n_r > 0.0))] = -np.inf
+        gain[~((rank[..., :-1] < rank[..., 1:]) & (gain > 0.0) & (n_r > 0.0))] = -np.inf
     best = gain.reshape(K, -1).argmax(axis=1)  # first maximum, feature-major
     j, i = np.divmod(best, L - 1)
     k = np.arange(K)
-    lo, hi = vs[k, j, i], vs[k, j, i + 1]
+    return j, pos[k, j, i], pos[k, j, i + 1], gain[k, j, i]
+
+
+def _midpoint(lo, hi):
+    """The threshold between adjacent distinct sorted values lo < hi."""
     thr = 0.5 * (lo + hi)
-    thr = np.where(thr >= hi, lo, thr)  # midpoint of adjacent floats can round up
-    return j, thr, gain[k, j, i]
+    return np.where(thr >= hi, lo, thr)  # midpoint of adjacent floats can round up
 
 
 def best_split(X: np.ndarray, y: np.ndarray, candidate_features) -> tuple[int, float, float] | None:
@@ -301,151 +340,231 @@ def best_split(X: np.ndarray, y: np.ndarray, candidate_features) -> tuple[int, f
     features = sorted({int(c) for c in candidate_features})
     if n < 2 or not features:
         return None
-    j, thr, gain = _scan(X[:, features].T[None], y[None], np.array([n]))
+    V = X[:, features].T
+    j, lo, hi, gain = _scan(_dense_ranks(V)[None], y[None], np.array([n]))
     if gain[0] == -np.inf:
         return None
-    return features[j[0]], float(thr[0]), float(gain[0])
+    j = j[0]
+    return features[j], float(_midpoint(V[j, lo[0]], V[j, hi[0]])), float(gain[0])
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
 
 
-class _Growing:
-    """A tree being grown: its generator, its stack of pending nodes, its preorder nodes so far."""
-
-    __slots__ = ("rng", "sample", "todo", "nodes", "depth")
-
-    def __init__(self, rng: np.random.Generator, y: np.ndarray, bootstrap: bool):
-        self.rng = rng
-        self.sample = rng.integers(0, y.size, size=y.size) if bootstrap else np.arange(y.size)
-        root_y = y[self.sample]
-        # (rows of X in the node, its depth, the split it is the right child of or -1, all targets equal)
-        self.todo = [(self.sample, 0, -1, bool((root_y == root_y[0]).all()))]
-        self.nodes: list = []  # [feature, threshold, left, right, value], as TreeNode._from_nodes takes them
-        self.depth = 0
-
-    def next_tried(self, min_node_size, max_depth, active, mtry, leaves: list):
-        """Settle leaves in preorder up to the next node to split: (rows, depth, drawn features), or None."""
-        while self.todo:
-            rows, depth, parent, pure = self.todo.pop()
-            if parent >= 0:
-                self.nodes[parent][3] = len(self.nodes)
-            if rows.size > min_node_size and depth < max_depth and not pure:
-                return rows, depth, self.rng.permutation(active)[:mtry]
-            self.leaf(rows, depth, leaves)
-        return None
-
-    def leaf(self, rows: np.ndarray, depth: int, leaves: list) -> None:
-        """Add a leaf; ``leaves`` gets (its node, rows) so that its value can be filled in."""
-        me = len(self.nodes)
-        self.nodes.append([-1, np.nan, me, me, np.nan])
-        leaves.append((self.nodes[me], rows))
-        self.depth = max(self.depth, depth)
-
-    def split(self, f: int, thr: float, depth: int, left, right) -> None:
-        """Add a split; ``left`` and ``right`` are each child's (rows, all targets equal)."""
-        me = len(self.nodes)
-        self.nodes.append([f, thr, me + 1, -1, np.nan])  # right is set when that child is reached
-        self.todo.append((right[0], depth + 1, me, right[1]))
-        self.todo.append((left[0], depth + 1, -1, left[1]))
+# Feature subsets each tree draws at once.
+_DRAW_BLOCK = 32
 
 
-def _score(X_pad: np.ndarray, y: np.ndarray, rows: list, F: np.ndarray):
-    """(feature slot, threshold, gain) of each node's best cut; gain -inf for no cut.
+class _Draws:
+    """Each tree's feature subsets, drawn from its generator a block at a time.
 
-    Nodes are scanned sorted by row count, in chunks of at most
-    ``_SCAN_CELLS`` cells, each padded to its widest node.  Column n of
-    ``X_pad`` (feature, row) is the +inf padding row.
+    ``Generator.permuted`` on B copies of ``active`` gives the rows that B
+    successive ``permutation(active)`` calls would, and leaves the
+    generator where they would.  Only the first ``mtry`` columns are kept,
+    each row sorted.
+    """
+
+    def __init__(self, rngs: list, active: np.ndarray, mtry: int):
+        self.rngs = rngs
+        self.active = active
+        # in the smallest integer type that holds every feature index
+        index_type = np.min_scalar_type(active.max(initial=0))
+        self.blocks = np.empty((len(rngs), _DRAW_BLOCK, min(mtry, active.size)), dtype=index_type)
+        self.used = np.full(len(rngs), _DRAW_BLOCK)  # rows taken from each tree's block
+        self.saved: list = [None] * len(rngs)  # each generator's state before its last block
+
+    def _permutations(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.permuted(np.broadcast_to(self.active, (count, self.active.size)), axis=1)
+
+    def take(self, trees: np.ndarray) -> np.ndarray:
+        """The next feature subset of each of ``trees`` (distinct tree indices), one row each."""
+        for t in trees[self.used[trees] == _DRAW_BLOCK].tolist():
+            self.saved[t] = self.rngs[t].bit_generator.state
+            self.blocks[t] = np.sort(self._permutations(self.rngs[t], _DRAW_BLOCK)[:, : self.blocks.shape[2]])
+            self.used[t] = 0
+        subsets = self.blocks[trees, self.used[trees]]
+        self.used[trees] += 1
+        return subsets
+
+    def rewind(self) -> None:
+        """Leave each generator where drawing only the subsets taken would."""
+        for t, state in enumerate(self.saved):
+            if state is not None:
+                self.rngs[t].bit_generator.state = state
+                self._permutations(self.rngs[t], int(self.used[t]))
+
+
+def _score(X_pad, rank_pad, y_pad, rows, start, size, F):
+    """(feature, threshold, gain) of each node's best cut; gain -inf for no cut.
+
+    Node k's rows are ``rows[start[k] : start[k] + size[k]]`` and ``F[k]``
+    its candidate features.  Nodes are scanned sorted by row count, in
+    chunks of at most ``_SCAN_CELLS`` cells, each padded to its widest
+    node.  Column n of ``X_pad`` (feature, row) is the +inf padding row,
+    ``rank_pad`` holds the dense ranks of ``X_pad`` and ``y_pad[n]`` is 0.
     """
     K, m = F.shape
-    sizes = np.array([r.size for r in rows])
-    slot, thr, gain = np.zeros(K, dtype=np.intp), np.zeros(K), np.full(K, -np.inf)
-    by_size = np.argsort(sizes, kind="stable")
-    start = 0
-    while m and start < K:
-        fits = np.arange(1, K - start + 1) * sizes[by_size[start:]] * m <= _SCAN_CELLS
-        chunk = by_size[start : start + max(1, int(np.count_nonzero(fits)))]
-        start += chunk.size
-        n = sizes[chunk]
-        real = np.arange(n[-1]) < n[:, None]
-        R = np.full(real.shape, y.size)
-        R[real] = np.concatenate([rows[k] for k in chunk.tolist()])
-        Y = np.zeros(real.shape)
-        Y[real] = y[R[real]]
-        slot[chunk], thr[chunk], gain[chunk] = _scan(X_pad[F[chunk][:, :, None], R[:, None, :]], Y, n)
-    return slot, thr, gain
+    pad = y_pad.size - 1
+    feature, thr, gain = np.zeros(K, dtype=np.intp), np.zeros(K), np.full(K, -np.inf)
+    by_size = np.argsort(size, kind="stable")
+    begin = 0
+    while m and begin < K:
+        fits = np.arange(1, K - begin + 1) * size[by_size[begin:]] * m <= _SCAN_CELLS
+        chunk = by_size[begin : begin + max(1, int(np.count_nonzero(fits)))]
+        begin += chunk.size
+        n = size[chunk]
+        span = np.arange(n[-1])
+        R = np.where(span < n[:, None], rows[start[chunk][:, None] + span], pad)
+        Fc = F[chunk]
+        j, lo, hi, gain[chunk] = _scan(rank_pad[Fc[:, :, None], R[:, None, :]], y_pad[R], n)
+        k = np.arange(chunk.size)
+        feature[chunk] = f = Fc[k, j]
+        thr[chunk] = _midpoint(X_pad[f, R[k, lo]], X_pad[f, R[k, hi]])
+    return feature, thr, gain
 
 
-def _children(X: np.ndarray, y: np.ndarray, rows: list, f: np.ndarray, thr: np.ndarray) -> list:
-    """Per split node, its (left, right) children as (rows in node order, all targets equal)."""
-    sizes = np.array([r.size for r in rows])
-    node_of = np.repeat(np.arange(len(rows)), sizes)
-    cat = np.concatenate(rows)
-    go_left = X[cat, f[node_of]] <= thr[node_of]
-    parts = cat[np.argsort(2 * node_of + ~go_left, kind="stable")]  # each node's left rows, then its right
-    n_left = np.bincount(node_of[go_left], minlength=len(rows))
-    bounds = np.cumsum(np.stack([n_left, sizes - n_left], axis=1).ravel())
-    starts = np.concatenate([[0], bounds[:-1]])
-    part_y = y[parts]
-    pure = (np.minimum.reduceat(part_y, starts) == np.maximum.reduceat(part_y, starts)).tolist()
-    edges = [0] + bounds.tolist()
-    return [
-        ((parts[edges[2 * k] : edges[2 * k + 1]], pure[2 * k]),
-         (parts[edges[2 * k + 1] : edges[2 * k + 2]], pure[2 * k + 1]))
-        for k in range(len(rows))
-    ]
+def _segments(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The positions start[k] .. start[k] + size[k] - 1 of every segment k, end to end."""
+    ends = np.cumsum(size)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + size, size)
 
 
-def _settle(y: np.ndarray, leaves: list) -> None:
-    """Give each leaf (node, rows) its value, bit for bit ``y[rows].mean()``."""
-    sizes = np.array([rows.size for _, rows in leaves])
-    by_size = np.argsort(sizes, kind="stable")
-    tot, _ = _exact_sums(y[np.concatenate([leaves[k][1] for k in by_size.tolist()])], sizes[by_size])
-    for k, mean in zip(by_size.tolist(), (tot / sizes[by_size]).tolist()):
-        leaves[k][0][4] = mean
+def _join(records: list) -> list:
+    """Records of equal-length arrays, joined column by column."""
+    return [np.concatenate(column) for column in zip(*records)]
 
 
-def _grow(X, y, params: ForestParams, active, mtry, rngs) -> list[tuple[TreeNode, np.ndarray]]:
-    """One tree per generator, grown in lockstep; each with its bootstrap sample.
+def _partition(X, y, rows, start, size, f, thr):
+    """Split each node's segment of ``rows`` in place: its left rows, then its right rows.
+
+    Returns each node's left row count and whether all targets are equal
+    on its left side and on its right side.
+    """
+    at = _segments(start, size)
+    of = np.repeat(np.arange(size.size), size)
+    part = rows[at]
+    go_left = X[part, f[of]] <= thr[of]
+    rows[at] = part = part[np.argsort(2 * of + ~go_left, kind="stable")]
+    n_left = np.bincount(of[go_left], minlength=size.size)
+    sides = np.stack([n_left, size - n_left], axis=1).ravel()
+    part_y = y[part]
+    first = np.cumsum(sides) - sides
+    pure = np.minimum.reduceat(part_y, first) == np.maximum.reduceat(part_y, first)
+    return n_left, pure[0::2], pure[1::2]
+
+
+# Columns of a node waiting on its tree's stack: where its rows start in the
+# row buffers, how many there are, its depth, the split it is the right
+# child of (-1 for none) and whether all its targets are equal.
+_START, _SIZE, _DEPTH, _PARENT, _PURE = range(5)
+
+
+def _grow(X, y, params: ForestParams, active, mtry, rngs, rewind: bool = False):
+    """One tree per generator, grown in lockstep, and each tree's bootstrap sample.
 
     Each tree walks its nodes in preorder on its own stack and draws from
     its own generator: the bootstrap sample, then one feature subset per
-    node it tries to split, as a recursive grower would.  A node that is a
-    leaf by size, depth or purity is settled at once.  Every step scores
-    the next node that each unfinished tree tries to split, all in one
-    batched scan, and splits them all at once.
+    node it tries to split, as a recursive grower would.  The subsets are
+    drawn in blocks; ``rewind`` leaves every generator where one draw per
+    node would.  A tree's rows sit in one row buffer: each node's rows are
+    a segment of it, which a split partitions in place.  Every step pops
+    each unfinished tree's stack down to the next node it tries to split,
+    taking the leaves it pops on the way, scores all those nodes in one
+    batched scan and splits them.
     """
+    n, T = y.size, len(rngs)
+    if params.bootstrap:
+        samples = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    else:
+        samples = np.broadcast_to(np.arange(n), (T, n))
+    draws = _Draws(rngs, active, mtry)
     X_pad = np.vstack([X, np.full(X.shape[1], np.inf)]).T.copy()
+    rank_pad = _dense_ranks(X_pad)
+    y_pad = np.append(y, 0.0)
+    rows = np.full(T * n + n, n)  # the row buffers end to end, then room for a scan's padded reads
+    rows[: T * n] = samples.ravel()
     max_depth = np.inf if params.max_depth is None else params.max_depth
-    trees = [_Growing(rng, y, params.bootstrap) for rng in rngs]
-    live = trees
-    while live:
-        leaves: list = []
-        tried = []  # (tree, rows, depth, drawn features)
-        for tree in live:
-            node = tree.next_tried(params.min_node_size, max_depth, active, mtry, leaves)
-            if node is not None:
-                tried.append((tree, *node))
-        live = [tree for tree, _, _, _ in tried]
-        if tried:
-            rows = [r for _, r, _, _ in tried]
-            F = np.sort(np.stack([drawn for _, _, _, drawn in tried]), axis=1)
-            slot, thr, gain = _score(X_pad, y, rows, F)
-            cut = gain > -np.inf
-            for k in np.flatnonzero(~cut).tolist():
-                tree, _, depth, _ = tried[k]
-                tree.leaf(rows[k], depth, leaves)
-            split = np.flatnonzero(cut)
-            if split.size:
-                f = F[split, slot[split]]
-                children = _children(X, y, [rows[k] for k in split.tolist()], f, thr[split])
-                for k, fk, tk, (left, right) in zip(split.tolist(), f.tolist(), thr[split].tolist(), children):
-                    tree, _, depth, _ = tried[k]
-                    tree.split(fk, tk, depth, left, right)
-        if leaves:
-            _settle(y, leaves)
-    return [(TreeNode._from_nodes(tree.nodes, tree.depth), tree.sample) for tree in trees]
+
+    stack = np.zeros((T, 8, 5), dtype=np.intp)
+    stack[:, 0, _START] = np.arange(T) * n
+    stack[:, 0, _SIZE] = n
+    stack[:, 0, _PARENT] = -1
+    stack[:, 0, _PURE] = (y[samples] == y[samples[:, :1]]).all(axis=1)
+    height = np.ones(T, dtype=np.intp)
+    count = np.zeros(T, dtype=np.intp)  # each tree's nodes so far, numbered in preorder
+    # (tree, node, ...) records, joined at the end
+    splits: list = []  # (tree, node, feature, threshold)
+    leaves: list = []  # (tree, node, its start, size and depth)
+    rights: list = []  # (tree, split, its right child)
+    live = np.arange(T)
+    while live.size:
+        # Pop each tree's run of leaves from the top of its stack, and the
+        # node below them that it tries to split, if any.
+        h = height[live]
+        from_top = h[:, None] - 1 - np.arange(stack.shape[1] + 1)  # < 0 below the bottom
+        node = stack[live[:, None], np.maximum(from_top, 0)]
+        tries = (node[..., _SIZE] > params.min_node_size) & (node[..., _DEPTH] < max_depth) & (node[..., _PURE] == 0)
+        stop = tries | (from_top < 0)
+        run = stop.argmax(axis=1)
+        n_popped = run + (run < h)
+        popped = np.arange(stop.shape[1]) < n_popped[:, None]
+        tree = np.broadcast_to(live[:, None], stop.shape)
+        index = count[live][:, None] + np.arange(stop.shape[1])  # preorder, as popped
+        right = popped & (node[..., _PARENT] >= 0)
+        rights.append((tree[right], node[..., _PARENT][right], index[right]))
+        leaf = popped & ~stop
+        leaves.append((tree[leaf], index[leaf], node[leaf][:, :_PARENT]))
+        tried = popped & stop
+        t, me, node = tree[tried], index[tried], node[tried]
+        count[live] += n_popped
+        height[live] -= n_popped
+        f, thr, gain = _score(X_pad, rank_pad, y_pad, rows, node[:, _START], node[:, _SIZE], draws.take(t))
+        cut = gain > -np.inf
+        leaves.append((t[~cut], me[~cut], node[~cut, :_PARENT]))
+        splits.append((t[cut], me[cut], f[cut], thr[cut]))
+        if cut.any():
+            s, me, node = t[cut], me[cut], node[cut]
+            start, size = node[:, _START], node[:, _SIZE]
+            n_left, pure_left, pure_right = _partition(X, y, rows, start, size, f[cut], thr[cut])
+            depth = node[:, _DEPTH] + 1
+            h = height[s]
+            if h.max() + 2 > stack.shape[1]:
+                stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+            stack[s, h] = np.stack([start + n_left, size - n_left, depth, me, pure_right], axis=1)
+            stack[s, h + 1] = np.stack([start, n_left, depth, np.full(s.size, -1), pure_left], axis=1)
+            height[s] = h + 2
+        live = t[height[t] > 0]
+    if rewind:
+        draws.rewind()
+    return _assemble(y, rows, count, splits, leaves, rights), samples
+
+
+def _assemble(y, rows, count, splits, leaves, rights) -> list[TreeNode]:
+    """Each tree as a TreeNode, from ``_grow``'s records; leaf values bit for bit ``y[rows].mean()``."""
+    first = np.cumsum(count) - count  # each tree's root in the joined arrays
+    local = np.arange(int(count.sum())) - np.repeat(first, count)
+    feature = np.full(local.size, -1, dtype=np.intp)
+    threshold = np.full(local.size, np.nan)
+    value = np.full(local.size, np.nan)
+    t, me, f, thr = _join(splits)
+    feature[first[t] + me] = f
+    threshold[first[t] + me] = thr
+    left = np.where(feature < 0, local, local + 1)
+    right = local.copy()
+    t, split, me = _join(rights)
+    right[first[t] + split] = me
+    t, me, node = _join(leaves)
+    size = node[:, _SIZE]
+    by_size = np.argsort(size, kind="stable")
+    tot, _ = _exact_sums(y[rows[_segments(node[by_size, _START], size[by_size])]], size[by_size])
+    value[(first[t] + me)[by_size]] = tot / size[by_size]
+    depth = np.zeros(count.size, dtype=np.intp)
+    np.maximum.at(depth, t, node[:, _DEPTH])
+    return [
+        TreeNode(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b], d)
+        for a, b, d in zip(first.tolist(), (first + count).tolist(), depth.tolist())
+    ]
 
 
 def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +589,7 @@ def build_tree(X, y, params: ForestParams, tree_rng: np.random.Generator | None 
         tree_rng = _tree_rng(0, 0)
     active = _active_features(X)
     mtry = _resolve_mtry(params, X.shape[1], len(active))
-    [(tree, _)] = _grow(X, y, params, active, mtry, [tree_rng])
+    [tree], _ = _grow(X, y, params, active, mtry, [tree_rng], rewind=True)
     return tree
 
 
@@ -498,7 +617,7 @@ def _oob_score(trees, samples, X, y) -> tuple[float, int]:
     """
     n = y.size
     in_bag = np.zeros((len(trees), n), dtype=bool)
-    in_bag[np.arange(len(trees))[:, None], np.stack(samples)] = True
+    in_bag[np.arange(len(trees))[:, None], samples] = True
     tree_of, rows = np.nonzero(~in_bag)  # tree-major, rows ascending
     flat, roots = _stack(trees)
     preds = _walk(flat, X.ravel(), roots[tree_of], rows * X.shape[1])
@@ -538,9 +657,9 @@ def train_forest(
     mtry = _resolve_mtry(params, X.shape[1], len(active))
 
     resolve_threads(n_threads)
-    built = _grow(X, y, params, active, mtry, [_tree_rng(params.seed, i) for i in range(params.n_trees)])
-    trees = tuple(tree for tree, _ in built)
-    oob_mse, n_never = _oob_score(trees, [sample for _, sample in built], X, y)
+    trees, samples = _grow(X, y, params, active, mtry, [_tree_rng(params.seed, i) for i in range(params.n_trees)])
+    trees = tuple(trees)
+    oob_mse, n_never = _oob_score(trees, samples, X, y)
     if n_never and params.bootstrap:
         log.warning("%d of %d rows were never out-of-bag; excluded from oob_mse", n_never, y.size)
 
@@ -678,10 +797,14 @@ def forest_from_json(text: str) -> Forest:
         raise SchemaMismatchError(f"forest 'trees' must be a list, got {type(trees).__name__}")
     if len(trees) != params.n_trees:
         raise SchemaMismatchError(f"forest has {len(trees)} 'trees' but params.n_trees is {params.n_trees}")
+    oob_mse = _number(doc["oob_mse"], "forest 'oob_mse'")  # NaN when no row was ever out of bag
+    n_never = doc.get("n_never_oob", 0)
+    if type(n_never) is bool or not isinstance(n_never, int) or n_never < 0:
+        raise SchemaMismatchError(f"forest 'n_never_oob' must be a non-negative integer, got {n_never!r}")
     return Forest(
         trees=tuple(TreeNode.from_dict(d, len(names), f"tree {i}") for i, d in enumerate(trees)),
         params=params,
         feature_names=tuple(names),
-        oob_mse=doc["oob_mse"],
-        n_never_oob=doc.get("n_never_oob", 0),
+        oob_mse=oob_mse,
+        n_never_oob=n_never,
     )

@@ -11,6 +11,7 @@ import arima_oracle
 import ets_oracle as oracle
 from quartercast import FiscalQuarter, InsufficientDataError, QuarterlySeries, ValidationError, forecast_arima
 from quartercast.ets import (
+    _N_COLUMNS,
     EtsSpec,
     _fit_many,
     _prepare,
@@ -168,3 +169,20 @@ def test_clip_distance_squares_with_pow():
     value = _SseObjective([job])(np.zeros(1, dtype=np.intp), point)[0]
     assert sse == 0.0
     assert bits([value]) == bits([sse * (1.0 + drift) + drift]) == bits([d**2])
+
+
+@pytest.mark.parametrize("n_points", [1, 6])
+def test_objective_leaves_its_points_alone(n_points):
+    """A repeated call gives the same bits, and the points are not written to.
+
+    One point is the case that could alias: its transpose is already
+    contiguous, so the recursion state would be a view of the caller's row.
+    """
+    series = QuarterlySeries("s", START, [10.0 + (i % 4) + 0.3 * i for i in range(16)])
+    jobs = [_prepare(series, spec, None) for spec in spec_grid()]
+    members = np.arange(n_points) % len(jobs)
+    X = np.random.default_rng(5).normal(size=(n_points, _N_COLUMNS))
+    before = X.copy()
+    first = _SseObjective(jobs)(members, X)
+    assert bits(X.ravel()) == bits(before.ravel())
+    assert bits(_SseObjective(jobs)(members, X)) == bits(first)

@@ -256,6 +256,23 @@ class TestExtendIndicators:
         msg = str(err.value)
         assert "'gdp'" in msg and "'A'" in msg and "2011Q4" in msg and "2014Q4" in msg
 
+    def test_indicator_starting_after_known_through_is_named(self, monkeypatch):
+        import quartercast.features as features
+
+        def no_fit(series_list):
+            raise AssertionError("an ARIMA fit ran before the late indicator was reported")
+
+        monkeypatch.setattr(features, "auto_select_many", no_fit)
+        rev = {"A": QuarterlySeries("A", START, [100.0 + i for i in range(24)])}
+        late = quarter_add(START, 16)
+        ind = {(geo, "gdp"): QuarterlySeries(geo, late, [50.0 + i for i in range(8)]) for geo in ("A", "TOTAL")}
+        ds, cfg = Dataset.build(rev, indicators=ind), FeatureConfig(indicators=(IndicatorConfig("gdp"),))
+        known = quarter_add(late, -1)
+        with pytest.raises(MissingIndicatorError) as err:
+            extend_indicators(ds, cfg, known_through=known, needed_through=quarter_add(START, 23))
+        msg = str(err.value)
+        assert "'gdp'" in msg and "'A'" in msg and str(late) in msg and str(known) in msg
+
     def test_gap_of_eight_is_forecast(self):
         ds, cfg = self._ragged(12)
         needed = quarter_add(START, 19)
@@ -282,6 +299,19 @@ class TestVectorization:
     def test_indicator_leaving_out_a_series_is_rejected(self):
         cfg = FeatureConfig(indicators=(IndicatorConfig("gdp", geos=("A", "TOTAL")),))
         with pytest.raises(ValidationError, match="indicator 'gdp' leaves out series 'B'"):
+            feature_names(["A", "B", "TOTAL"], cfg)
+
+    @pytest.mark.parametrize(
+        "geos, named",
+        [
+            ((), "indicator 'gdp' leaves out series 'A'"),
+            (("A", "B", "TOTAL", "Nope"), "indicator 'gdp' 'geos' names 'Nope', which is not a modeled series"),
+        ],
+        ids=["empty", "names-no-series"],
+    )
+    def test_indicator_geos_entries_are_checked(self, geos, named):
+        cfg = FeatureConfig(indicators=(IndicatorConfig("gdp", geos=geos),))
+        with pytest.raises(ValidationError, match=named):
             feature_names(["A", "B", "TOTAL"], cfg)
 
     def test_unknown_geography(self, cache):

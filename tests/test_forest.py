@@ -378,6 +378,57 @@ class TestFromJsonMalformed:
         with pytest.raises(SchemaMismatchError, match="'feature' must index one of the 2 feature_names"):
             forest_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("threshold", ["x", None, True, [0.5]])
+    def test_bad_threshold_is_named_after_its_subtrees(self, threshold):
+        doc = _document()
+        split = _first_split(doc)
+        split["threshold"] = threshold
+        good_left = split["left"]
+        split["left"] = {}
+        with pytest.raises(SchemaMismatchError, match="tree 0 node 1 has neither 'value'"):
+            forest_from_json(json.dumps(doc))
+        split["left"] = good_left
+        with pytest.raises(SchemaMismatchError, match="tree 0 node 0 'threshold' must be a number"):
+            forest_from_json(json.dumps(doc))
+
+    def test_bad_threshold_is_named_before_a_later_subtree(self):
+        leaf = {"value": 1.0}
+        inner = {"feature": 0, "threshold": "x", "left": leaf, "right": leaf}
+        tree = {"feature": 0, "threshold": 0.5, "left": inner, "right": {}}
+        with pytest.raises(SchemaMismatchError, match="^tree 0 node 1 'threshold' must be a number"):
+            TreeNode.from_dict(tree, 1, "tree 0")
+        inner["threshold"] = 2  # an integer threshold is a number
+        with pytest.raises(SchemaMismatchError, match="^tree 0 node 4 has neither"):
+            TreeNode.from_dict(tree, 1, "tree 0")
+        tree["right"] = leaf
+        assert TreeNode.from_dict(tree, 1, "tree 0").threshold[:2].tolist() == [0.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("oob_mse", "abc", "forest 'oob_mse' must be a number, got 'abc'"),
+            ("oob_mse", None, "forest 'oob_mse' must be a number, got None"),
+            ("oob_mse", True, "forest 'oob_mse' must be a number, got True"),
+            ("n_never_oob", -4, "forest 'n_never_oob' must be a non-negative integer, got -4"),
+            ("n_never_oob", "x", "forest 'n_never_oob' must be a non-negative integer, got 'x'"),
+            ("n_never_oob", 1.0, "forest 'n_never_oob' must be a non-negative integer, got 1.0"),
+            ("n_never_oob", False, "forest 'n_never_oob' must be a non-negative integer, got False"),
+        ],
+        ids=["oob-string", "oob-null", "oob-bool", "never-negative", "never-string", "never-float", "never-bool"],
+    )
+    def test_bad_oob_fields(self, key, value, named):
+        with pytest.raises(SchemaMismatchError, match=f"^{named}$"):
+            forest_from_json(json.dumps(_document(**{key: value})))
+
+    def test_oob_defaults(self):
+        doc = _document()
+        assert doc["oob_mse"] != doc["oob_mse"]  # bootstrap=False writes NaN
+        del doc["n_never_oob"]
+        forest = forest_from_json(json.dumps(doc))
+        assert forest.n_never_oob == 0 and np.isnan(forest.oob_mse)
+        doc["oob_mse"] = 2
+        assert forest_from_json(json.dumps(doc)).oob_mse == 2.0
+
     def test_tree_count_differs_from_params(self):
         doc = _document()
         doc["trees"] = doc["trees"][:1]

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forest_oracle as oracle
-from quartercast import ForestParams, best_split, forest_from_json, forest_to_json, predict_forest, train_forest
+from quartercast import (
+    ForestParams,
+    best_split,
+    build_tree,
+    forest_from_json,
+    forest_to_json,
+    predict_forest,
+    train_forest,
+)
+from quartercast.forest import _DRAW_BLOCK, _active_features, _Draws, _resolve_mtry, _tree_rng
 
 # A padded lane of the batched split scan divides by zero; that must never reach a user's log.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -24,7 +33,7 @@ def split_bits(split):
 
 
 @st.composite
-def matrices(draw, min_rows=2, max_rows=60):
+def matrices(draw, min_rows=2, max_rows=60, noises=("none", "normal", "tenths")):
     """Small-integer columns (ties and repeats everywhere), some constant or mirrored."""
     n = draw(st.integers(min_rows, max_rows))
     p = draw(st.integers(1, 5))
@@ -40,7 +49,7 @@ def matrices(draw, min_rows=2, max_rows=60):
     if draw(st.booleans()):
         X[:, -1] += rng.normal(size=n)  # one continuous column beside the ties
     y = rng.integers(0, draw(st.integers(1, 5)), size=n).astype(float)
-    noise = draw(st.sampled_from(["none", "normal", "tenths"]))
+    noise = draw(st.sampled_from(noises))
     if noise == "normal":
         y += rng.normal(size=n) * 0.1
     elif noise == "tenths":  # inexact sums of tied targets: the last bit decides near-equal gains
@@ -100,6 +109,34 @@ def test_forest_matches_oracle(Xy, n_trees, mtry, max_depth, min_node_size, boot
     check_against_oracle(X, y, params)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    matrices(min_rows=20, max_rows=120, noises=("tenths",)),
+    st.integers(2, 30),
+    st.one_of(st.none(), st.integers(1, 5)),
+    st.one_of(st.none(), st.integers(1, 6)),
+    st.integers(1, 8),
+    st.booleans(),
+    st.integers(0, 2**31),
+)
+def test_forest_node_totals_match_oracle(Xy, n_trees, mtry, max_depth, min_node_size, bootstrap, seed):
+    """Node totals keep their bits when nodes of many sizes share a padded scan chunk.
+
+    Many trees put nodes of many sizes in each chunk, and tied inexact
+    targets give near-tied gains, so a node total that is off by one bit
+    (a pairwise sum taken over padding) changes some split within a few
+    dozen examples.
+    """
+    X, y = Xy
+    if mtry is not None:
+        mtry = min(mtry, X.shape[1])
+    params = ForestParams(
+        n_trees=n_trees, mtry=mtry, min_node_size=min_node_size, max_depth=max_depth,
+        seed=seed, bootstrap=bootstrap,
+    )
+    check_against_oracle(X, y, params)
+
+
 def test_forest_edge_cases_match_oracle():
     X = np.arange(8.0).reshape(4, 2)
     # a leaf whose mean underflows from below to -0.0
@@ -145,3 +182,50 @@ def test_adjacent_float_midpoint_rounds_down_to_lower_value():
     y = np.asarray([0.0, 1.0])
     assert split_bits(best_split(X, y, [0])) == split_bits(oracle.best_split(X, y, [0]))
     assert best_split(X, y, [0])[1] == lo
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 25), st.integers(0, 2**32 - 1), st.data())
+def test_block_draws_equal_successive_permutations(n_active, seed, data):
+    """Each tree's subsets are ``permutation(active)[:mtry]``, sorted, and rewinding
+    leaves its generator where those calls would, across block boundaries."""
+    active = np.sort(np.random.default_rng(seed).choice(30, n_active, replace=False))
+    mtry = data.draw(st.integers(1, n_active + 2))
+    rngs = [np.random.default_rng([seed, t]) for t in range(3)]
+    want = [np.random.default_rng([seed, t]) for t in range(3)]
+    draws = _Draws(rngs, active, mtry)
+    for _ in range(data.draw(st.integers(0, 3 * _DRAW_BLOCK + 2))):
+        trees = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=3, max_size=3)))
+        for t, subset in zip(trees.tolist(), draws.take(trees)):
+            assert subset.tolist() == sorted(want[t].permutation(active)[:mtry].tolist())
+    draws.rewind()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(), st.integers(1, 8), st.booleans(), st.integers(0, 2**31))
+def test_build_tree_leaves_the_generator_as_the_oracle_does(Xy, min_node_size, bootstrap, seed):
+    """build_tree takes the caller's generator: after it, the generator is where the
+    recursive grower's draws leave it, also past a block of feature subsets."""
+    X, y = Xy
+    params = ForestParams(n_trees=1, min_node_size=min_node_size, bootstrap=bootstrap, seed=seed)
+    rng, want = _tree_rng(seed, 0), _tree_rng(seed, 0)
+    tree = build_tree(X, y, params, tree_rng=rng)
+    active = _active_features(X)
+    root, _ = oracle._build_one(X, y, params, active, _resolve_mtry(params, X.shape[1], len(active)), want)
+    assert tree.to_dict() == root.to_dict()
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_build_tree_crosses_a_draw_block():
+    """A tree that tries more nodes than one block holds."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(120, 6))
+    y = rng.normal(size=120)
+    params = ForestParams(n_trees=1, min_node_size=1, seed=2)
+    tree_rng, want = _tree_rng(2, 0), _tree_rng(2, 0)
+    tree = build_tree(X, y, params, tree_rng=tree_rng)
+    root, _ = oracle._build_one(X, y, params, _active_features(X), 2, want)
+    assert int((tree.feature >= 0).sum()) > 2 * _DRAW_BLOCK
+    assert tree.to_dict() == root.to_dict()
+    assert tree_rng.bit_generator.state == want.bit_generator.state

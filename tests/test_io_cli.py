@@ -8,6 +8,7 @@ from quartercast import (
     DuplicateKeyError,
     FiscalQuarter,
     ForecastCache,
+    QuarterlySeries,
     SchemaMismatchError,
     SynthSpec,
     TOTAL_ID,
@@ -655,8 +656,10 @@ class TestCliBadInputs:
             ([{"id": "gdp"}], None, "no indicator 'gdp' for geography 'Geo_1'"),
             ([{"id": "indicator", "geos": ["Geo_1"]}], None, "'indicator' leaves out series 'TOTAL'"),
             ([{"id": "indicator"}], FiscalQuarter(2010, 4), "'indicator' for geography 'Geo_1' is known through 2010Q4"),
+            ([{"id": "indicator", "geos": ["Geo_1", "TOTAL", "Geo_9"]}], None, "'geos' names 'Geo_9'"),
+            ([{"id": "indicator", "geos": []}], None, "'indicator' leaves out series 'Geo_1'"),
         ],
-        ids=["absent", "geos-leave-out-a-series", "too-short"],
+        ids=["absent", "geos-leave-out-a-series", "too-short", "geos-names-no-series", "geos-empty"],
     )
     @pytest.mark.parametrize("command", ["backtest", "forecast"])
     def test_bad_m3_indicator_rejected_before_any_fit(
@@ -673,6 +676,23 @@ class TestCliBadInputs:
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["backtest", "forecast"])
+    def test_indicator_starting_after_known_through_rejected_before_any_fit(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "auto_select_many", self._no_fit)
+        ds = generate_synthetic(SynthSpec(n_geos=1, n_quarters=24, seed=2))  # ends 2014Q4
+        ind = tmp_path / "ind.csv"
+        late = FiscalQuarter(2015, 1)
+        write_indicator_csv({key: QuarterlySeries(s.id, late, s.values[:4]) for key, s in ds.indicators.items()}, ind)
+        cfg = self._backtest_config(tmp_path, model="m3", indicators_csv=str(ind), indicators=[{"id": "indicator"}])
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        known = "2012Q4" if command == "backtest" else "2014Q4"
+        assert f"'indicator' for geography 'Geo_1' starts in 2015Q1, after {known}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[1]", '"cfg"', "null", "3"])
     @pytest.mark.parametrize("command", ["synth", "backtest", "forecast", "compare"])
