@@ -128,7 +128,9 @@ class TreeNode:
         Nodes are read in preorder from an explicit stack, so a deep tree
         needs no recursion.  A split's threshold that is not a number is
         named only once both its subtrees are read, so the first malformed
-        field named is the one a recursive reader would meet first.
+        field named is the one a recursive reader would meet first.  A leaf
+        value or threshold that is NaN or infinite is named once the whole
+        tree is read.
         """
         feature: list = []
         threshold: list = []
@@ -175,13 +177,22 @@ class TreeNode:
             todo.append((right_d, depth + 1, me))
             todo.append((left_d, depth + 1, -1))
         feature = np.array(feature, dtype=np.intp)
+        threshold = np.array(threshold, dtype=float)
+        value = np.array(value, dtype=float)
+        numbers = np.where(feature < 0, value, threshold)
+        bad = np.flatnonzero(~np.isfinite(numbers))
+        if bad.size:
+            me = int(bad[0])
+            key = "value" if feature[me] < 0 else "threshold"
+            got = float(numbers[me])
+            raise SchemaMismatchError(f"{where} node {me} {key!r} must be finite, got {got!r}")
         index = np.arange(feature.size)
         return cls(
             feature,
-            np.array(threshold, dtype=float),
+            threshold,
             np.where(feature < 0, index, index + 1),
             np.array(right, dtype=np.intp),
-            np.array(value, dtype=float),
+            value,
             deepest,
         )
 
@@ -202,7 +213,10 @@ def _missing(d: dict, at: str) -> str:
 def _number(value, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaMismatchError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaMismatchError(f"{what} must be finite, got {value!r}") from None
 
 
 def _walk(tree: TreeNode, x: np.ndarray, node: np.ndarray, base=0) -> np.ndarray:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .errors import ContiguityError, DuplicateKeyError, SchemaMismatchError, ValidationError
 from .fiscal import FiscalQuarter, parse_quarter, quarter_add
-from .pipeline import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
+from .reports import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
 from .series import TOTAL_ID, Dataset, QuarterlySeries
 
 REPORT_SCHEMA_VERSION = 1
@@ -57,6 +58,8 @@ def _parse_value(path, lineno, text, require_positive=True) -> float:
         value = float(text)
     except ValueError:
         raise ValidationError(f"{path}:{lineno}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}:{lineno}: value must be finite, got {text!r}")
     if require_positive and value <= 0.0:
         raise ValidationError(f"{path}:{lineno}: value must be positive, got {value}")
     return value

@@ -37,6 +37,7 @@ from .features import (
 from .fiscal import FiscalQuarter, quarter_add, quarter_range
 from .forest import ForestParams, predict_forest, train_forest
 from .metrics import ape, mape, relative_improvement
+from .reports import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
 from .series import Dataset, QuarterlySeries
 
 log = logging.getLogger(__name__)
@@ -296,32 +297,6 @@ def final_origin_forecasts(
     )
 
 
-@dataclass(frozen=True)
-class ApeDetail:
-    target: FiscalQuarter
-    actual: float
-    forecast: float
-    ape: float
-
-
-@dataclass(frozen=True)
-class HorizonCell:
-    mape: float
-    details: tuple[ApeDetail, ...]
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    model: str
-    geos: tuple[str, ...]
-    horizons: tuple[int, ...]
-    cells: dict[tuple[str, int], HorizonCell]
-    metadata: dict
-
-    def mape_for(self, geo: str, horizon: int) -> float:
-        return self.cells[(geo, horizon)].mape
-
-
 def config_hash(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -404,20 +379,6 @@ def backtest(
         predictions = model2_run(dataset, train_range, test_range, forest_params, config, cache).predictions
 
     return _report_from_predictions(dataset, model, horizons, predictions, meta)
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Relative-improvement cells; None renders as n/a (zero baseline)."""
-
-    mode: str
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    cells: tuple[tuple[float | None, ...], ...]
-    metadata: dict
-
-    def cell(self, row: str, col: str):
-        return self.cells[self.row_labels.index(row)][self.col_labels.index(col)]
 
 
 def _improvement_or_none(x: float, y: float) -> float | None:

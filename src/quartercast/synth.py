@@ -46,10 +46,31 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_geos", "n_quarters", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("base_level", "trend_slope", "seasonal_amplitude", "noise_scale", "indicator_linkage"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not _finite(value):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.start, FiscalQuarter):
+            raise ValidationError(f"start must be a FiscalQuarter, got {self.start!r}")
+        if not isinstance(self.indicator_id, str) or not self.indicator_id:
+            raise ValidationError(f"indicator_id must be a non-empty string, got {self.indicator_id!r}")
         if self.n_geos < 1:
             raise ValidationError(f"n_geos must be >= 1, got {self.n_geos}")
         if self.n_quarters < 24:
             raise ValidationError(f"n_quarters must be >= 24, got {self.n_quarters}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def geo_ids(n_geos: int) -> list[str]:

@@ -403,6 +403,31 @@ class TestFromJsonMalformed:
         tree["right"] = leaf
         assert TreeNode.from_dict(tree, 1, "tree 0").threshold[:2].tolist() == [0.5, 2.0]
 
+    @pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_threshold(self, number):
+        doc = _document()
+        _first_split(doc)["threshold"] = number
+        with pytest.raises(SchemaMismatchError, match="^tree 0 node 0 'threshold' must be finite, got "):
+            forest_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_leaf_value(self, number):
+        doc = _document()
+        _first_split(doc)["right"] = {"value": number}
+        node = TreeNode.from_dict(_first_split(_document()), 2, "tree 0").right[0]
+        with pytest.raises(SchemaMismatchError, match=f"^tree 0 node {node} 'value' must be finite, got "):
+            forest_from_json(json.dumps(doc))
+
+    def test_first_non_finite_node_is_named(self):
+        leaf = {"value": 1.0}
+        inner = {"feature": 0, "threshold": 0.5, "left": leaf, "right": {"value": float("nan")}}
+        tree = {"feature": 0, "threshold": float("inf"), "left": inner, "right": leaf}
+        with pytest.raises(SchemaMismatchError, match="^tree 0 node 0 'threshold' must be finite, got inf$"):
+            TreeNode.from_dict(tree, 1, "tree 0")
+        tree["threshold"] = 0.5
+        with pytest.raises(SchemaMismatchError, match="^tree 0 node 3 'value' must be finite, got nan$"):
+            TreeNode.from_dict(tree, 1, "tree 0")
+
     @pytest.mark.parametrize(
         "key, value, named",
         [

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,26 @@ class TestExpertCsv:
         write_lines(p, ["geo,fiscal_year,fiscal_quarter,expert_forecast"])
         assert load_expert_forecasts_csv(p) == {}
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_forecast_names_file_and_line(self, text, tmp_path):
+        p = tmp_path / "exp.csv"
+        write_lines(
+            p,
+            [
+                "geo,fiscal_year,fiscal_quarter,expert_forecast",
+                "TOTAL,2016,1,-3.5",  # a negative forecast is allowed
+                f"TOTAL,2016,2,{text}",
+            ],
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}:3: value must be finite, got '{text}'$"):
+            load_expert_forecasts_csv(p)
+
+    def test_non_finite_revenue_names_file_and_line(self, tmp_path):
+        p = tmp_path / "rev.csv"
+        write_lines(p, ["geo,fiscal_year,fiscal_quarter,revenue", "Geo_1,2012,1,100.0", "Geo_1,2012,2,NaN"])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}:3: value must be finite"):
+            load_revenue_csv(p)
+
 
 class TestSynthetic:
     def test_same_seed_identical(self):
@@ -226,6 +247,34 @@ class TestSynthetic:
             SynthSpec(n_geos=0)
         with pytest.raises(ValidationError):
             SynthSpec(n_quarters=20)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("n_geos", 1.5, "n_geos must be an integer, got 1.5"),
+            ("n_geos", 1e9, "n_geos must be an integer, got 1000000000.0"),
+            ("n_geos", True, "n_geos must be an integer, got True"),
+            ("n_quarters", 24.5, "n_quarters must be an integer, got 24.5"),
+            ("seed", -1, "seed must be a nonnegative integer, got -1"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", None, "seed must be an integer, got None"),
+            ("noise_scale", "x", "noise_scale must be a finite number, got 'x'"),
+            ("base_level", float("nan"), "base_level must be a finite number, got nan"),
+            ("trend_slope", float("inf"), "trend_slope must be a finite number, got inf"),
+            ("seasonal_amplitude", 10**400, "seasonal_amplitude must be a finite number, got 1"),
+            ("indicator_linkage", False, "indicator_linkage must be a finite number, got False"),
+            ("indicator_id", "", "indicator_id must be a non-empty string, got ''"),
+            ("indicator_id", 7, "indicator_id must be a non-empty string, got 7"),
+            ("start", "2009Q1", "start must be a FiscalQuarter, got '2009Q1'"),
+        ],
+    )
+    def test_spec_field_checks_name_the_field(self, field, value, named):
+        with pytest.raises(ValidationError, match=f"^{re.escape(named)}"):
+            SynthSpec(**{field: value})
+
+    def test_integral_numbers_are_accepted(self):
+        spec = SynthSpec(n_geos=1, base_level=100, noise_scale=0, seed=0)
+        assert len(generate_synthetic(spec).geos()) == 1
 
 
 def sample_report():
@@ -450,6 +499,17 @@ class TestCli:
         table = read_table(out)
         assert all(v == 0.0 for row in table.cells for v in row)
 
+    def test_compare_expert_non_finite_forecast_exits_2(self, tmp_path, capsys):
+        pr = tmp_path / "r.json"
+        write_report(sample_report(), "json", pr)
+        exp = tmp_path / "e.csv"
+        write_lines(exp, ["geo,fiscal_year,fiscal_quarter,expert_forecast", "TOTAL,2015,1,nan"])
+        out = tmp_path / "t.json"
+        rc = main(["compare", "--mode", "expert", "--report", str(pr), "--expert", str(exp), "--out", str(out)])
+        assert rc == 2
+        assert f"{exp}:2: value must be finite, got 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_expert_mode(self, tmp_path):
         rep = sample_report()
         pr = tmp_path / "r.json"
@@ -579,6 +639,32 @@ class TestCliBadInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'synth'" in err and "n_geos must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize(
+        "settings, named",
+        [
+            ({"n_geos": 1.5}, "n_geos must be an integer, got 1.5"),
+            ({"n_geos": 1e9}, "n_geos must be an integer, got 1000000000.0"),
+            ({"n_geos": True}, "n_geos must be an integer, got True"),
+            ({"n_quarters": 24.5}, "n_quarters must be an integer, got 24.5"),
+            ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"noise_scale": "x"}, "noise_scale must be a finite number, got 'x'"),
+            ({"indicator_id": ""}, "indicator_id must be a non-empty string, got ''"),
+        ],
+    )
+    def test_bad_synth_field_exits_2_naming_it(self, settings, named, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"n_quarters": 24, **settings}}))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"config section 'synth': {named}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        rc = main(["synth", "--seed", "-5", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "config section 'synth': seed must be a nonnegative integer, got -5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [[1], None, "abc"])
     def test_synth_section_not_an_object(self, value, tmp_path, capsys):
