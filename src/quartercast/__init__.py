@@ -13,6 +13,7 @@ generates, reads or writes data never loads the fitting engine.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -29,9 +30,8 @@ _EXPORTS = {
     ),
     "ets": ("EtsFit", "EtsSpec", "auto_select_ets", "auto_select_ets_many", "fit_ets", "forecast_ets"),
     "features": (
-        "FeatureConfig", "FeatureRow", "ForecastCache", "IndicatorConfig", "base_forecasts",
-        "build_row", "build_training_matrix", "extend_indicators", "feature_names", "fit_windows",
-        "forecast_indicator", "macro_features", "row_vector", "rows_to_matrix",
+        "ForecastCache", "base_forecasts", "build_row", "build_training_matrix", "extend_indicators",
+        "fit_windows", "forecast_indicator", "macro_features",
     ),
     "fiscal": ("FiscalQuarter", "parse_quarter", "quarter_add", "quarter_diff", "quarter_range"),
     "forest": (
@@ -49,6 +49,7 @@ _EXPORTS = {
         "model_config",
     ),
     "reports": ("ComparisonTable", "EvaluationReport"),
+    "rows": ("FeatureConfig", "FeatureRow", "IndicatorConfig", "feature_names", "row_vector", "rows_to_matrix"),
     "series": ("TOTAL_ID", "Dataset", "QuarterlySeries"),
     "stl": ("LoessParams", "StlDecomposition", "loess_smooth", "stl_decompose", "stlf_forecast"),
     "synth": ("SynthSpec", "generate_synthetic"),
@@ -66,7 +67,8 @@ def __getattr__(name):
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
     if name in _OWNER:
-        return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+        module = f"{__name__}.{_OWNER[name]}"
+        return getattr(sys.modules.get(module) or importlib.import_module(module), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

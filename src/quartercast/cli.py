@@ -6,6 +6,10 @@ report against expert forecasts, or a report against its own horizon 1).
 Each takes --config <json file>; --model, --seed and --out override the
 config.  Exit codes: 0 success, 2 validation error, 3 insufficient data,
 4 nonconvergence.
+
+Only the data modules are imported here; model code is looked up through
+the package when a command runs it, so ``synth``, ``--help`` and a bad
+config load no fitting code.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import quartercast
+
 from .errors import InsufficientDataError, NonconvergenceError, QuartercastError, ValidationError
-from .features import FeatureConfig, IndicatorConfig
 from .fiscal import parse_quarter, quarter_add
-from .forest import ForestParams, resolve_threads
 from .io import (
     REPORT_FORMATS,
     load_expert_forecasts_csv,
@@ -32,15 +36,7 @@ from .io import (
     write_report,
     write_revenue_csv,
 )
-from .pipeline import (
-    backtest,
-    compare_expert,
-    compare_horizons,
-    compare_reports,
-    final_origin_forecasts,
-    model1_run,
-    model_config,
-)
+from .rows import FeatureConfig, IndicatorConfig
 from .synth import SynthSpec, generate_synthetic
 
 
@@ -94,13 +90,13 @@ def _section(cfg: dict, key: str, kind: type, default):
     return value
 
 
-def _forest_params(cfg: dict, seed) -> ForestParams:
+def _forest_params(cfg: dict, seed) -> quartercast.ForestParams:
     forest = dict(_section(cfg, "forest", dict, {}))
     if seed is None:
         raise ValidationError("models m2 and m3 require a seed")
     forest["seed"] = seed
-    resolve_threads()  # reject a malformed QUARTERCAST_THREADS before any fitting
-    return _build(ForestParams, "forest", forest)
+    quartercast.forest.resolve_threads()  # reject a malformed QUARTERCAST_THREADS before any fitting
+    return _build(quartercast.ForestParams, "forest", forest)
 
 
 def _indicator(k: int, item) -> IndicatorConfig:
@@ -110,7 +106,10 @@ def _indicator(k: int, item) -> IndicatorConfig:
     geos = item.get("geos")
     if geos is not None and not (isinstance(geos, list) and all(isinstance(g, str) for g in geos)):
         raise ValidationError(f"{where}: 'geos' must be a list of geography names, got {geos!r}")
-    return IndicatorConfig(indicator_id=str(item["id"]), geos=None if geos is None else tuple(geos))
+    try:
+        return IndicatorConfig(indicator_id=item["id"], geos=None if geos is None else tuple(geos))
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _flag(cfg: dict, key: str) -> bool:
@@ -130,6 +129,15 @@ def _feature_config(cfg: dict) -> FeatureConfig:
         macro_source=str(cfg.get("macro_source", "indicator")),
         lag_includes_origin=_flag(cfg, "lag_includes_origin"),
     )
+
+
+def _path(cfg: dict, key: str, given: str | None = None) -> str | None:
+    """The file path given on the command line, else cfg[key] (None when unset),
+    which must be a non-empty string."""
+    value = given or cfg.get(key)
+    if value is not None and not (isinstance(value, str) and value):
+        raise ValidationError(f"config {key!r} must be a non-empty file path, got {value!r}")
+    return value
 
 
 def _load_dataset(cfg: dict):
@@ -153,19 +161,17 @@ def _cmd_synth(args, cfg: dict) -> int:
     if "start" in synth_cfg:
         synth_cfg["start"] = parse_quarter(str(synth_cfg["start"]))
     spec = _build(SynthSpec, "synth", synth_cfg)
+    out = _out(args, cfg, "synth")
+    indicators_out = _path(cfg, "indicators_out") or str(Path(out).with_suffix("")) + "_indicators.csv"
     dataset = generate_synthetic(spec)
-    out = args.out or cfg.get("out")
-    if out is None:
-        raise ValidationError("synth needs --out (or 'out' in the config)")
     write_revenue_csv(dataset, out)
-    indicators_out = cfg.get("indicators_out") or str(Path(out).with_suffix("")) + "_indicators.csv"
     write_indicator_csv(dataset.indicators, indicators_out)
     print(f"wrote {out} and {indicators_out}")
     return 0
 
 
 def _out(args, cfg: dict, command: str) -> str:
-    out = args.out or cfg.get("out")
+    out = _path(cfg, "out", args.out)
     if out is None:
         raise ValidationError(f"{command} needs --out (or 'out' in the config)")
     return out
@@ -186,16 +192,16 @@ def _cmd_forecast(args, cfg: dict) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     out = _out(args, cfg, "forecast")
     dataset = _load_dataset(cfg)
-    config = model_config(model, _feature_config(cfg))
+    config = quartercast.model_config(model, _feature_config(cfg))
     if model == "m1":
         origin = dataset.total.end
-        results = model1_run(dataset, [origin], _flag(cfg, "model1_include_average"))
+        results = quartercast.model1_run(dataset, [origin], _flag(cfg, "model1_include_average"))
         rows = [
             (geo, quarter_add(origin, 1), 1, result.forecast, result.chosen)
             for (geo, _), result in results.items()
         ]
     else:
-        run = final_origin_forecasts(
+        run = quartercast.final_origin_forecasts(
             dataset, _parse_range(cfg, "train_range"), _forest_params(cfg, seed), config
         )
         rows = [(geo, target, h, fc, model) for (geo, target, h), fc in sorted(run.predictions.items())]
@@ -215,7 +221,7 @@ def _cmd_backtest(args, cfg: dict) -> int:
     out, fmt = _out(args, cfg, "backtest"), _output_format(cfg)
     dataset = _load_dataset(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    report = backtest(
+    report = quartercast.backtest(
         dataset, model, _parse_range(cfg, "train_range"), _parse_range(cfg, "test_range"),
         config=_feature_config(cfg),
         forest_params=_forest_params(cfg, seed) if model in ("m2", "m3") else None,
@@ -230,22 +236,22 @@ def _cmd_compare(args, cfg: dict) -> int:
     mode = args.mode or cfg.get("mode")
     out, fmt = _out(args, cfg, "compare"), _output_format(cfg)
     if mode == "models":
-        baseline = args.baseline or cfg.get("baseline_report")
-        candidate = args.candidate or cfg.get("candidate_report")
+        baseline = _path(cfg, "baseline_report", args.baseline)
+        candidate = _path(cfg, "candidate_report", args.candidate)
         if not baseline or not candidate:
             raise ValidationError("compare --mode models needs --baseline and --candidate")
-        table = compare_reports(read_report(baseline), read_report(candidate))
+        table = quartercast.compare_reports(read_report(baseline), read_report(candidate))
     elif mode == "horizons":
-        report = args.report or cfg.get("report")
+        report = _path(cfg, "report", args.report)
         if not report:
             raise ValidationError("compare --mode horizons needs --report")
-        table = compare_horizons(read_report(report))
+        table = quartercast.compare_horizons(read_report(report))
     elif mode == "expert":
-        report = args.report or cfg.get("report")
-        expert = args.expert or cfg.get("expert_csv")
+        report = _path(cfg, "report", args.report)
+        expert = _path(cfg, "expert_csv", args.expert)
         if not report or not expert:
             raise ValidationError("compare --mode expert needs --report and --expert")
-        table = compare_expert(read_report(report), load_expert_forecasts_csv(expert))
+        table = quartercast.compare_expert(read_report(report), load_expert_forecasts_csv(expert))
     else:
         raise ValidationError(f"compare mode must be models, horizons or expert, got {mode!r}")
     write_report(table, fmt, out)

@@ -21,23 +21,19 @@ from dataclasses import dataclass, field
 
 from .errors import NonconvergenceError, SchemaMismatchError, ValidationError
 from .features import (
-    MAX_HORIZON,
-    FeatureConfig,
     ForecastCache,
     build_row,
     build_training_matrix,
     extend_indicators,
-    feature_names,
     fit_windows,
-    row_vector,
     row_windows,
-    rows_to_matrix,
     training_windows,
 )
 from .fiscal import FiscalQuarter, quarter_add, quarter_range
 from .forest import ForestParams, predict_forest, train_forest
 from .metrics import ape, mape, relative_improvement
 from .reports import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
+from .rows import MAX_HORIZON, FeatureConfig, feature_names, row_vector, rows_to_matrix
 from .series import Dataset, QuarterlySeries
 
 log = logging.getLogger(__name__)

@@ -87,12 +87,13 @@ class QuarterlySeries:
         return list(zip(self.quarters(), self.values))
 
     def __contains__(self, fq: FiscalQuarter) -> bool:
-        return self.start <= fq <= self.end
+        return 0 <= quarter_diff(fq, self.start) < len(self.values)
 
     def index_of(self, fq: FiscalQuarter) -> int:
-        if fq not in self:
+        k = quarter_diff(fq, self.start)
+        if not 0 <= k < len(self.values):
             raise ValidationError(f"series {self.id!r} does not cover {fq}")
-        return quarter_diff(fq, self.start)
+        return k
 
     def value_at(self, fq: FiscalQuarter) -> float:
         return self.values[self.index_of(fq)]

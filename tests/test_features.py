@@ -325,3 +325,29 @@ class TestVectorization:
         row = build_row(ds, "B", ORIGIN_20, 1, cache=cache)
         vec = row_vector(row, ["A", "B", "TOTAL"], FeatureConfig())
         assert vec[13:16].tolist() == [0.0, 1.0, 0.0]
+
+
+class TestIndicatorConfig:
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"indicator_id": None}, "indicator_id must be a non-empty string, got None"),
+            ({"indicator_id": 5}, "indicator_id must be a non-empty string, got 5"),
+            ({"indicator_id": ""}, "indicator_id must be a non-empty string, got ''"),
+            ({"indicator_id": "gdp", "geos": ["A"]}, r"geos must be None or a tuple of geography names, got \['A'\]"),
+            ({"indicator_id": "gdp", "geos": "A"}, "geos must be None or a tuple of geography names, got 'A'"),
+            ({"indicator_id": "gdp", "geos": ("A", 3)}, r"geos must be None or a tuple of geography names, got \('A', 3\)"),
+        ],
+        ids=["id-null", "id-a-number", "id-empty", "geos-a-list", "geos-a-string", "geos-a-number"],
+    )
+    def test_bad_field_is_named(self, kwargs, named):
+        with pytest.raises(ValidationError, match=named):
+            IndicatorConfig(**kwargs)
+
+    def test_empty_geos_is_accepted(self):
+        assert IndicatorConfig("gdp", geos=()).geos == ()
+
+    def test_repr_is_unchanged(self):
+        # The repr feeds a report's config_hash.
+        assert repr(IndicatorConfig("gdp")) == "IndicatorConfig(indicator_id='gdp', geos=None)"
+        assert repr(IndicatorConfig("gdp", ("A",))) == "IndicatorConfig(indicator_id='gdp', geos=('A',))"

@@ -446,12 +446,12 @@ class TestCli:
 
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         from quartercast import NonconvergenceError
-        import quartercast.cli as cli_mod
 
         def explode(*a, **k):
             raise NonconvergenceError("nothing converged")
 
-        monkeypatch.setattr(cli_mod, "backtest", explode)
+        # The CLI looks ``backtest`` up through the package when the command runs.
+        monkeypatch.setattr(pipeline, "backtest", explode)
         rev = tmp_path / "rev.csv"
         lines = ["geo,fiscal_year,fiscal_quarter,revenue"]
         from quartercast import quarter_add
@@ -836,3 +836,79 @@ class TestCliBadInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'indicator'" in err and "2013Q4" in err and "2016Q4" in err
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"out": True}, "out"),
+            ({"out": 1}, "out"),
+            ({"out": 5}, "out"),
+            ({"out": ["x.csv"]}, "out"),
+            ({"out": ""}, "out"),
+            ({"indicators_out": ["a"]}, "indicators_out"),
+            ({"indicators_out": 7}, "indicators_out"),
+            ({"indicators_out": ""}, "indicators_out"),
+        ],
+        ids=["out-true", "out-one", "out-five", "out-a-list", "out-empty",
+             "indicators-out-a-list", "indicators-out-a-number", "indicators-out-empty"],
+    )
+    def test_synth_path_setting_rejected_before_any_write(self, settings, key, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"n_geos": 1, "n_quarters": 24}, **settings}))
+        argv = ["synth", "--config", str(cfg)]
+        if key != "out":
+            argv += ["--out", str(tmp_path / "o.csv")]
+        rc = main(argv)
+        assert rc == 2
+        out, err = capfd.readouterr()
+        assert f"config {key!r} must be a non-empty file path, got {settings[key]!r}" in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["backtest", "forecast"])
+    @pytest.mark.parametrize("value", [5, True, ["r.json"], ""])
+    def test_output_path_setting_rejected_before_any_fit(self, command, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "fit_windows", self._no_fit)
+        cfg = self._backtest_config(tmp_path, model="m1", out=value)
+        rc = main([command, "--config", str(cfg)])
+        assert rc == 2
+        assert f"config 'out' must be a non-empty file path, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, settings, key",
+        [
+            ("horizons", {"report": 5}, "report"),
+            ("expert", {"report": ["m1.json"], "expert_csv": "expert.csv"}, "report"),
+            ("expert", {"report": "m1.json", "expert_csv": 3}, "expert_csv"),
+            ("models", {"baseline_report": ["m1.json"], "candidate_report": "m1.json"}, "baseline_report"),
+            ("models", {"baseline_report": "m1.json", "candidate_report": True}, "candidate_report"),
+            ("models", {"baseline_report": "m1.json", "candidate_report": ""}, "candidate_report"),
+        ],
+        ids=["horizons-report", "expert-report", "expert-csv", "models-baseline", "models-candidate",
+             "models-candidate-empty"],
+    )
+    def test_compare_path_setting_is_named(self, mode, settings, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_report(sample_report(), "json", tmp_path / "m1.json")
+        (tmp_path / "expert.csv").write_text("geo,fiscal_year,fiscal_quarter,forecast\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": mode, "out": "t.json", **settings}))
+        rc = main(["compare", "--config", str(cfg)])
+        assert rc == 2
+        assert f"config {key!r} must be a non-empty file path, got {settings[key]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("value", [None, 5, ""])
+    def test_indicator_id_must_be_a_non_empty_string(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "auto_select_many", self._no_fit)
+        cfg = self._backtest_config(tmp_path, model="m3", indicators=[{"id": value}])
+        rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert (
+            f"config section 'indicators' item 0: indicator_id must be a non-empty string, got {value!r}"
+            in capsys.readouterr().err
+        )

@@ -12,7 +12,8 @@ import quartercast
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-ENGINE = ("arima", "ets", "stl", "features", "forest", "pipeline", "_optim", "metrics")
+FITTING = ("arima", "ets", "stl", "features", "forest", "pipeline", "_optim")
+ENGINE = FITTING + ("metrics",)
 
 
 def _loaded_after(code: str) -> set[str]:
@@ -51,6 +52,59 @@ def test_reading_a_report_loads_no_fitting_code(tmp_path):
         f"assert read_report({str(tmp_path / 'r.json')!r}) == report\n"
     )
     assert not loaded & {f"quartercast.{name}" for name in ENGINE}
+
+
+def test_naming_feature_columns_loads_no_fitting_code():
+    # The calls of the forest-sweep bench's set-up, which builds a Model-3
+    # matrix from stand-in forecasts.
+    loaded = _loaded_after(
+        "import quartercast as qc\n"
+        "ds = qc.generate_synthetic(qc.SynthSpec(n_geos=2, n_quarters=24, seed=1))\n"
+        "config = qc.FeatureConfig(indicators=(qc.IndicatorConfig('indicator'),))\n"
+        "names = qc.feature_names(ds.series_ids(), config)\n"
+        "origin = qc.quarter_add(qc.parse_quarter('2013Q4'), -1)\n"
+        "list(qc.quarter_range(origin, qc.parse_quarter('2014Q4')))\n"
+        "qc.quarter_diff(origin, origin)\n"
+        "qc.yoy_growth(ds.indicator_for('Geo_1', 'indicator'), origin)\n"
+    )
+    assert "quartercast.rows" in loaded
+    assert not loaded & {f"quartercast.{name}" for name in FITTING}
+
+
+def test_importing_the_cli_loads_no_fitting_code():
+    loaded = _loaded_after("import quartercast.cli")
+    assert not loaded & {f"quartercast.{name}" for name in ENGINE}
+
+
+def _imported_by_command(args: list[str], cwd) -> tuple[int, set[str]]:
+    """The exit code of ``python -m quartercast.cli <args>`` and the quartercast submodules it imports
+    (read from ``-X importtime``)."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "quartercast.cli", *args],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, {name for name in names if name.startswith("quartercast.")}
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["synth", "--seed", "1", "--out", "rev.csv"], 0),
+        (["--help"], 0),
+        (["backtest", "--config", "missing.json"], 2),
+        (["compare", "--mode", "nope", "--out", "t.json"], 2),
+    ],
+    ids=["synth", "help", "missing-config", "bad-compare-mode"],
+)
+def test_cli_commands_that_fit_nothing_load_no_fitting_code(args, code, tmp_path):
+    returncode, imported = _imported_by_command(args, tmp_path)
+    assert returncode == code
+    assert "quartercast.io" in imported
+    assert not imported & {f"quartercast.{name}" for name in FITTING}
+    if args[0] == "synth":
+        assert (tmp_path / "rev.csv").exists() and (tmp_path / "rev_indicators.csv").exists()
 
 
 @pytest.mark.parametrize("name", quartercast.__all__)
