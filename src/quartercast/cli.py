@@ -3,9 +3,10 @@
 Subcommands: synth (emit a synthetic dataset), forecast (one model,
 forecasts out), backtest (evaluation report), compare (two reports, a
 report against expert forecasts, or a report against its own horizon 1).
-Each takes --config <json file>; --model, --seed and --out override the
-config.  Exit codes: 0 success, 2 validation error, 3 insufficient data,
-4 nonconvergence.
+Each takes --config <json file>, which is checked against SETTINGS before
+any command runs: an unknown key or a value of the wrong kind exits 2 and
+names the key.  --model, --seed and --out override the config.  Exit
+codes: 0 success, 2 validation error, 3 insufficient data, 4 nonconvergence.
 
 Only the data modules are imported here; model code is looked up through
 the package when a command runs it, so ``synth``, ``--help`` and a bad
@@ -40,6 +41,62 @@ from .rows import FeatureConfig, IndicatorConfig
 from .synth import SynthSpec, generate_synthetic
 
 
+def _quarter(value):
+    """The FiscalQuarter a label such as "2013Q1" names, else None."""
+    try:
+        return parse_quarter(value) if isinstance(value, str) else None
+    except ValidationError:
+        return None
+
+
+def _one_of(*choices):
+    listed = f"{', '.join(map(repr, choices[:-1]))} or {choices[-1]!r}"
+    return (lambda v: v in choices), "{!r} must be " + listed
+
+
+_PATH = (lambda v: isinstance(v, str) and v != ""), "{!r} must be a non-empty file path"
+_FLAG = (lambda v: isinstance(v, bool)), "{!r} must be true or false"
+_RANGE = (
+    (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_quarter, v))),
+    '{!r} must be a [start, end] pair of quarters such as "2013Q1"',
+)
+
+# Every top-level config key any command reads: its check, and what the error
+# says a value must be.  One file serves all four commands, so the table is global.
+SETTINGS = {
+    **dict.fromkeys(("revenue_csv", "indicators_csv", "out", "indicators_out",
+                     "report", "baseline_report", "candidate_report", "expert_csv"), _PATH),
+    **dict.fromkeys(("macro_at_origin", "macro_at_target",
+                     "lag_includes_origin", "model1_include_average"), _FLAG),
+    **dict.fromkeys(("synth", "forest"), ((lambda v: isinstance(v, dict)), "section {!r} must be an object")),
+    "indicators": ((lambda v: isinstance(v, list)), "section {!r} must be a list"),
+    "train_range": _RANGE,
+    "test_range": _RANGE,
+    "macro_source": _one_of("indicator", "revenue"),
+    "output_format": _one_of(*REPORT_FORMATS),
+    "model": _one_of("m1", "m2", "m3"),
+    "mode": _one_of("models", "horizons", "expert"),
+    "seed": ((lambda v: True), "{!r} must be a nonnegative integer"),  # checked, and named, by ForestParams
+}
+
+
+def _check(key: str, value):
+    """value, which must pass the check SETTINGS gives for key."""
+    check, what = SETTINGS[key]
+    if not check(value):
+        raise ValidationError(f"config {what.format(key)}, got {value!r}")
+    return value
+
+
+def _reject_unknown(where: str, keys, known) -> None:
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ValidationError(
+            f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"expected some of {', '.join(sorted(known))}"
+        )
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -51,28 +108,21 @@ def _load_config(path: str | None) -> dict:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValidationError(f"config file {path} must hold a JSON object, got {cfg!r}")
+    _reject_unknown(f"config file {path}", cfg, SETTINGS)
+    for key, value in cfg.items():
+        _check(key, value)
     return cfg
 
 
 def _parse_range(cfg: dict, key: str):
     if key not in cfg:
         raise ValidationError(f"config is missing {key!r}")
-    value = cfg[key]
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValidationError(f"config {key!r} must be a [start, end] pair, got {value!r}")
-    lo, hi = value
-    return parse_quarter(str(lo)), parse_quarter(str(hi))
+    return tuple(map(_quarter, _check(key, cfg[key])))
 
 
 def _build(cls, section: str, settings: dict):
     """cls(**settings), with unknown keys and bad values named as config errors."""
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(settings) - known)
-    if unknown:
-        raise ValidationError(
-            f"config section {section!r} has unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"expected some of {', '.join(sorted(known))}"
-        )
+    _reject_unknown(f"config section {section!r}", settings, [f.name for f in fields(cls)])
     try:
         return cls(**settings)
     except TypeError as exc:
@@ -81,22 +131,12 @@ def _build(cls, section: str, settings: dict):
         raise type(exc)(f"config section {section!r}: {exc}") from None
 
 
-def _section(cfg: dict, key: str, kind: type, default):
-    """cfg[key] (or default), which must be a ``kind``: a JSON object or list."""
-    value = cfg.get(key, default)
-    if not isinstance(value, kind):
-        what = "an object" if kind is dict else "a list"
-        raise ValidationError(f"config section {key!r} must be {what}, got {value!r}")
-    return value
-
-
-def _forest_params(cfg: dict, seed) -> quartercast.ForestParams:
-    forest = dict(_section(cfg, "forest", dict, {}))
+def _forest_params(args, cfg: dict) -> quartercast.ForestParams:
+    seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ValidationError("models m2 and m3 require a seed")
-    forest["seed"] = seed
     quartercast.forest.resolve_threads()  # reject a malformed QUARTERCAST_THREADS before any fitting
-    return _build(quartercast.ForestParams, "forest", forest)
+    return _build(quartercast.ForestParams, "forest", {**cfg.get("forest", {}), "seed": seed})
 
 
 def _indicator(k: int, item) -> IndicatorConfig:
@@ -112,57 +152,42 @@ def _indicator(k: int, item) -> IndicatorConfig:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _flag(cfg: dict, key: str) -> bool:
-    """cfg[key] (default true), which must be a JSON boolean."""
-    value = cfg.get(key, True)
-    if not isinstance(value, bool):
-        raise ValidationError(f"config {key!r} must be true or false, got {value!r}")
-    return value
-
-
 def _feature_config(cfg: dict) -> FeatureConfig:
-    indicators = tuple(_indicator(k, item) for k, item in enumerate(_section(cfg, "indicators", list, [])))
     return FeatureConfig(
-        indicators=indicators,
-        macro_at_origin=_flag(cfg, "macro_at_origin"),
-        macro_at_target=_flag(cfg, "macro_at_target"),
-        macro_source=str(cfg.get("macro_source", "indicator")),
-        lag_includes_origin=_flag(cfg, "lag_includes_origin"),
+        indicators=tuple(_indicator(k, item) for k, item in enumerate(cfg.get("indicators", []))),
+        macro_at_origin=cfg.get("macro_at_origin", True),
+        macro_at_target=cfg.get("macro_at_target", True),
+        macro_source=cfg.get("macro_source", "indicator"),
+        lag_includes_origin=cfg.get("lag_includes_origin", True),
     )
-
-
-def _path(cfg: dict, key: str, given: str | None = None) -> str | None:
-    """The file path given on the command line, else cfg[key] (None when unset),
-    which must be a non-empty string."""
-    value = given or cfg.get(key)
-    if value is not None and not (isinstance(value, str) and value):
-        raise ValidationError(f"config {key!r} must be a non-empty file path, got {value!r}")
-    return value
 
 
 def _load_dataset(cfg: dict):
     if "revenue_csv" not in cfg:
         raise ValidationError("config is missing 'revenue_csv'")
-    revenue_csv, indicators_csv = cfg["revenue_csv"], cfg.get("indicators_csv")
-    if not isinstance(revenue_csv, str):
-        raise ValidationError(f"config 'revenue_csv' must be a file path, got {revenue_csv!r}")
-    if indicators_csv is not None and not isinstance(indicators_csv, str):
-        raise ValidationError(f"config 'indicators_csv' must be a file path or null, got {indicators_csv!r}")
-    dataset = load_revenue_csv(revenue_csv)
-    if indicators_csv:
-        dataset = with_indicators(dataset, load_indicator_csv(indicators_csv))
+    dataset = load_revenue_csv(cfg["revenue_csv"])
+    if "indicators_csv" in cfg:
+        dataset = with_indicators(dataset, load_indicator_csv(cfg["indicators_csv"]))
     return dataset
 
 
+def _needed(args, cfg: dict, flag: str, key: str, command: str):
+    """The value given as --flag, else cfg[key]; ``command`` cannot run without one."""
+    value = getattr(args, flag) or cfg.get(key)
+    if value is None:
+        raise ValidationError(f"{command} needs --{flag} (or {key!r} in the config)")
+    return value
+
+
 def _cmd_synth(args, cfg: dict) -> int:
-    synth_cfg = dict(_section(cfg, "synth", dict, {}))
+    synth = dict(cfg.get("synth", {}))
     if args.seed is not None:
-        synth_cfg["seed"] = args.seed
-    if "start" in synth_cfg:
-        synth_cfg["start"] = parse_quarter(str(synth_cfg["start"]))
-    spec = _build(SynthSpec, "synth", synth_cfg)
-    out = _out(args, cfg, "synth")
-    indicators_out = _path(cfg, "indicators_out") or str(Path(out).with_suffix("")) + "_indicators.csv"
+        synth["seed"] = args.seed
+    if "start" in synth:  # a start that names no quarter is left for SynthSpec to name
+        synth["start"] = _quarter(synth["start"]) or synth["start"]
+    spec = _build(SynthSpec, "synth", synth)
+    out = _needed(args, cfg, "out", "out", "synth")
+    indicators_out = cfg.get("indicators_out", f"{Path(out).with_suffix('')}_indicators.csv")
     dataset = generate_synthetic(spec)
     write_revenue_csv(dataset, out)
     write_indicator_csv(dataset.indicators, indicators_out)
@@ -170,39 +195,22 @@ def _cmd_synth(args, cfg: dict) -> int:
     return 0
 
 
-def _out(args, cfg: dict, command: str) -> str:
-    out = _path(cfg, "out", args.out)
-    if out is None:
-        raise ValidationError(f"{command} needs --out (or 'out' in the config)")
-    return out
-
-
-def _output_format(cfg: dict) -> str:
-    fmt = cfg.get("output_format", "json")
-    if fmt not in REPORT_FORMATS:
-        raise ValidationError(f"config 'output_format' must be 'json' or 'csv', got {fmt!r}")
-    return fmt
-
-
 def _cmd_forecast(args, cfg: dict) -> int:
     """Final-origin forecasts: horizon 1 (m1) or 1..4 (m2/m3) past history end."""
-    model = args.model or cfg.get("model")
-    if model is None:
-        raise ValidationError("forecast needs --model (or 'model' in the config)")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    out = _out(args, cfg, "forecast")
+    model = _needed(args, cfg, "model", "model", "forecast")
+    out = _needed(args, cfg, "out", "out", "forecast")
     dataset = _load_dataset(cfg)
     config = quartercast.model_config(model, _feature_config(cfg))
     if model == "m1":
         origin = dataset.total.end
-        results = quartercast.model1_run(dataset, [origin], _flag(cfg, "model1_include_average"))
+        results = quartercast.model1_run(dataset, [origin], cfg.get("model1_include_average", True))
         rows = [
             (geo, quarter_add(origin, 1), 1, result.forecast, result.chosen)
             for (geo, _), result in results.items()
         ]
     else:
         run = quartercast.final_origin_forecasts(
-            dataset, _parse_range(cfg, "train_range"), _forest_params(cfg, seed), config
+            dataset, _parse_range(cfg, "train_range"), _forest_params(args, cfg), config
         )
         rows = [(geo, target, h, fc, model) for (geo, target, h), fc in sorted(run.predictions.items())]
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -215,46 +223,37 @@ def _cmd_forecast(args, cfg: dict) -> int:
 
 
 def _cmd_backtest(args, cfg: dict) -> int:
-    model = args.model or cfg.get("model")
-    if model is None:
-        raise ValidationError("backtest needs --model (or 'model' in the config)")
-    out, fmt = _out(args, cfg, "backtest"), _output_format(cfg)
+    model = _needed(args, cfg, "model", "model", "backtest")
+    out = _needed(args, cfg, "out", "out", "backtest")
     dataset = _load_dataset(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
     report = quartercast.backtest(
         dataset, model, _parse_range(cfg, "train_range"), _parse_range(cfg, "test_range"),
         config=_feature_config(cfg),
-        forest_params=_forest_params(cfg, seed) if model in ("m2", "m3") else None,
-        include_average=_flag(cfg, "model1_include_average"),
+        forest_params=_forest_params(args, cfg) if model in ("m2", "m3") else None,
+        include_average=cfg.get("model1_include_average", True),
     )
-    write_report(report, fmt, out)
+    write_report(report, cfg.get("output_format", "json"), out)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_compare(args, cfg: dict) -> int:
     mode = args.mode or cfg.get("mode")
-    out, fmt = _out(args, cfg, "compare"), _output_format(cfg)
+    out = _needed(args, cfg, "out", "out", "compare")
+    needs = f"compare --mode {mode}"
     if mode == "models":
-        baseline = _path(cfg, "baseline_report", args.baseline)
-        candidate = _path(cfg, "candidate_report", args.candidate)
-        if not baseline or not candidate:
-            raise ValidationError("compare --mode models needs --baseline and --candidate")
-        table = quartercast.compare_reports(read_report(baseline), read_report(candidate))
+        baseline = read_report(_needed(args, cfg, "baseline", "baseline_report", needs))
+        candidate = read_report(_needed(args, cfg, "candidate", "candidate_report", needs))
+        table = quartercast.compare_reports(baseline, candidate)
     elif mode == "horizons":
-        report = _path(cfg, "report", args.report)
-        if not report:
-            raise ValidationError("compare --mode horizons needs --report")
-        table = quartercast.compare_horizons(read_report(report))
+        table = quartercast.compare_horizons(read_report(_needed(args, cfg, "report", "report", needs)))
     elif mode == "expert":
-        report = _path(cfg, "report", args.report)
-        expert = _path(cfg, "expert_csv", args.expert)
-        if not report or not expert:
-            raise ValidationError("compare --mode expert needs --report and --expert")
-        table = quartercast.compare_expert(read_report(report), load_expert_forecasts_csv(expert))
+        report = read_report(_needed(args, cfg, "report", "report", needs))
+        expert = load_expert_forecasts_csv(_needed(args, cfg, "expert", "expert_csv", needs))
+        table = quartercast.compare_expert(report, expert)
     else:
         raise ValidationError(f"compare mode must be models, horizons or expert, got {mode!r}")
-    write_report(table, fmt, out)
+    write_report(table, cfg.get("output_format", "json"), out)
     print(f"wrote {out}")
     return 0
 

@@ -46,6 +46,13 @@ def _read_rows(path, expected_header):
             yield lineno, row
 
 
+def _parse_id(path, lineno, text, field) -> str:
+    value = text.strip()
+    if not value:
+        raise ValidationError(f"{path}:{lineno}: {field} is blank")
+    return value
+
+
 def _parse_fq(path, lineno, year_text, quarter_text) -> FiscalQuarter:
     try:
         return FiscalQuarter(int(year_text), int(quarter_text))
@@ -78,7 +85,7 @@ def load_revenue_csv(path) -> Dataset:
     """Dataset (revenue part) from geo,fiscal_year,fiscal_quarter,revenue rows."""
     data: dict[str, dict[FiscalQuarter, float]] = {}
     for lineno, row in _read_rows(path, REVENUE_HEADER):
-        geo = row[0].strip()
+        geo = _parse_id(path, lineno, row[0], "geo")
         fq = _parse_fq(path, lineno, row[1], row[2])
         value = _parse_value(path, lineno, row[3])
         per_geo = data.setdefault(geo, {})
@@ -102,7 +109,7 @@ def load_indicator_csv(path) -> dict[tuple[str, str], QuarterlySeries]:
     """Indicator map from geo,indicator,fiscal_year,fiscal_quarter,value rows."""
     data: dict[tuple[str, str], dict[FiscalQuarter, float]] = {}
     for lineno, row in _read_rows(path, INDICATOR_HEADER):
-        key = (row[0].strip(), row[1].strip())
+        key = (_parse_id(path, lineno, row[0], "geo"), _parse_id(path, lineno, row[1], "indicator"))
         fq = _parse_fq(path, lineno, row[2], row[3])
         value = _parse_value(path, lineno, row[4])
         per_key = data.setdefault(key, {})
@@ -119,7 +126,7 @@ def load_expert_forecasts_csv(path) -> dict[tuple[str, FiscalQuarter], float]:
     """Sparse expert forecasts keyed by (geo, quarter)."""
     out: dict[tuple[str, FiscalQuarter], float] = {}
     for lineno, row in _read_rows(path, EXPERT_HEADER):
-        key = (row[0].strip(), _parse_fq(path, lineno, row[1], row[2]))
+        key = (_parse_id(path, lineno, row[0], "geo"), _parse_fq(path, lineno, row[1], row[2]))
         if key in out:
             raise DuplicateKeyError(f"{path}:{lineno}: duplicate expert forecast for {key[0]} {key[1]}")
         out[key] = _parse_value(path, lineno, row[3], require_positive=False)

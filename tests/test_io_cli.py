@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from quartercast import (
     write_revenue_csv,
     yoy_growth,
 )
-from quartercast import features, pipeline
-from quartercast.cli import main
+from quartercast import cli, features, pipeline
+from quartercast.cli import SETTINGS, _load_config, main
 from quartercast.pipeline import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
 
 START = FiscalQuarter(2009, 1)
@@ -97,6 +98,13 @@ class TestRevenueCsv:
         with pytest.raises(SchemaMismatchError):
             load_revenue_csv(p)
 
+    @pytest.mark.parametrize("geo", ["", "  "])
+    def test_blank_geo_names_file_and_line(self, geo, tmp_path):
+        p = tmp_path / "rev.csv"
+        write_lines(p, ["geo,fiscal_year,fiscal_quarter,revenue", "Geo_1,2012,1,5.0", f"{geo},2012,1,5.0"])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}:3: geo is blank$"):
+            load_revenue_csv(p)
+
     def test_explicit_total_accepted_and_tolerance(self, tmp_path):
         values = {"Geo_1": 100.0, "Geo_2": 250.0}
         good = tmp_path / "good.csv"
@@ -151,6 +159,15 @@ class TestIndicatorCsv:
         with pytest.raises(ValidationError):
             load_indicator_csv(p)
 
+    @pytest.mark.parametrize(
+        "row, field", [(",gdp,2012,1,5.0", "geo"), ("Geo_1,,2012,1,5.0", "indicator"), ("Geo_1, ,2012,1,5.0", "indicator")]
+    )
+    def test_blank_id_names_file_and_line(self, row, field, tmp_path):
+        p = tmp_path / "ind.csv"
+        write_lines(p, ["geo,indicator,fiscal_year,fiscal_quarter,value", "Geo_1,gdp,2012,1,5.0", row])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}:3: {field} is blank$"):
+            load_indicator_csv(p)
+
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(SynthSpec(n_geos=2, n_quarters=24, seed=3))
         p1, p2 = tmp_path / "i1.csv", tmp_path / "i2.csv"
@@ -186,6 +203,12 @@ class TestExpertCsv:
             ],
         )
         with pytest.raises(DuplicateKeyError):
+            load_expert_forecasts_csv(p)
+
+    def test_blank_geo_names_file_and_line(self, tmp_path):
+        p = tmp_path / "exp.csv"
+        write_lines(p, ["geo,fiscal_year,fiscal_quarter,expert_forecast", "TOTAL,2016,1,5.0", ",2016,2,5.0"])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}:3: geo is blank$"):
             load_expert_forecasts_csv(p)
 
     def test_empty_file_loads_empty(self, tmp_path):
@@ -912,3 +935,79 @@ class TestCliBadInputs:
             f"config section 'indicators' item 0: indicator_id must be a non-empty string, got {value!r}"
             in capsys.readouterr().err
         )
+
+    def _no_work(self, monkeypatch):
+        """Make every window fit and every CLI file write fail the test."""
+        for module, name in ((pipeline, "fit_windows"), (features, "fit_windows"), (features, "auto_select_many"),
+                             (cli, "write_report"), (cli, "write_revenue_csv"), (cli, "write_indicator_csv")):
+            monkeypatch.setattr(module, name, self._no_fit)
+
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_every_setting_of_the_wrong_kind_is_named_before_any_work(self, key, tmp_path, capsys, monkeypatch):
+        # 5 is of the wrong kind for every key but seed, which ForestParams checks.
+        value = "abc" if key == "seed" else 5
+        check, _ = SETTINGS[key]
+        assert key == "seed" or not check(value)
+        cfg = self._backtest_config(tmp_path, **{key: value})
+        self._no_work(monkeypatch)
+        rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert re.search(rf"\b'?{key}'? must be ", capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"train_range": [None, "2014Q4"]}, "config 'train_range' must be a [start, end] pair of quarters"),
+            ({"train_range": ["2013Q1", 2014]}, "config 'train_range' must be a [start, end] pair of quarters"),
+            ({"test_range": ["2013Q1", "2014Q5"]}, "config 'test_range' must be a [start, end] pair of quarters"),
+            ({"macro_source": None}, "config 'macro_source' must be 'indicator' or 'revenue', got None"),
+            ({"model": "m4"}, "config 'model' must be 'm1', 'm2' or 'm3', got 'm4'"),
+        ],
+        ids=["range-start-null", "range-end-a-number", "range-end-no-quarter", "macro-source-null", "model-m4"],
+    )
+    def test_bad_value_names_its_key_before_any_work(self, overrides, named, tmp_path, capsys, monkeypatch):
+        cfg = self._backtest_config(tmp_path, **overrides)
+        self._no_work(monkeypatch)
+        rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["indicator_out", "macro_sorce"])
+    @pytest.mark.parametrize("command", ["synth", "backtest", "forecast", "compare"])
+    def test_unknown_key_is_named_before_any_work(self, command, key, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"n_geos": 1}, "mode": "horizons", key: "x"}))
+        rc = main([command, "--config", str(cfg), "--out", "o.csv"])
+        assert rc == 2
+        out, err = capfd.readouterr()
+        assert f"config file {cfg} has unknown key(s) {key!r}; expected some of baseline_report, " in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("start", [2009, "2009", None], ids=["a-number", "a-year", "null"])
+    def test_synth_start_that_names_no_quarter_is_named(self, start, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"n_quarters": 24, "start": start}}))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"config section 'synth': start must be a FiscalQuarter, got {start!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_synth_start_label_is_read(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"n_geos": 1, "n_quarters": 24, "start": "FY2011Q3"}}))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert load_revenue_csv(tmp_path / "o.csv").total.start == FiscalQuarter(2011, 3)
+
+
+def test_readme_config_example_passes_the_table(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("A full config looks like:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    assert _load_config(str(path)) == json.loads(example)
+    reference = readme.split("### Configuration reference", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", reference, flags=re.MULTILINE)
+    assert listed == list(SETTINGS)
