@@ -46,14 +46,22 @@ def nelder_mead(
     if initial_simplex is not None:
         simplex = np.array(initial_simplex, dtype=float)
     else:
-        simplex = np.array([x0] * (n + 1))
-        for i, v in enumerate(x0):
-            simplex[i + 1, i] = v * 1.05 if v != 0.0 else 0.00025
+        simplex = _start_simplex(np.asarray(x0), range(n))
     best_x, best_f, nit = nelder_mead_batch(
         lambda members, points: np.array([f(point) for point in points.tolist()], dtype=float),
         lambda members: simplex[None], [n], maxiter, xatol, fatol,
     )
     return best_x[0].tolist(), float(best_f[0]), int(nit[0])
+
+
+def _start_simplex(point, cols) -> np.ndarray:
+    """The default simplex around point: vertex k steps coordinate cols[k - 1] by 5% (from zero, to 0.00025)."""
+    simplex = np.empty((1 + len(cols), len(point)))
+    simplex[:] = point
+    for k, c in enumerate(cols, start=1):
+        v = float(point[c])
+        simplex[k, c] = v * 1.05 if v != 0.0 else 0.00025
+    return simplex
 
 
 def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._optim import nelder_mead, run_plans  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
 from .errors import InsufficientDataError, NonconvergenceError, ValidationError
+from .metrics import aicc
 from .series import QuarterlySeries
 
 SEASONAL_PERIOD = 4
@@ -36,15 +37,9 @@ MAX_SP, MAX_SD, MAX_SQ = 1, 1, 1
 _MAX_ITER = 500
 _CSS_TOL = 1e-8
 
-_LOG_FLOOR = 1e-300
 # Shrinks an AICc floor's variance ratio, so that np.log's rounding cannot
 # lift the floor above a fit's AICc (see _aicc_floor).  Not a setting.
 _FLOOR_SHRINK = 1.0 - 1e-9
-
-# Points times series length per objective evaluation inside the lockstep
-# batch.  Fixed, not a setting: results do not depend on it, only time and
-# memory do (see the README's window-fit section).
-_EVAL_CELLS = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,15 @@ class ArimaFit:
     residuals: tuple[float, ...]
 
 
+def _chain(y, d: int, D: int, s: int):
+    """The lags of d first differences then D seasonal ones, and [y, y differenced at the first lag, ...]."""
+    lags = [1] * d + [s] * D
+    chain = [y]
+    for lag in lags:
+        chain.append(chain[-1][lag:] - chain[-1][:-lag])
+    return lags, chain
+
+
 def difference(values, d: int, D: int, s: int = SEASONAL_PERIOD) -> np.ndarray:
     """Apply d first differences, then D seasonal (lag-s) differences."""
     out = np.asarray(values, dtype=float)
@@ -112,11 +116,7 @@ def difference(values, d: int, D: int, s: int = SEASONAL_PERIOD) -> np.ndarray:
         raise InsufficientDataError(
             f"need more than {d + s * D} points to difference, have {len(out)}"
         )
-    for _ in range(d):
-        out = out[1:] - out[:-1]
-    for _ in range(D):
-        out = out[s:] - out[:-s]
-    return out
+    return _chain(out, d, D, s)[1][-1]
 
 
 def _split_params(x, order: ArimaOrder):
@@ -274,21 +274,11 @@ class _CssObjective:
             self.Z[_LAGS + self.T - len(z) :, g] = z
         self.group = np.asarray([groups[id(diffed)] for diffed in diffs], dtype=np.intp)
         self.denom = np.asarray([diffed.denom for diffed in diffs])
-        self.chunk = max(1, _EVAL_CELLS // self.T)
-        self.E = np.empty((_LAGS + self.T, self.chunk))
-        self.tmp = np.empty((self.T, self.chunk))
-        self.ma = np.zeros((_LAGS, self.chunk))
-        self.terms = np.empty((1 + _LAGS, self.chunk))
 
     def __call__(self, members, X) -> np.ndarray:
-        out = np.empty(len(members))
         # Overflow and inf - inf pass silently, as in Python float arithmetic.
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(members), self.chunk):
-                out[lo : lo + self.chunk] = self._values(
-                    members[lo : lo + self.chunk], X[lo : lo + self.chunk]
-                )
-        return out
+            return self._values(members, X)
 
     def _values(self, members, X) -> np.ndarray:
         K = len(members)
@@ -304,12 +294,12 @@ class _CssObjective:
         ar = ((-p1, 1), (-p2, 2), (0.0 - sp, 4), (p1 * sp, 5), (p2 * sp, 6))
         n, T, L = ok.size, self.T, _LAGS
         # MA coefficients of lags 1..6, one row each (lag 3 stays zero).
-        ma = self.ma[:, :n]
+        ma = np.zeros((L, n))
         ma[0], ma[1], ma[3], ma[4], ma[5] = t1, t2, 0.0 + st, t1 * st, t2 * st
 
         Zp = self.Z[:, self.group[members]]
-        E = self.E[:, :n]
-        tmp = self.tmp[:, :n]
+        E = np.empty((L + T, n))
+        tmp = np.empty((T, n))
         E[:L] = 0.0
         x = E[L:]
         x[...] = Zp[L:]
@@ -318,32 +308,16 @@ class _CssObjective:
             np.add(x, tmp, out=x)
         # e_t = x_t - ma_1 e_{t-1} - ... - ma_6 e_{t-6}: the subtraction
         # reduce over the stacked rows is a left fold, in lag order.
-        terms = self.terms[:, :n]
+        terms = np.empty((1 + L, n))
         for t in range(L, L + T):
             terms[0] = E[t]
             np.multiply(ma, E[t - L : t][::-1], out=terms[1:])
             np.subtract.reduce(terms, axis=0, out=E[t])
         # The CSS adds the squares in sequence, as the scalar sum does
-        # (np.sum would add them pairwise).
+        # (np.sum would add them pairwise): accumulate is a left fold.
         np.multiply(x, x, out=tmp)
-        sse = tmp[0]
-        for t in range(1, T):
-            np.add(sse, tmp[t], out=sse)
-        out[ok] = sse / self.denom[members]
+        out[ok] = np.add.accumulate(tmp, axis=0)[-1] / self.denom[members]
         return out
-
-
-def _aicc(css: float, n_res: int, order: ArimaOrder, shrink: float = 1.0) -> float:
-    """The AICc of a CSS fit of order with n_res residuals.
-
-    shrink scales the variance estimate, after the floor and before the
-    log; below 1 it makes an AICc floor (_aicc_floor).  At 1.0 the product
-    is the estimate itself, bit for bit.
-    """
-    k = order.n_free_params + 1
-    if n_res - k - 1 <= 0:
-        return float(np.inf)
-    return float(n_res * np.log(max(css / n_res, _LOG_FLOOR) * shrink) + 2.0 * k * n_res / (n_res - k - 1))
 
 
 def _aicc_floor(order: ArimaOrder, diffed: _Differenced) -> float:
@@ -355,7 +329,7 @@ def _aicc_floor(order: ArimaOrder, diffed: _Differenced) -> float:
     finite value at most by the sign of a zero.  The CSS adds the squares
     in sequence, and a float sum of non-negative terms never falls below
     its prefix, so the CSS is at least this head sum.  Dividing by n_res,
-    the max with _LOG_FLOOR, the multiplication by n_res and the added
+    metrics.aicc's floor, the multiplication by n_res and the added
     penalty are monotone.  np.log is not promised to be: it is within a
     few ulps of the exact logarithm, under 1e-12 as |log x| < 750 for any
     float, and the head's ratio is shrunk by _FLOOR_SHRINK first, which
@@ -364,7 +338,7 @@ def _aicc_floor(order: ArimaOrder, diffed: _Differenced) -> float:
     """
     z = diffed.z
     head = _sum_of_squares(z[: order.s if order.p == order.q == 0 else 1])
-    return _aicc(head, len(z), order, _FLOOR_SHRINK)
+    return aicc(head, len(z), order.n_free_params + 1, _FLOOR_SHRINK)
 
 
 def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced, coeffs) -> ArimaFit:
@@ -382,7 +356,7 @@ def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced,
         seasonal_ma=tuple(float(v) for v in stheta),
         intercept=diffed.intercept,
         sigma2=css / n_res,
-        aicc=_aicc(css, n_res, order),
+        aicc=aicc(css, n_res, order.n_free_params + 1),
         training_series=series,
         residuals=tuple(float(v) for v in e),
     )
@@ -610,11 +584,7 @@ def forecast_arima(fit: ArimaFit, h: int) -> np.ndarray:
     y = fit.training_series.to_array()
 
     # Rebuild the differencing chain so forecasts can be re-integrated.
-    chain = [y]
-    for _ in range(order.d):
-        chain.append(chain[-1][1:] - chain[-1][:-1])
-    for _ in range(order.D):
-        chain.append(chain[-1][order.s :] - chain[-1][: -order.s])
+    lags, chain = _chain(y, order.d, order.D, order.s)
     w = chain[-1]
     mu = fit.intercept if fit.intercept is not None else 0.0
     z = (w - mu).tolist()
@@ -634,23 +604,12 @@ def forecast_arima(fit: ArimaFit, h: int) -> np.ndarray:
         z.append(val)
     fore = np.asarray(z[n:]) + mu
 
-    # Invert seasonal differences first, then the first differences.
-    level = len(chain) - 1
-    for _ in range(order.D):
-        level -= 1
-        hist = list(chain[level])
+    # Undo the differences last to first: the seasonal ones, then the first.
+    for lag, below in zip(reversed(lags), reversed(chain[:-1])):
+        hist = list(below)
         out = []
         for f in fore:
-            nxt = f + hist[-order.s]
-            hist.append(nxt)
-            out.append(nxt)
-        fore = np.asarray(out)
-    for _ in range(order.d):
-        level -= 1
-        hist = list(chain[level])
-        out = []
-        for f in fore:
-            nxt = f + hist[-1]
+            nxt = f + hist[-lag]
             hist.append(nxt)
             out.append(nxt)
         fore = np.asarray(out)

@@ -76,7 +76,7 @@ SETTINGS = {
     "output_format": _one_of(*REPORT_FORMATS),
     "model": _one_of("m1", "m2", "m3"),
     "mode": _one_of("models", "horizons", "expert"),
-    "seed": ((lambda v: True), "{!r} must be a nonnegative integer"),  # checked, and named, by ForestParams
+    "seed": ((lambda v: True), "{!r} must be a nonnegative integer"),  # checked, and named, by ForestParams or SynthSpec
 }
 
 
@@ -111,6 +111,10 @@ def _load_config(path: str | None) -> dict:
     _reject_unknown(f"config file {path}", cfg, SETTINGS)
     for key, value in cfg.items():
         _check(key, value)
+    if "seed" in cfg.get("forest", {}):
+        raise ValidationError(
+            "config section 'forest' must not set 'seed': the forest is seeded by the top-level 'seed' (or --seed)"
+        )
     return cfg
 
 
@@ -181,8 +185,9 @@ def _needed(args, cfg: dict, flag: str, key: str, command: str):
 
 def _cmd_synth(args, cfg: dict) -> int:
     synth = dict(cfg.get("synth", {}))
-    if args.seed is not None:
-        synth["seed"] = args.seed
+    seed = args.seed if args.seed is not None else synth.get("seed", cfg.get("seed"))
+    if seed is not None:
+        synth["seed"] = seed
     if "start" in synth:  # a start that names no quarter is left for SynthSpec to name
         synth["start"] = _quarter(synth["start"]) or synth["start"]
     spec = _build(SynthSpec, "synth", synth)

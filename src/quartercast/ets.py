@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import nelder_mead, run_plans  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
+from ._optim import _start_simplex, nelder_mead, run_plans  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
 from .errors import InsufficientDataError, ValidationError
+from .metrics import aicc
 from .series import QuarterlySeries
 
 PERIOD = 4
@@ -32,7 +33,6 @@ SEASONAL_CHOICES = ("none", "additive")
 
 _ALPHA_LO, _ALPHA_HI = 1e-4, 0.9999
 _PHI_LO, _PHI_HI = 0.8, 0.98
-_LOG_FLOOR = 1e-300
 
 # Columns of a point in the lockstep batch: every spec's raw vector in
 # the scalar order, with the parameters and states it lacks held at 0.
@@ -110,43 +110,31 @@ def _box(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
-def _initial_vector(z, spec: EtsSpec, fixed_alpha=None):
-    head = z[: min(PERIOD, len(z))]
+def _start(z, spec: EtsSpec, fixed_alpha):
+    """The batch columns a spec searches, in the order of its scalar vector, and the starting point.
+
+    The point holds each searched column's scalar starting value and 0
+    elsewhere; z has at least 2 * PERIOD points.
+    """
+    head = z[:PERIOD]
     level0 = float(np.mean(head))
-    x0 = []
-    if fixed_alpha is None:
-        x0.append(0.3)
+    start = {} if fixed_alpha is not None else {_ALPHA: 0.3}
     if spec.has_trend:
-        x0.append(0.1)
+        start[_BETA] = 0.1
     if spec.damped:
-        x0.append(0.95)
+        start[_PHI] = 0.95
     if spec.has_seasonal:
-        x0.append(0.1)
-    x0.append(level0)
+        start[_GAMMA] = 0.1
+    start[_LEVEL] = level0
     if spec.has_trend:
-        x0.append(float(z[PERIOD] - z[0]) / PERIOD if len(z) > PERIOD else 0.0)
+        start[_TREND] = float(z[PERIOD] - z[0]) / PERIOD
     if spec.has_seasonal:
         dev = head - level0
         dev = dev - np.mean(dev)
-        x0.extend(float(v) for v in dev[: PERIOD - 1])
-    return np.asarray(x0, dtype=float)
-
-
-def _columns(spec: EtsSpec, fixed_alpha) -> list[int]:
-    """The batch columns a spec searches, in the order of its scalar vector."""
-    cols = [] if fixed_alpha is not None else [_ALPHA]
-    if spec.has_trend:
-        cols.append(_BETA)
-    if spec.damped:
-        cols.append(_PHI)
-    if spec.has_seasonal:
-        cols.append(_GAMMA)
-    cols.append(_LEVEL)
-    if spec.has_trend:
-        cols.append(_TREND)
-    if spec.has_seasonal:
-        cols.extend(range(_SEASON, _SEASON + PERIOD - 1))
-    return cols
+        start.update(zip(range(_SEASON, _N_COLUMNS), dev[: PERIOD - 1].tolist()))
+    point = np.zeros(_N_COLUMNS)
+    point[list(start)] = list(start.values())
+    return list(start), point
 
 
 @dataclass(frozen=True)
@@ -160,16 +148,14 @@ class _Job:
     sigma: float
     z: np.ndarray
     cols: list
-    x0: np.ndarray
+    start: np.ndarray
 
 
 def _prepare(series: QuarterlySeries, spec: EtsSpec, fixed_alpha) -> _Job:
     y = series.to_array()
     n = y.size
-    if n < 8:
-        raise InsufficientDataError(f"ETS needs >= 8 points, have {n}")
-    if spec.has_seasonal and n < 2 * PERIOD:
-        raise InsufficientDataError(f"seasonal ETS needs >= {2 * PERIOD} points, have {n}")
+    if n < 2 * PERIOD:
+        raise InsufficientDataError(f"ETS needs >= {2 * PERIOD} points, have {n}")
     if fixed_alpha is not None and not 0.0 <= fixed_alpha <= 1.0:
         raise ValidationError(f"fixed alpha must be in [0, 1], got {fixed_alpha}")
     # Standardize for optimizer conditioning; states map back affinely.
@@ -178,8 +164,7 @@ def _prepare(series: QuarterlySeries, spec: EtsSpec, fixed_alpha) -> _Job:
     if sigma == 0.0:
         sigma = 1.0
     z = (y - mu) / sigma
-    return _Job(series, spec, fixed_alpha, mu, sigma, z, _columns(spec, fixed_alpha),
-                _initial_vector(z, spec, fixed_alpha))
+    return _Job(series, spec, fixed_alpha, mu, sigma, z, *_start(z, spec, fixed_alpha))
 
 
 def _vbox(v, lo, hi):
@@ -311,9 +296,7 @@ class _SseObjective:
         np.multiply(E, E, out=E)
         if live is not None:
             E = np.where(live, E, 0.0)
-        sse = E[0].copy()
-        for t in range(1, self.T):
-            np.add(sse, E[t], out=sse)
+        sse = np.add.accumulate(E, axis=0)[-1]
         return sse * (1.0 + drift) + drift
 
 
@@ -321,7 +304,6 @@ def _build_fit(job: _Job, x) -> EtsFit:
     """The EtsFit at batch point ``x``, its parameters clipped to their box."""
     spec, series, mu, sigma = job.spec, job.series, job.mu, job.sigma
     y = series.to_array()
-    n = y.size
     x = x.tolist()
     alpha = _box(x[_ALPHA], _ALPHA_LO, _ALPHA_HI) if job.fixed_alpha is None else float(job.fixed_alpha)
     beta = _box(x[_BETA], _ALPHA_LO, alpha) if spec.has_trend else None
@@ -338,16 +320,8 @@ def _build_fit(job: _Job, x) -> EtsFit:
         y, spec, alpha, beta, gamma, phi, level0, trend0 if trend0 is not None else 0.0, seas0
     )
 
-    n_smoothing = 1 + (1 if spec.has_trend else 0) + (1 if spec.damped else 0) + (
-        1 if spec.has_seasonal else 0
-    )
-    n_states = 1 + (1 if spec.has_trend else 0) + (PERIOD - 1 if spec.has_seasonal else 0)
-    k = n_smoothing + n_states + 1
-    if n - k - 1 > 0:
-        aicc = n * np.log(max(sse / n, _LOG_FLOOR)) + 2.0 * k * n / (n - k - 1)
-    else:
-        aicc = np.inf
-
+    # Every parameter and seed state counts, a fixed alpha too, plus the variance.
+    k = len(job.cols) + (job.fixed_alpha is not None) + 1
     return EtsFit(
         spec=spec,
         alpha=alpha,
@@ -358,7 +332,7 @@ def _build_fit(job: _Job, x) -> EtsFit:
         initial_trend=trend0,
         initial_seasonal=seas0,
         sse=float(sse),
-        aicc=float(aicc),
+        aicc=aicc(sse, y.size, k),
         training_series=series,
         final_level=float(final_level),
         final_trend=float(final_trend) if final_trend is not None else None,
@@ -395,28 +369,14 @@ class _FitPlan:
         self.objective = _SseObjective(self.jobs) if self.jobs else None
         self.polished = [False] * len(self.jobs)
 
-    def _simplex(self, member: int, point) -> np.ndarray:
-        cols = self.jobs[member].cols
-        simplex = np.empty((1 + len(cols), _N_COLUMNS))
-        simplex[:] = point
-        for k, c in enumerate(cols, start=1):
-            v = float(point[c])
-            simplex[k, c] = v * 1.05 if v != 0.0 else 0.00025
-        return simplex
-
     def start(self, members):
-        simplexes = []
-        for i in members.tolist():
-            point = np.zeros(_N_COLUMNS)
-            point[self.jobs[i].cols] = self.jobs[i].x0
-            simplexes.append(self._simplex(i, point))
-        return simplexes
+        return [_start_simplex(self.jobs[i].start, self.jobs[i].cols) for i in members.tolist()]
 
     def then(self, member, x, fun):
         if self.polished[member]:
             return None
         self.polished[member] = True
-        return self._simplex(member, x), self.maxiter[member], 1e-10, 1e-12
+        return _start_simplex(x, self.jobs[member].cols), self.maxiter[member], 1e-10, 1e-12
 
     def results(self, best_x, best_f, iterations) -> list:
         """The EtsFit of every task, or the error its fit raises.

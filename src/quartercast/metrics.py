@@ -8,9 +8,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ValidationError
 from .fiscal import FiscalQuarter, quarter_add
 from .series import QuarterlySeries
+
+_LOG_FLOOR = 1e-300
 
 
 def ape(actual: float, forecast: float) -> float:
@@ -29,6 +33,20 @@ def mape(pairs: Iterable[tuple[float, float]]) -> float:
     for value in apes:  # left to right: from CPython 3.12 ``sum`` compensates
         total += value
     return total / len(apes)
+
+
+def aicc(sse: float, n: int, k: int, shrink: float = 1.0) -> float:
+    """The AICc of a least-squares fit: n residuals, k estimated parameters (the variance among them).
+
+    The variance estimate sse / n is floored at _LOG_FLOOR, so that an exact
+    fit scores a finite AICc, and scaled by shrink before the log; at 1.0
+    the product is the estimate itself, bit for bit.  ARIMA's AICc floor
+    passes a shrink below 1.  With no degrees of freedom left the AICc is
+    inf.
+    """
+    if n - k - 1 <= 0:
+        return float(np.inf)
+    return float(n * np.log(max(sse / n, _LOG_FLOOR) * shrink) + 2.0 * k * n / (n - k - 1))
 
 
 def relative_improvement(x: float, y: float) -> float:

@@ -7,6 +7,10 @@ imports differ, the restart constants, which the package no longer has,
 are defined here, and ``sum`` of squares is the explicit left fold
 ``_sum_of_squares``: from CPython 3.12 ``sum`` of floats is compensated,
 while the kernel adds in sequence as ``sum`` did before.
+
+The AICc's variance floor, ``difference`` and ``forecast_arima`` are
+copies too, of the package's own before they shared one AICc and one
+differencing chain, so that neither is checked against itself.
 """
 
 from __future__ import annotations
@@ -20,17 +24,18 @@ from quartercast.arima import (
     MAX_SD,
     MAX_SP,
     MAX_SQ,
-    _LOG_FLOOR,
+    MAX_FORECAST_STEPS,
+    SEASONAL_PERIOD,
     _MAX_ITER,
     _CSS_TOL,
     ArimaFit,
     ArimaOrder,
-    difference,
 )
-from quartercast.errors import InsufficientDataError, NonconvergenceError
+from quartercast.errors import InsufficientDataError, NonconvergenceError, ValidationError
 from quartercast.series import QuarterlySeries
 
 _INF = float("inf")
+_LOG_FLOOR = 1e-300
 _N_RESTARTS = 3
 _RESTART_SEED = 20090401  # fixed so refits are bit-reproducible
 
@@ -137,6 +142,20 @@ def _ar_factor_stationary(phi) -> bool:
 def _ma_factor_invertible(theta) -> bool:
     """Roots of 1 + theta_1 B + theta_2 B^2 outside the unit circle."""
     return _ar_factor_stationary([-t for t in theta])
+
+
+def difference(values, d: int, D: int, s: int = SEASONAL_PERIOD) -> np.ndarray:
+    """Apply d first differences, then D seasonal (lag-s) differences."""
+    out = np.asarray(values, dtype=float)
+    if len(out) <= d + s * D:
+        raise InsufficientDataError(
+            f"need more than {d + s * D} points to difference, have {len(out)}"
+        )
+    for _ in range(d):
+        out = out[1:] - out[:-1]
+    for _ in range(D):
+        out = out[s:] - out[:-s]
+    return out
 
 
 def _split_params(x, order: ArimaOrder):
@@ -334,3 +353,56 @@ def auto_select(series: QuarterlySeries) -> ArimaFit:
     return best
 
 
+def forecast_arima(fit: ArimaFit, h: int) -> np.ndarray:
+    """Recursive point forecasts h steps ahead on the original scale."""
+    if not 1 <= h <= MAX_FORECAST_STEPS:
+        raise ValidationError(f"forecast horizon must be in 1..{MAX_FORECAST_STEPS}, got {h}")
+    order = fit.order
+    y = fit.training_series.to_array()
+
+    # Rebuild the differencing chain so forecasts can be re-integrated.
+    chain = [y]
+    for _ in range(order.d):
+        chain.append(chain[-1][1:] - chain[-1][:-1])
+    for _ in range(order.D):
+        chain.append(chain[-1][order.s :] - chain[-1][: -order.s])
+    w = chain[-1]
+    mu = fit.intercept if fit.intercept is not None else 0.0
+    z = (w - mu).tolist()
+    e = list(fit.residuals)
+
+    ar, ma = _combined_polys(fit.ar_coeffs, fit.ma_coeffs, fit.seasonal_ar, fit.seasonal_ma, order.s)
+    n = len(z)
+    for step in range(h):
+        t = n + step
+        val = 0.0
+        for j in range(1, len(ar)):
+            if t - j >= 0:
+                val -= ar[j] * z[t - j]
+        for j in range(1, len(ma)):
+            if 0 <= t - j < n:
+                val += ma[j] * e[t - j]
+        z.append(val)
+    fore = np.asarray(z[n:]) + mu
+
+    # Invert seasonal differences first, then the first differences.
+    level = len(chain) - 1
+    for _ in range(order.D):
+        level -= 1
+        hist = list(chain[level])
+        out = []
+        for f in fore:
+            nxt = f + hist[-order.s]
+            hist.append(nxt)
+            out.append(nxt)
+        fore = np.asarray(out)
+    for _ in range(order.d):
+        level -= 1
+        hist = list(chain[level])
+        out = []
+        for f in fore:
+            nxt = f + hist[-1]
+            hist.append(nxt)
+            out.append(nxt)
+        fore = np.asarray(out)
+    return fore

@@ -4,7 +4,9 @@ A verbatim copy of ``fit_ets``, ``auto_select_ets`` and STL's ETS step
 (``stlf_forecast``), frozen here so that the batched kernel in
 ``quartercast.ets`` can be checked against it bit for bit.  The scalar
 ``nelder_mead`` is the frozen one in ``arima_oracle``; the recursion and
-parameter helpers are copied with them.  Only the imports differ.
+parameter helpers are copied with them, and so is the AICc's variance
+floor, which the package now keeps in ``metrics.aicc``.  Only the imports
+differ.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from quartercast.errors import InsufficientDataError, ValidationError
 from quartercast.ets import (
     _ALPHA_HI,
     _ALPHA_LO,
-    _LOG_FLOOR,
     _PHI_HI,
     _PHI_LO,
     PERIOD,
@@ -28,6 +29,8 @@ from quartercast.ets import (
 )
 from quartercast.series import QuarterlySeries
 from quartercast.stl import stl_decompose
+
+_LOG_FLOOR = 1e-300
 
 
 def _run_recursion(y, spec: EtsSpec, alpha, beta, gamma, phi, level, trend, seasonal):

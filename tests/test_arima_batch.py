@@ -1,5 +1,6 @@
 """The lockstep ARIMA grid against the frozen scalar fit, bit for bit."""
 
+import itertools
 import re
 import struct
 
@@ -193,3 +194,49 @@ def test_admissible_mask_matches_the_factor_tests():
                 c[slots] = [a, b][: len(slots)]
                 expected = oracle._admissible(*arima._split_params(c.tolist(), full))
                 assert bool(arima._admissible_mask(c[:, None])[0]) == expected, c
+
+
+# Per (d, D) pair, an order with a nonseasonal AR and a seasonal MA term, and
+# one with a nonseasonal MA and a seasonal AR term: every lag of both
+# recursions and every undone difference carries into the forecasts.
+FORECAST_ORDERS = [
+    order
+    for d, D in itertools.product((0, 1), (0, 1))
+    for order in (arima.ArimaOrder(1, d, 0, 0, D, 1), arima.ArimaOrder(0, d, 1, 1, D, 0))
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(series_values)
+def test_forecasts_match_oracle_at_every_differencing(values):
+    """Forecasts for h = 1..8 of fits at every (d, D) pair have the oracle's bits."""
+    s = QuarterlySeries("s", START, values)
+    for order, fit in zip(FORECAST_ORDERS, arima._fit_tasks([(s, FORECAST_ORDERS)])):
+        assert not isinstance(fit, Exception), (order, fit)
+        for h in range(1, 9):
+            assert bits(forecast_arima(fit, h)) == bits(oracle.forecast_arima(fit, h)), (order, h)
+
+
+def test_css_objective_scores_a_wide_batch_as_each_row_alone():
+    """One call over 3,000 rows of 24-point series, 90,000 padded cells: every
+    value has the bits of that row scored on its own, inadmissible rows included."""
+    rng = np.random.default_rng(12)
+    grid = [order for order in order_grid() if order.n_coeffs]
+    diffs, orders = [], []
+    for k in range(12):
+        s = QuarterlySeries(f"s{k}", START, 100.0 + np.cumsum(rng.normal(0.0, 3.0, 24)))
+        for order, diffed in zip(grid, arima._prepare(s, grid)):
+            if not isinstance(diffed, Exception):
+                diffs.append(diffed)
+                orders.append(order)
+    objective = arima._CssObjective(diffs)
+    members = rng.integers(0, len(diffs), 3000).astype(np.intp)
+    X = np.zeros((members.size, 6))
+    for row, i in zip(X, members):
+        slots = arima._slots(orders[i])
+        row[slots] = rng.uniform(-1.1, 1.1, len(slots))
+    assert members.size * objective.Z.shape[0] > 32 * 1024
+    batch = objective(members, X)
+    alone = [objective(members[i : i + 1], X[i : i + 1])[0] for i in range(members.size)]
+    assert np.isfinite(batch).any() and np.isinf(batch).any()
+    assert bits(batch) == bits(alone)

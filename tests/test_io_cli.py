@@ -995,6 +995,36 @@ class TestCliBadInputs:
         assert f"config section 'synth': start must be a FiscalQuarter, got {start!r}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("top_level", [{"seed": 1}, {}], ids=["with-top-level-seed", "without"])
+    def test_seed_inside_forest_is_named_before_any_work(self, top_level, tmp_path, capsys, monkeypatch):
+        cfg = self._backtest_config(tmp_path, forest={"n_trees": 5, "seed": 3})
+        settings = json.loads(cfg.read_text())
+        del settings["seed"]
+        cfg.write_text(json.dumps({**settings, **top_level}))
+        self._no_work(monkeypatch)
+        rc = main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config section 'forest' must not set 'seed'" in err and "top-level 'seed'" in err
+        assert not (tmp_path / "f.csv").exists()
+
+    def _synth_bytes(self, tmp_path, settings, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "o.csv"
+        assert main(["synth", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        return out.read_bytes() + (tmp_path / "o_indicators.csv").read_bytes()
+
+    def test_synth_seed_comes_from_flag_then_section_then_top_level(self, tmp_path):
+        def seeded(seed):
+            return self._synth_bytes(tmp_path, {"synth": {"n_geos": 1, "seed": seed}})
+
+        unseeded = self._synth_bytes(tmp_path, {"synth": {"n_geos": 1}})
+        assert unseeded == seeded(0)
+        assert self._synth_bytes(tmp_path, {"seed": 5, "synth": {"n_geos": 1}}) == seeded(5) != unseeded
+        assert self._synth_bytes(tmp_path, {"seed": 5, "synth": {"n_geos": 1, "seed": 3}}) == seeded(3)
+        assert self._synth_bytes(tmp_path, {"seed": 5, "synth": {"n_geos": 1, "seed": 3}}, "--seed", "4") == seeded(4)
+
     def test_synth_start_label_is_read(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synth": {"n_geos": 1, "n_quarters": 24, "start": "FY2011Q3"}}))
