@@ -4,7 +4,8 @@ Kept in-tree because the fitting loops evaluate tiny objectives millions
 of times.  ``nelder_mead_batch`` runs many searches as numpy arrays, each
 with the bits of the textbook scalar search; ``nelder_mead`` is its
 one-search call, and ``run_plans`` puts the searches of several fitting
-modules (their plans) into one such run.  The update rules are the
+modules (their plans) into one such run, and runs again the plans that
+ask for a second search (the ETS polish).  The update rules are the
 textbook ones (reflect 1, expand 2, contract 1/2, shrink 1/2) and the
 whole search is deterministic.
 """
@@ -64,8 +65,7 @@ def _start_simplex(point, cols) -> np.ndarray:
     return simplex
 
 
-def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
-                      width: int | None = None, then=None):
+def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width: int | None = None):
     """Run many independent Nelder-Mead searches in lockstep.
 
     Member m searches in ``dims[m]`` (at least 1) of the N coordinates.
@@ -81,35 +81,26 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
     evaluated.  ``maxiter``, ``xatol`` and ``fatol`` are one value for
     every member or one per member.
 
-    ``then(member, x, fun)``, when given, is called as each search ends,
-    with the search's best point (an (N,) row) and value.  It returns None
-    to end the member there, or ``(simplex, maxiter, xatol, fatol)`` to
-    continue it with a follow-on search from that (V, N) simplex.  The
-    follow-on takes the ended search's place in the same pass, ahead of
-    every queued member.
-
     At most ``width`` members (default: all) search at once.  A member
-    leaves as soon as its last search ends; once a quarter of the places
-    are free, the next members in order take them.  Memory therefore
-    scales with ``width``, not with the number of members.
+    leaves as soon as its search ends; once a quarter of the places are
+    free, the next members in order take them.  Memory therefore scales
+    with ``width``, not with the number of members.
 
     Each pass calls ``f`` once, with the trial points of every search and
     the vertices the previous pass's shrink steps moved: a search that
-    shrinks sits out one pass while those are scored.  A pass that starts
-    searches (fresh members or follow-ons) scores their simplexes in one
-    more call first.  So with ``width`` at least the number of members, a
-    run takes as many passes as its longest chain of searches has
-    iterations plus shrink steps.
+    shrinks sits out one pass while those are scored.  A pass that admits
+    members scores their simplexes in one more call first.  So with
+    ``width`` at least the number of members, a run takes as many passes
+    as its longest search has iterations plus shrink steps.
 
-    Returns (best_x (M, N), best_f (M,), iterations (M,)): the best point
-    and value of each member's last search, and its iterations summed over
-    its searches.  Each search performs exactly the float operations of
-    the list-based scalar search (``tests/arima_oracle.py`` keeps it as
-    the reference) started from its simplex (restricted to the coordinates
-    it searches), in the same order, so its results are bitwise the same
-    as the scalar search's, provided the objective never returns NaN:
-    Python's sort does not order NaN, while the stable sort here puts it
-    last.  The vertices beyond a member's ``dims[m] + 1`` hold NaN values,
+    Returns (best_x (M, N), best_f (M,), iterations (M,)): the best point,
+    value and iteration count of each member's search.  Each search
+    performs exactly the float operations of the list-based scalar search
+    (``tests/arima_oracle.py`` keeps it as the reference) started from its
+    simplex (restricted to the coordinates it searches), in the same order,
+    so its results are bitwise the same as the scalar search's, provided
+    the objective never returns NaN: Python's sort does not order NaN,
+    while the stable sort here puts it last.  The vertices beyond a member's ``dims[m] + 1`` hold NaN values,
     so they sort after every real vertex; they are masked out of the
     spread, the centroid and the shrink step.
     """
@@ -128,7 +119,7 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
     n_dims = first.shape[2]
     best_x = np.empty((n_members, n_dims))
     best_f = np.empty(n_members)
-    iterations = np.zeros(n_members, dtype=np.intp)
+    iterations = np.empty(n_members, dtype=np.intp)
 
     # The searches in progress are rows 0..m-1, kept in order of falling
     # dimension.  Their simplexes are stored vertex-major, S[j, r] being
@@ -146,7 +137,6 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
     xtol, ftol = row_tols
     slots = np.arange(n_vertices)
     m = queued = 0
-    follow = []  # follow-on searches waiting for the next admission
     waiting = False  # whether some row's shrunk vertices await their values
 
     def layout():
@@ -169,27 +159,15 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
     # passes no tolerance, as the scalar search's inf spread does not.
     with np.errstate(invalid="ignore"):
         while True:
-            free = width - m - len(follow)
-            fresh = 0
-            if queued < n_members and (m + len(follow) == 0 or 4 * free >= width):
-                fresh = min(free, n_members - queued)
-            admitted = bool(follow or fresh)
+            free = width - m
+            admitted = queued < n_members and (m == 0 or 4 * free >= width)
             if admitted:
-                lo = m
-                for member, simplex, *limits in follow:
-                    S[:, m] = simplex
-                    ids[m] = member
-                    cap[m], xtol[m], ftol[m] = limits
-                    m += 1
-                follow = []
-                if fresh:
-                    new = np.arange(queued, queued + fresh)
-                    S[:, m : m + fresh] = (first if first is not None else start(new)).transpose(1, 0, 2)
-                    first = None
-                    ids[m : m + fresh], cap[m : m + fresh] = new, caps[new]
-                    xtol[m : m + fresh], ftol[m : m + fresh] = xtols[new], ftols[new]
-                    queued += fresh
-                    m += fresh
+                lo, m = m, m + min(free, n_members - queued)
+                new = np.arange(queued, queued + m - lo)
+                S[:, lo:m] = (first if first is not None else start(new)).transpose(1, 0, 2)
+                first = None
+                ids[lo:m], cap[lo:m], xtol[lo:m], ftol[lo:m] = new, caps[new], xtols[new], ftols[new]
+                queued += m - lo
                 dim[lo:m] = all_dims[ids[lo:m]]
                 nit[lo:m] = wait[lo:m] = 0
                 F[lo:m] = np.nan
@@ -227,12 +205,7 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
                 out = ids[ended]
                 best_x[out] = S[order[ended, 0], ended]
                 best_f[out] = Fs[ended, 0]
-                iterations[out] += nit[ended]
-                if then is not None:
-                    for member in out.tolist():
-                        nxt = then(member, best_x[member], float(best_f[member]))
-                        if nxt is not None:
-                            follow.append((member, *nxt))
+                iterations[out] = nit[ended]
                 keep = (~done).nonzero()[0]
                 if admitted:
                     keep = keep[np.argsort(-d[keep], kind="stable")]
@@ -247,7 +220,7 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8,
                 np.take(S.reshape(-1, n_dims), order.T * width + rows, axis=0, out=S_spare[:, :m], mode="clip")
                 F, F_spare = F_spare, F
             S, S_spare = S_spare, S
-            if follow or not m:
+            if not m:
                 continue
 
             # One Nelder-Mead step of every ready row, and the values of the
@@ -335,16 +308,18 @@ def run_plans(plans) -> list:
     numbered 0.. within the plan.  ``objective(members, points)`` is
     ``nelder_mead_batch``'s ``f`` over the plan's own columns,
     ``start(members)`` returns each member's starting simplex as a
-    (dims + 1, n_columns) array, ``then(member, x, fun)`` is
-    ``nelder_mead_batch``'s ``then`` with such a simplex, and
-    ``results(best_x, best_f, iterations)`` turns the members' answers
-    into what the module returns.
+    (dims + 1, n_columns) array, and ``results(best_x, best_f,
+    iterations)`` turns the members' answers into what the module returns.
+
+    A plan whose ``results`` returns the plan itself is not done: it runs
+    once more, together with every other such plan, from whatever its
+    ``start`` now returns, with the limits it now has.
 
     Members queue plan by plan, in the order given, so the plan with the
-    longest chains of searches should come first.  The objective is a
-    dispatcher: it hands each plan the rows of its own members, restricted
-    to its columns.  Returns, per plan, ``results(best_x, best_f,
-    iterations)`` of its members, with the plan's columns only.
+    longest searches should come first.  The objective is a dispatcher: it
+    hands each plan the rows of its own members, restricted to its
+    columns.  Returns, per plan, the ``results(best_x, best_f,
+    iterations)`` of its members' last run, with the plan's columns only.
     """
     sizes = [len(plan.dims) for plan in plans]
     offsets = np.cumsum([0] + sizes)
@@ -356,13 +331,6 @@ def run_plans(plans) -> list:
 
     dims = per_member("dims").astype(np.intp)
     n_vertices = int(dims.max(initial=0)) + 1
-
-    def padded(simplexes):
-        out = np.zeros((len(simplexes), n_vertices, n_columns))
-        for row, simplex in zip(out, simplexes):
-            row[: simplex.shape[0], : simplex.shape[1]] = simplex
-        return out
-
     split = [None, []]  # the last members array f saw, and its rows and members per plan
 
     def f(ids, points):
@@ -383,28 +351,25 @@ def run_plans(plans) -> list:
 
     def start(ids):
         kinds = owner[ids]
-        out = np.empty((len(ids), n_vertices, n_columns))
+        out = np.zeros((len(ids), n_vertices, n_columns))
         for k, plan in enumerate(plans):
             rows = (kinds == k).nonzero()[0]
-            if rows.size:
-                out[rows] = padded(plan.start(ids[rows] - offsets[k]))
+            for row, simplex in zip(rows.tolist(), plan.start(ids[rows] - offsets[k])):
+                out[row, : simplex.shape[0], : simplex.shape[1]] = simplex
         return out
-
-    def then(member, x, fun):
-        k = owner[member]
-        follow_on = plans[k].then(member - offsets[k], x[: plans[k].n_columns], fun)
-        if follow_on is None:
-            return None
-        simplex, *limits = follow_on
-        return (padded([simplex])[0], *limits)
 
     best_x, best_f, iterations = nelder_mead_batch(
         f, start, dims, maxiter=per_member("maxiter"), xatol=per_member("xatol"),
-        fatol=per_member("fatol"), width=BATCH_WIDTH, then=then,
+        fatol=per_member("fatol"), width=BATCH_WIDTH,
     )
-    return [
+    answers = [
         plan.results(
             best_x[lo:hi, : plan.n_columns].reshape(hi - lo, plan.n_columns), best_f[lo:hi], iterations[lo:hi]
         )
         for plan, lo, hi in zip(plans, offsets[:-1], offsets[1:])
     ]
+    again = [k for k, (plan, answer) in enumerate(zip(plans, answers)) if answer is plan]
+    if again:
+        for k, answer in zip(again, run_plans([plans[k] for k in again])):
+            answers[k] = answer
+    return answers

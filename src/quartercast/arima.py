@@ -434,9 +434,6 @@ class _FitPlan:
             simplexes.append(simplex)
         return simplexes
 
-    def then(self, member, x, fun):
-        return None  # one search per member
-
     def results(self, best_x, best_f, iterations):
         """Each task's ArimaFit or error, jobs in order and orders in order.
 

@@ -5,8 +5,9 @@ forecasts out), backtest (evaluation report), compare (two reports, a
 report against expert forecasts, or a report against its own horizon 1).
 Each takes --config <json file>, which is checked against SETTINGS before
 any command runs: an unknown key or a value of the wrong kind exits 2 and
-names the key.  --model, --seed and --out override the config.  Exit
-codes: 0 success, 2 validation error, 3 insufficient data, 4 nonconvergence.
+names the key.  Each also takes the flags it reads (``_COMMANDS``), which
+override the config; any other flag exits 2.  Exit codes: 0 success,
+2 validation error, 3 insufficient data, 4 nonconvergence.
 
 Only the data modules are imported here; model code is looked up through
 the package when a command runs it, so ``synth``, ``--help`` and a bad
@@ -147,6 +148,7 @@ def _indicator(k: int, item) -> IndicatorConfig:
     where = f"config section 'indicators' item {k}"
     if not isinstance(item, dict) or "id" not in item:
         raise ValidationError(f"{where} must be an object with an 'id', got {item!r}")
+    _reject_unknown(where, item, ("id", "geos"))
     geos = item.get("geos")
     if geos is not None and not (isinstance(geos, list) and all(isinstance(g, str) for g in geos)):
         raise ValidationError(f"{where}: 'geos' must be a list of geography names, got {geos!r}")
@@ -263,26 +265,24 @@ def _cmd_compare(args, cfg: dict) -> int:
     return 0
 
 
+# Each command's handler and the flags it reads, beside --config.
+_COMMANDS = {
+    "synth": (_cmd_synth, ("seed", "out")),
+    "forecast": (_cmd_forecast, ("model", "seed", "out")),
+    "backtest": (_cmd_backtest, ("model", "seed", "out")),
+    "compare": (_cmd_compare, ("mode", "out", "baseline", "candidate", "report", "expert")),
+}
+_FLAG_HELP = {"model": "m1, m2 or m3", "out": "output file path", "mode": "models, horizons or expert"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quartercast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("synth", _cmd_synth),
-        ("forecast", _cmd_forecast),
-        ("backtest", _cmd_backtest),
-        ("compare", _cmd_compare),
-    ):
-        p = sub.add_parser(name)
+    for name, (func, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)  # so "--mode" is not read as "--model"
         p.add_argument("--config", default=None, help="JSON configuration file")
-        p.add_argument("--model", default=None, help="m1, m2 or m3")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output file path")
-        if name == "compare":
-            p.add_argument("--mode", default=None, help="models, horizons or expert")
-            p.add_argument("--baseline", default=None)
-            p.add_argument("--candidate", default=None)
-            p.add_argument("--report", default=None)
-            p.add_argument("--expert", default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=int if flag == "seed" else str, default=None, help=_FLAG_HELP.get(flag))
         p.set_defaults(func=func)
     return parser
 

@@ -3,10 +3,11 @@
 Level, optional (possibly damped) additive trend, optional additive
 seasonal with period 4, additive errors.  Smoothing parameters and initial
 states are optimized jointly with Nelder-Mead on a standardized copy of
-the series; specification selection uses AICc.  Every (series, spec) fit
-of one call is searched in a single lockstep run
-(``auto_select_ets_many``), with the bits one scalar search per spec
-would give; ``fit_ets`` and ``auto_select_ets`` are one-task wrappers, and
+the series, a search and then a polish from its answer; specification
+selection uses AICc.  Every (series, spec) fit of one call is searched in
+one lockstep run and polished in a second (``auto_select_ets_many``), with
+the bits one scalar search and polish per spec would give; ``fit_ets`` and
+``auto_select_ets`` are one-task wrappers, and
 ``features.fit_windows`` puts the same searches (``SelectionPlan``) into
 one run with its ARIMA fits.
 
@@ -343,11 +344,13 @@ def _build_fit(job: _Job, x) -> EtsFit:
 class _FitPlan:
     """Every (series, spec, fixed_alpha) task, as the members of a lockstep run.
 
-    A member searches from the scalar starting vector (tolerances 1e-8 /
-    1e-10), then polishes from its answer (1e-10 / 1e-12), each search
-    with a budget of 200 iterations per searched coordinate; the polish is
-    the search's follow-on in the same run.  Each search starts from the
-    scalar default simplex around its point.
+    The plan runs twice: a member searches from the scalar starting vector
+    (tolerances 1e-8 / 1e-10), then polishes from the search's answer
+    (1e-10 / 1e-12).  After the search, ``results`` keeps each answer,
+    switches to the polish tolerances and returns the plan, which
+    ``run_plans`` takes as the request for the second run.  Both runs give
+    a member 200 iterations per searched coordinate, and both start from
+    the scalar default simplex around the member's point.
     """
 
     n_columns = _N_COLUMNS
@@ -367,23 +370,23 @@ class _FitPlan:
         self.dims = np.asarray([len(job.cols) for job in self.jobs], dtype=np.intp)
         self.maxiter = 200 * self.dims
         self.objective = _SseObjective(self.jobs) if self.jobs else None
-        self.polished = [False] * len(self.jobs)
+        self.points = [job.start for job in self.jobs]
+        self.polishing = False
 
     def start(self, members):
-        return [_start_simplex(self.jobs[i].start, self.jobs[i].cols) for i in members.tolist()]
+        return [_start_simplex(self.points[i], self.jobs[i].cols) for i in members.tolist()]
 
-    def then(self, member, x, fun):
-        if self.polished[member]:
-            return None
-        self.polished[member] = True
-        return _start_simplex(x, self.jobs[member].cols), self.maxiter[member], 1e-10, 1e-12
-
-    def results(self, best_x, best_f, iterations) -> list:
-        """The EtsFit of every task, or the error its fit raises.
+    def results(self, best_x, best_f, iterations):
+        """After the search, the plan itself (polish next); after the polish,
+        the EtsFit of every task, or the error its fit raises.
 
         The errors are fit_ets's: InsufficientDataError for a series too
         short for the spec, ValidationError for a fixed alpha outside [0, 1].
         """
+        if not self.polishing:
+            self.points, self.polishing = best_x, True
+            self.xatol, self.fatol = 1e-10, 1e-12
+            return self
         points = iter(best_x)
         return [r if isinstance(r, Exception) else _build_fit(r, next(points)) for r in self.prepared]
 
@@ -426,10 +429,16 @@ class SelectionPlan(_FitPlan):
             self.owners.extend(i for _ in specs)
         super().__init__(fits)
 
-    def results(self, best_x, best_f, iterations) -> list:
-        """Per task, the lowest-AICc fit, or the exception auto_select_ets raises for it."""
+    def results(self, best_x, best_f, iterations):
+        """Per task, the lowest-AICc fit, or the exception auto_select_ets raises for it.
+
+        After the search, the plan itself, as _FitPlan.results returns it.
+        """
+        fits = super().results(best_x, best_f, iterations)
+        if fits is self:
+            return self
         selected = list(self.selected)
-        for i, fit in zip(self.owners, super().results(best_x, best_f, iterations)):
+        for i, fit in zip(self.owners, fits):
             if isinstance(fit, InsufficientDataError):  # the only error a free-alpha fit returns
                 continue
             if selected[i] is None or fit.aicc < selected[i].aicc:

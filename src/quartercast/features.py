@@ -76,11 +76,12 @@ def fit_windows(windows, cache: ForecastCache | None = None) -> list:
 
     The ARIMA order grids of all uncached windows, the ETS specs of every
     window and the STL specs of every window's seasonally adjusted copy
-    are fit in one lockstep run (``run_plans``), the ETS searches first;
-    STL's decomposition and re-seasonalizing run window by window around
-    it.  A model whose fit fails is recorded as its exception: Model 1
-    drops that candidate, a feature row raises it.  Returns the entries in
-    the order of ``windows``.
+    are searched in one lockstep run (``run_plans``), the ETS searches
+    first, and the ETS and STL fits are polished in a second; STL's
+    decomposition and re-seasonalizing run window by window around them.
+    A model whose fit fails is recorded as its exception: Model 1 drops
+    that candidate, a feature row raises it.  Returns the entries in the
+    order of ``windows``.
     """
     if cache is None:
         cache = ForecastCache()

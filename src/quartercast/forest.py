@@ -366,47 +366,39 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
 
 
-# Feature subsets each tree draws at once.
+# Feature subsets each tree of a forest draws at once.
 _DRAW_BLOCK = 32
 
 
 class _Draws:
-    """Each tree's feature subsets, drawn from its generator a block at a time.
+    """Each tree's feature subsets, drawn from its generator ``block`` at a time.
 
     ``Generator.permuted`` on B copies of ``active`` gives the rows that B
     successive ``permutation(active)`` calls would, and leaves the
     generator where they would.  Only the first ``mtry`` columns are kept,
-    each row sorted.
+    each row sorted.  A block of 1 leaves each generator where one
+    ``permutation`` per subset taken would.
     """
 
-    def __init__(self, rngs: list, active: np.ndarray, mtry: int):
+    def __init__(self, rngs: list, active: np.ndarray, mtry: int, block: int):
         self.rngs = rngs
         self.active = active
+        self.block = block
         # in the smallest integer type that holds every feature index
         index_type = np.min_scalar_type(active.max(initial=0))
-        self.blocks = np.empty((len(rngs), _DRAW_BLOCK, min(mtry, active.size)), dtype=index_type)
-        self.used = np.full(len(rngs), _DRAW_BLOCK)  # rows taken from each tree's block
-        self.saved: list = [None] * len(rngs)  # each generator's state before its last block
-
-    def _permutations(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.permuted(np.broadcast_to(self.active, (count, self.active.size)), axis=1)
+        self.blocks = np.empty((len(rngs), block, min(mtry, active.size)), dtype=index_type)
+        self.used = np.full(len(rngs), block)  # rows taken from each tree's block
 
     def take(self, trees: np.ndarray) -> np.ndarray:
         """The next feature subset of each of ``trees`` (distinct tree indices), one row each."""
-        for t in trees[self.used[trees] == _DRAW_BLOCK].tolist():
-            self.saved[t] = self.rngs[t].bit_generator.state
-            self.blocks[t] = np.sort(self._permutations(self.rngs[t], _DRAW_BLOCK)[:, : self.blocks.shape[2]])
+        block = self.block
+        for t in trees[self.used[trees] == block].tolist():
+            drawn = self.rngs[t].permuted(np.broadcast_to(self.active, (block, self.active.size)), axis=1)
+            self.blocks[t] = np.sort(drawn[:, : self.blocks.shape[2]])
             self.used[t] = 0
         subsets = self.blocks[trees, self.used[trees]]
         self.used[trees] += 1
         return subsets
-
-    def rewind(self) -> None:
-        """Leave each generator where drawing only the subsets taken would."""
-        for t, state in enumerate(self.saved):
-            if state is not None:
-                self.rngs[t].bit_generator.state = state
-                self._permutations(self.rngs[t], int(self.used[t]))
 
 
 def _score(X_pad, rank_pad, y_pad, rows, start, size, F):
@@ -474,25 +466,24 @@ def _partition(X, y, rows, start, size, f, thr):
 _START, _SIZE, _DEPTH, _PARENT, _PURE = range(5)
 
 
-def _grow(X, y, params: ForestParams, active, mtry, rngs, rewind: bool = False):
+def _grow(X, y, params: ForestParams, active, mtry, rngs, block: int):
     """One tree per generator, grown in lockstep, and each tree's bootstrap sample.
 
     Each tree walks its nodes in preorder on its own stack and draws from
     its own generator: the bootstrap sample, then one feature subset per
-    node it tries to split, as a recursive grower would.  The subsets are
-    drawn in blocks; ``rewind`` leaves every generator where one draw per
-    node would.  A tree's rows sit in one row buffer: each node's rows are
-    a segment of it, which a split partitions in place.  Every step pops
-    each unfinished tree's stack down to the next node it tries to split,
-    taking the leaves it pops on the way, scores all those nodes in one
-    batched scan and splits them.
+    node it tries to split, as a recursive grower would, ``block``
+    subsets at a time (``_Draws``).  A tree's rows sit in one row buffer:
+    each node's rows are a segment of it, which a split partitions in
+    place.  Every step pops each unfinished tree's stack down to the next
+    node it tries to split, taking the leaves it pops on the way, scores
+    all those nodes in one batched scan and splits them.
     """
     n, T = y.size, len(rngs)
     if params.bootstrap:
         samples = np.stack([rng.integers(0, n, size=n) for rng in rngs])
     else:
         samples = np.broadcast_to(np.arange(n), (T, n))
-    draws = _Draws(rngs, active, mtry)
+    draws = _Draws(rngs, active, mtry, block)
     X_pad = np.vstack([X, np.full(X.shape[1], np.inf)]).T.copy()
     rank_pad = _dense_ranks(X_pad)
     y_pad = np.append(y, 0.0)
@@ -549,8 +540,6 @@ def _grow(X, y, params: ForestParams, active, mtry, rngs, rewind: bool = False):
             stack[s, h + 1] = np.stack([start, n_left, depth, np.full(s.size, -1), pure_left], axis=1)
             height[s] = h + 2
         live = t[height[t] > 0]
-    if rewind:
-        draws.rewind()
     return _assemble(y, rows, count, splits, leaves, rights), samples
 
 
@@ -603,7 +592,8 @@ def build_tree(X, y, params: ForestParams, tree_rng: np.random.Generator | None 
         tree_rng = _tree_rng(0, 0)
     active = _active_features(X)
     mtry = _resolve_mtry(params, X.shape[1], len(active))
-    [tree], _ = _grow(X, y, params, active, mtry, [tree_rng], rewind=True)
+    # One subset per draw, so the caller's generator ends where the recursive grower leaves it.
+    [tree], _ = _grow(X, y, params, active, mtry, [tree_rng], block=1)
     return tree
 
 
@@ -671,7 +661,8 @@ def train_forest(
     mtry = _resolve_mtry(params, X.shape[1], len(active))
 
     resolve_threads(n_threads)
-    trees, samples = _grow(X, y, params, active, mtry, [_tree_rng(params.seed, i) for i in range(params.n_trees)])
+    rngs = [_tree_rng(params.seed, i) for i in range(params.n_trees)]
+    trees, samples = _grow(X, y, params, active, mtry, rngs, _DRAW_BLOCK)
     trees = tuple(trees)
     oob_mse, n_never = _oob_score(trees, samples, X, y)
     if n_never and params.bootstrap:

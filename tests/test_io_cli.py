@@ -936,6 +936,43 @@ class TestCliBadInputs:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", ["forecast", "backtest"])
+    def test_unknown_indicator_key_is_named_before_any_work(self, command, tmp_path, capsys, monkeypatch):
+        indicators = [{"id": "indicator", "geos": None}, {"id": "indicator", "geo": ["A"], "weight": 3}]
+        cfg = self._backtest_config(tmp_path, model="m3", indicators=indicators)
+        self._no_work(monkeypatch)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert (
+            "config section 'indicators' item 1 has unknown key(s) 'geo', 'weight'; expected some of geos, id"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    # The flags each command reads, beside --config.
+    FLAGS = {
+        "synth": {"seed", "out"},
+        "forecast": {"model", "seed", "out"},
+        "backtest": {"model", "seed", "out"},
+        "compare": {"mode", "out", "baseline", "candidate", "report", "expert"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_command_takes_only_the_flags_it_reads(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self._no_work(monkeypatch)
+        parser = cli.build_parser()
+        for flag in sorted(set().union(*self.FLAGS.values())):
+            argv = [command, "--config", "cfg.json", f"--{flag}", "1"]
+            if flag in self.FLAGS[command]:
+                assert getattr(parser.parse_args(argv), flag) in (1, "1")
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def _no_work(self, monkeypatch):
         """Make every window fit and every CLI file write fail the test."""
         for module, name in ((pipeline, "fit_windows"), (features, "fit_windows"), (features, "auto_select_many"),

@@ -2,9 +2,9 @@
 
 Every member of a batch gets its own objective; the same Python function
 scores a point in both searches, so any difference in the results comes
-from the simplex bookkeeping alone.  Chained members (a polish from the
-answer, restarts while the value is not finite) are checked against the
-scalar searches run one after another.
+from the simplex bookkeeping alone.  ``run_plans`` is checked the same
+way: a plan that runs twice (a polish from each answer, as the ETS plan
+does) against the scalar searches run one after another.
 """
 
 import math
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartercast import _optim
-from quartercast._optim import nelder_mead_batch
+from quartercast._optim import nelder_mead_batch, run_plans
 
 from arima_oracle import nelder_mead
 
@@ -155,9 +155,8 @@ def test_rejects_a_member_without_dimensions():
         nelder_mead_batch(lambda ids, x: np.zeros(len(ids)), lambda ids: np.zeros((len(ids), 3, 2)), [2, 0])
 
 
-# Chains of searches: the property below runs random mixes of members, some
-# continued by a polish from their answer and some restarted, only while
-# their value is not finite, from fixed simplexes inside the feasible box.
+# Random mixes of searches, each member with its own objective, simplex,
+# cap and tolerances, at every width.
 
 def wall(x):
     """Feasible only inside (2, 3) in every coordinate: a start near 0 never finds a finite value."""
@@ -180,61 +179,36 @@ def around(x):
     return simplex
 
 
-def run_chain_oracle(case):
-    """The member's searches one after another with the scalar oracle: (x, f, total iterations)."""
-    total = 0
-    for k, (simplex, cap, xatol, fatol) in enumerate(case["stages"]):
-        if k and case["chain"] == "polish":
-            simplex = around(x)
-        if k and case["chain"] == "restart" and math.isfinite(fun):
-            break
-        x, fun, iters = nelder_mead(case["f"], simplex[0], initial_simplex=simplex, maxiter=cap,
-                                    xatol=xatol, fatol=fatol)
-        total += iters
-    return x, fun, total
+def run_oracle(case):
+    """The member's search with the scalar oracle: (x, f, iterations)."""
+    return nelder_mead(case["f"], case["simplex"][0], initial_simplex=case["simplex"], maxiter=case["cap"],
+                       xatol=case["xatol"], fatol=case["fatol"])
 
 
-def run_chain_batch(cases, width):
-    """All members in one nelder_mead_batch run, follow-ons through ``then``.
+def run_searches(cases, width):
+    """All members in one nelder_mead_batch run.
 
     Also returns the passes: calls of f, less those that score the starting
-    simplexes of newly admitted searches (the first call, and the call after
-    a ``then`` that continued some member).
+    simplexes of admitted members (one per call of ``start``).
     """
-    n_dims = max(len(case["stages"][0][0]) - 1 for case in cases)
-    dims = [len(case["stages"][0][0]) - 1 for case in cases]
-
-    def padded(simplex):
-        out = np.zeros((n_dims + 1, n_dims))
-        out[: len(simplex), : len(simplex) - 1] = simplex
-        return out
-
-    starts = np.stack([padded(case["stages"][0][0]) for case in cases])
-    stage = [0] * len(cases)
+    n_dims = max(len(case["simplex"]) - 1 for case in cases)
+    dims = [len(case["simplex"]) - 1 for case in cases]
+    starts = np.zeros((len(cases), n_dims + 1, n_dims))
+    for m, case in enumerate(cases):
+        starts[m, : dims[m] + 1, : dims[m]] = case["simplex"]
     counts = {"calls": 0, "admissions": 0}
-    admitting = [True]
 
     def f(ids, points):
         counts["calls"] += 1
-        counts["admissions"] += admitting[0]
-        admitting[0] = False
         return np.asarray([cases[m]["f"](list(p[: dims[m]])) for m, p in zip(ids.tolist(), points)])
 
-    def then(m, x, fun):
-        case = cases[m]
-        stage[m] += 1
-        if stage[m] == len(case["stages"]) or (case["chain"] == "restart" and math.isfinite(fun)):
-            return None
-        simplex, cap, xatol, fatol = case["stages"][stage[m]]
-        if case["chain"] == "polish":
-            simplex = around(x[: dims[m]].tolist())
-        admitting[0] = True
-        return padded(simplex), cap, xatol, fatol
+    def start(ids):
+        counts["admissions"] += 1
+        return starts[ids]
 
-    first = [case["stages"][0] for case in cases]
     result = nelder_mead_batch(
-        f, lambda ids: starts[ids], dims, maxiter=[s[1] for s in first], xatol=[s[2] for s in first],
-        fatol=[s[3] for s in first], width=width, then=then,
+        f, start, dims, maxiter=[case["cap"] for case in cases], xatol=[case["xatol"] for case in cases],
+        fatol=[case["fatol"] for case in cases], width=width,
     )
     return result, counts["calls"] - counts["admissions"]
 
@@ -247,7 +221,7 @@ coords = st.integers(min_value=-40, max_value=40).map(lambda k: k / 80.0)
 
 
 @st.composite
-def chain_members(draw):
+def search_members(draw):
     n = draw(st.integers(min_value=1, max_value=9))
     kind = draw(objectives)
     center = [draw(coords) * 2.5 for _ in range(n)]
@@ -258,55 +232,127 @@ def chain_members(draw):
         "rosenbrock": rosenbrock,
         "wall": wall,
     }[kind]
-    chain = draw(st.sampled_from(["none", "polish", "restart"]))
-    n_stages = {"none": 1, "polish": 2, "restart": draw(st.integers(min_value=2, max_value=3))}[chain]
-    stages = []
-    for k in range(n_stages):
-        x0 = [draw(coords) for _ in range(n)]
-        if k and chain == "restart":
-            x0 = [2.5 + v for v in x0]  # inside the wall's box, mostly
-        stages.append((start_simplex(x0, draw(st.sampled_from([0.05, 0.3, 0.6]))),
-                       draw(caps), draw(xatols), draw(fatols)))
-    return {"f": f, "chain": chain, "stages": stages}
+    x0 = [draw(coords) for _ in range(n)]
+    if kind == "wall" and draw(st.booleans()):
+        x0 = [2.5 + v for v in x0]  # inside the wall's box, mostly
+    return {"f": f, "simplex": start_simplex(x0, draw(st.sampled_from([0.05, 0.3, 0.6]))),
+            "cap": draw(caps), "xatol": draw(xatols), "fatol": draw(fatols)}
+
+
+def assert_member(best_x, best_f, nit, m, expected):
+    x, fun, iters = expected
+    n = len(x)
+    assert bits(best_x[m, :n]) == bits(x), m
+    assert bits(best_x[m, n:]) == bits([0.0] * (best_x.shape[1] - n)), m
+    assert bits([best_f[m]]) == bits([fun]), m
+    assert nit[m] == iters, m
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(chain_members(), min_size=1, max_size=8), st.data())
-def test_chained_batch_matches_scalar_searches_in_sequence(cases, data):
-    """Random mixes: dims 1-9, per-member caps and tolerances, polish and restart chains, refills."""
+@given(st.lists(search_members(), min_size=1, max_size=8), st.data())
+def test_random_batches_match_scalar_searches(cases, data):
+    """Random mixes: dims 1-9, per-member caps and tolerances, every width, refills."""
     width = data.draw(st.integers(min_value=1, max_value=len(cases)))
-    (best_x, best_f, nit), _ = run_chain_batch(cases, width)
+    (best_x, best_f, nit), _ = run_searches(cases, width)
     for m, case in enumerate(cases):
-        x, fun, iters = run_chain_oracle(case)
-        n = len(x)
-        assert bits(best_x[m, :n]) == bits(x), m
-        assert bits(best_x[m, n:]) == bits([0.0] * (best_x.shape[1] - n)), m
-        assert bits([best_f[m]]) == bits([fun]), m
-        assert nit[m] == iters, m
+        assert_member(best_x, best_f, nit, m, run_oracle(case))
 
 
-def test_passes_with_room_for_every_member_are_the_slowest_chain_alone():
+def test_passes_with_room_for_every_member_are_the_slowest_search_alone():
     """With a place for every member, no search waits: the run takes as many
     passes as its slowest member takes on its own, which is that member's
     iterations plus the passes its shrink steps sit out."""
     rng = np.random.default_rng(11)
     cases = []
-    for n, kind, chain in [(2, "bowl", "polish"), (5, "terraced", "none"), (9, "rosenbrock", "polish"),
-                           (3, "wall", "restart"), (1, "plateau", "none"), (7, "bowl", "restart")]:
+    for n, kind, inside in [(2, "bowl", False), (5, "terraced", False), (9, "rosenbrock", False),
+                            (3, "wall", True), (1, "plateau", False), (7, "bowl", False)]:
         f = {"bowl": bowl_in_box([0.3] * n, [2.0] * n), "terraced": terraced(4.0), "rosenbrock": rosenbrock,
              "wall": wall, "plateau": plateau}[kind]
-        stages = [(start_simplex(rng.uniform(-0.5, 0.5, n).tolist(), 0.3), 150, 1e-6, 1e-10)]
-        stages += [(start_simplex((2.5 + rng.uniform(-0.3, 0.3, n)).tolist(), 0.1), 120, 1e-6, 1e-10)] * 2
-        cases.append({"f": f, "chain": chain, "stages": stages if chain != "none" else stages[:1]})
-    (_, _, nit), passes = run_chain_batch(cases, len(cases))
+        x0 = rng.uniform(-0.5, 0.5, n) + (2.5 if inside else 0.0)
+        cases.append({"f": f, "simplex": start_simplex(x0.tolist(), 0.3), "cap": 300, "xatol": 1e-6,
+                      "fatol": 1e-10})
+    (_, _, nit), passes = run_searches(cases, len(cases))
     alone = []
     for m, case in enumerate(cases):
-        (_, _, own), own_passes = run_chain_batch([case], None)
-        assert own[0] == nit[m] == run_chain_oracle(case)[2]
+        (_, _, own), own_passes = run_searches([case], None)
+        assert own[0] == nit[m] == run_oracle(case)[2]
         assert own_passes >= own[0]
         alone.append(own_passes)
     assert passes == max(alone)
     assert any(a > i for a, i in zip(alone, nit))  # some members' shrink steps sat out passes
-    # Here the longest chain (polish after search, 9 dimensions) never
-    # shrinks, so the run takes exactly its total iterations.
+    # Here the longest search (Rosenbrock in 9 dimensions) never shrinks, so
+    # the run takes exactly its iterations.
     assert passes == max(nit)
+
+
+# run_plans: plans of one run and of two (the second restarting around each
+# answer, as the ETS polish does), side by side in the same runs.
+
+class OneRunPlan:
+    """One search per member, the answers as (x, f, iterations) lists."""
+
+    def __init__(self, cases):
+        self.cases = cases
+        self.dims = np.asarray([len(case["simplex"]) - 1 for case in cases], dtype=np.intp)
+        self.n_columns = int(self.dims.max(initial=1))
+        self.maxiter, self.xatol, self.fatol = ([case[k] for case in cases] for k in ("cap", "xatol", "fatol"))
+
+    def objective(self, members, points):
+        assert points.shape[1] == self.n_columns
+        return np.asarray([self.cases[m]["f"](list(p[: self.dims[m]])) for m, p in zip(members.tolist(), points)])
+
+    def start(self, members):
+        return [np.asarray(self.cases[m]["simplex"]) for m in members.tolist()]
+
+    def results(self, best_x, best_f, iterations):
+        assert best_x.shape == (len(self.cases), self.n_columns)
+        return [(best_x[m, :d].tolist(), float(best_f[m]), int(iterations[m])) for m, d in enumerate(self.dims)]
+
+
+class TwoRunPlan(OneRunPlan):
+    """A search, then a second one from the default simplex around each answer, with its own limits."""
+
+    def __init__(self, cases, second):
+        super().__init__(cases)
+        self.second = second
+        self.first = None
+
+    def start(self, members):
+        if self.first is None:
+            return super().start(members)
+        return [np.asarray(around(self.first[m][0])) for m in members.tolist()]
+
+    def results(self, best_x, best_f, iterations):
+        answers = super().results(best_x, best_f, iterations)
+        if self.first is not None:
+            return [(x, fun, self.first[m][2] + iters) for m, (x, fun, iters) in enumerate(answers)]
+        self.first = answers
+        self.maxiter, self.xatol, self.fatol = ([limits[k] for limits in self.second] for k in range(3))
+        return self
+
+
+def run_two_oracle(case, second):
+    x, fun, iters = run_oracle(case)
+    cap, xatol, fatol = second
+    x2, fun2, iters2 = nelder_mead(case["f"], x, initial_simplex=around(x), maxiter=cap, xatol=xatol, fatol=fatol)
+    return x2, fun2, iters + iters2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(search_members(), max_size=6), st.lists(search_members(), max_size=6),
+       st.lists(st.tuples(caps, xatols, fatols), min_size=6, max_size=6), st.permutations(range(3)))
+def test_plans_that_run_twice_match_scalar_searches_in_sequence(once, twice, second, order):
+    """A two-run plan beside a one-run plan and an empty one, in any order;
+    either of the first two may have no members."""
+    second = second[: len(twice)]
+    plans = [OneRunPlan(once), TwoRunPlan(twice, second), OneRunPlan([])]
+    answers = run_plans([plans[k] for k in order])
+    got = dict(zip(order, answers))
+    assert got[2] == []
+    for k, (cases, expected) in enumerate([
+        (once, [run_oracle(case) for case in once]),
+        (twice, [run_two_oracle(case, limits) for case, limits in zip(twice, second)]),
+    ]):
+        assert len(got[k]) == len(cases)
+        for (x, fun, iters), (x_ref, fun_ref, iters_ref) in zip(got[k], expected):
+            assert (bits(x), bits([fun]), iters) == (bits(x_ref), bits([fun_ref]), iters_ref)
