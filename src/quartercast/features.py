@@ -157,22 +157,31 @@ def macro_features(
     """Ordered (name, value) macro growth features for one row.
 
     ``indicator_series`` overrides the dataset's indicator map; test-time
-    callers pass series extended with forecast values there.
+    callers pass series extended with forecast values there.  An indicator
+    that lacks a quarter its growth reads raises MissingIndicatorError.
     """
+    by_indicator = config.macro_source == "indicator"
+    reads = [("origin", origin)] if config.macro_at_origin else []
+    if config.macro_at_target and by_indicator:
+        reads.append(("target", target_quarter))
     out = []
     for cfg in config.indicators:
         if not config.applies_to(cfg, geo):
             continue
-        if config.macro_source == "revenue":
+        if not by_indicator:
             src = dataset.series_for(geo)
         elif indicator_series is not None and (geo, cfg.indicator_id) in indicator_series:
             src = indicator_series[(geo, cfg.indicator_id)]
         else:
             src = dataset.indicator_for(geo, cfg.indicator_id)
-        if config.macro_at_origin:
-            out.append((f"{cfg.indicator_id}_yoy_origin", yoy_growth(src, origin)))
-        if config.macro_at_target and config.macro_source == "indicator":
-            out.append((f"{cfg.indicator_id}_yoy_target", yoy_growth(src, target_quarter)))
+        for name, fq in reads:
+            prev_q = quarter_add(fq, -4)
+            if by_indicator and not (prev_q in src and fq in src):
+                raise MissingIndicatorError(
+                    f"indicator {cfg.indicator_id!r} for geography {geo!r} does not cover both "
+                    f"{prev_q} and {fq}, the quarters of its year-over-year growth at {fq}"
+                )
+            out.append((f"{cfg.indicator_id}_yoy_{name}", yoy_growth(src, fq)))
     return tuple(out)
 
 

@@ -36,9 +36,10 @@ FOREST_SCHEMA_VERSION = 1
 def resolve_threads(n_threads: int | None = None) -> int:
     """Worker count: explicit argument, else QUARTERCAST_THREADS, else all cores.
 
-    No layer runs in parallel today, so the count changes nothing.  A
-    malformed QUARTERCAST_THREADS is still a ValidationError: the variable
-    is reserved as the worker bound of a window-fit process pool.
+    No layer runs in parallel, so the count changes nothing.  The name and
+    the variable stay because acceptance criterion 05 passes thread counts
+    here, and criterion 09 and the bench's determinism repeat set
+    QUARTERCAST_THREADS; a malformed value is still a ValidationError.
     """
     if n_threads is not None:
         return max(1, int(n_threads))

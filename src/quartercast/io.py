@@ -3,8 +3,9 @@
 All files are UTF-8 CSV with fixed lowercase headers and '.' decimals;
 floats are written with repr so a load-write-load cycle is the identity.
 Reports serialize to JSON (full detail, versioned) or CSV (matrix form
-with two-decimal percentages); undefined comparison cells render as the
-literal ``n/a`` in CSV and ``null`` in JSON.
+with two-decimal percentages).  A report cell the report lacks renders as
+``n/a`` in CSV; an undefined comparison cell (a zero baseline, or a cell
+either report lacks) renders as ``n/a`` in CSV and ``null`` in JSON.
 """
 
 from __future__ import annotations
@@ -188,11 +189,12 @@ _KIND_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number", list: "a
 
 
 def _field(doc: dict, key: str, where: str, kind):
-    """doc[key]; a missing key or a value not of ``kind`` raises SchemaMismatchError naming the field."""
+    """doc[key]; a missing key or a value not of ``kind`` (a bool is not a number)
+    raises SchemaMismatchError naming the field."""
     if key not in doc:
         raise SchemaMismatchError(f"{where} has no {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaMismatchError(f"{where} field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
@@ -210,11 +212,19 @@ def _is_document(doc, kind: str) -> bool:
     return isinstance(doc, dict) and doc.get("kind") == kind and doc.get("schema_version") == REPORT_SCHEMA_VERSION
 
 
+def _distinct(doc: dict, key: str, ok, what: str) -> tuple:
+    """doc[key] as a tuple of distinct items that pass ``ok``; else SchemaMismatchError naming the field."""
+    items = _field(doc, key, "report", list)
+    if not all(ok(item) for item in items) or len(set(items)) != len(items):
+        raise SchemaMismatchError(f"report field {key!r} must be a list of distinct {what}, got {items!r}")
+    return tuple(items)
+
+
 def report_from_dict(doc: dict) -> EvaluationReport:
     """Inverse of ``report_to_dict``; a malformed document raises SchemaMismatchError naming the field."""
     if not _is_document(doc, "evaluation_report"):
         raise SchemaMismatchError("not a recognized evaluation report document")
-    cells = {}
+    results = []
     for k, entry in enumerate(_objects(doc, "results", "report")):
         at = f"report 'results'[{k}]"
         details = []
@@ -224,12 +234,18 @@ def report_from_dict(doc: dict) -> EvaluationReport:
             values = (_field(d, key, where, _NUMBER) for key in ("actual", "forecast", "ape"))
             details.append(ApeDetail(quarter, *values))
         key = (_field(entry, "geo", at, str), _field(entry, "horizon", at, int))
-        cells[key] = HorizonCell(mape=_field(entry, "mape", at, _NUMBER), details=tuple(details))
+        results.append((at, key, HorizonCell(mape=_field(entry, "mape", at, _NUMBER), details=tuple(details))))
+    geos = _distinct(doc, "geos", lambda g: isinstance(g, str), "strings")
+    horizons = _distinct(doc, "horizons", lambda h: type(h) is int and h >= 1, "integers >= 1")
+    for at, key, _ in results:
+        for name, value, allowed in zip(("geo", "horizon"), key, (geos, horizons)):
+            if value not in allowed:
+                raise SchemaMismatchError(f"{at} field {name!r} is {value!r}, not one of the report's '{name}s'")
     return EvaluationReport(
         model=_field(doc, "model", "report", str),
-        geos=tuple(_field(doc, "geos", "report", list)),
-        horizons=tuple(_field(doc, "horizons", "report", list)),
-        cells=cells,
+        geos=geos,
+        horizons=horizons,
+        cells={key: cell for _, key, cell in results},
         metadata=_field(doc, "metadata", "report", dict),
     )
 
@@ -267,22 +283,17 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _report_csv(report: EvaluationReport) -> str:
-    lines = ["geo," + ",".join(f"horizon_{h}" for h in report.horizons)]
-    for geo in report.geos:
-        cells = []
-        for h in report.horizons:
-            cell = report.cells.get((geo, h))
-            cells.append("n/a" if cell is None else f"{cell.mape:.2f}")
-        lines.append(geo + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _table_csv(table: ComparisonTable) -> str:
-    lines = ["row," + ",".join(table.col_labels)]
-    for label, row in zip(table.row_labels, table.cells):
-        cells = ["n/a" if v is None else f"{v:.2f}" for v in row]
-        lines.append(label + "," + ",".join(cells))
+def _matrix_csv(obj) -> str:
+    """A report's MAPEs (rows ``geo``) or a table's improvements (rows ``row``)
+    as a CSV matrix of two-decimal values, with ``n/a`` for a missing cell."""
+    if isinstance(obj, EvaluationReport):
+        corner, labels, cols = "geo", obj.geos, [f"horizon_{h}" for h in obj.horizons]
+        rows = [[obj.mape_for(geo, h) for h in obj.horizons] for geo in obj.geos]
+    else:
+        corner, labels, cols, rows = "row", obj.row_labels, obj.col_labels, obj.cells
+    lines = [corner + "," + ",".join(cols)]
+    for label, row in zip(labels, rows):
+        lines.append(label + "," + ",".join("n/a" if v is None else f"{v:.2f}" for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -291,11 +302,12 @@ def write_report(obj, fmt: str, path) -> None:
     if fmt not in REPORT_FORMATS:
         raise ValidationError(f"output format must be 'json' or 'csv', got {fmt!r}")
     if isinstance(obj, EvaluationReport):
-        text = _dump_json(report_to_dict(obj)) if fmt == "json" else _report_csv(obj)
+        to_dict = report_to_dict
     elif isinstance(obj, ComparisonTable):
-        text = _dump_json(table_to_dict(obj)) if fmt == "json" else _table_csv(obj)
+        to_dict = table_to_dict
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
+    text = _dump_json(to_dict(obj)) if fmt == "json" else _matrix_csv(obj)
     Path(path).write_text(text, encoding="utf-8")
 
 

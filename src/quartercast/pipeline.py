@@ -299,26 +299,17 @@ def config_hash(payload: dict) -> str:
 
 
 def _report_from_predictions(dataset, model, horizons, predictions, metadata) -> EvaluationReport:
-    ids = dataset.series_ids()
-    cells = {}
-    for geo in ids:
-        series = dataset.series_for(geo)
-        for h in horizons:
-            details = []
-            for (g, target, hh), fc in sorted(
-                predictions.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-            ):
-                if g != geo or hh != h:
-                    continue
-                actual = series.value_at(target)
-                details.append(ApeDetail(target, actual, fc, ape(actual, fc)))
-            if details:
-                cells[(geo, h)] = HorizonCell(
-                    mape=mape([(d.actual, d.forecast) for d in details]),
-                    details=tuple(details),
-                )
+    """Score the (geo, target, h) -> forecast map: one cell per (geo, h), details in target order."""
+    details: dict[tuple[str, int], list[ApeDetail]] = {}
+    for (geo, target, h), fc in sorted(predictions.items()):
+        actual = dataset.series_for(geo).value_at(target)
+        details.setdefault((geo, h), []).append(ApeDetail(target, actual, fc, ape(actual, fc)))
+    cells = {
+        key: HorizonCell(mape=mape([(d.actual, d.forecast) for d in ds]), details=tuple(ds))
+        for key, ds in details.items()
+    }
     return EvaluationReport(
-        model=model, geos=tuple(ids), horizons=tuple(horizons), cells=cells, metadata=metadata
+        model=model, geos=tuple(dataset.series_ids()), horizons=tuple(horizons), cells=cells, metadata=metadata
     )
 
 
@@ -377,10 +368,25 @@ def backtest(
     return _report_from_predictions(dataset, model, horizons, predictions, meta)
 
 
-def _improvement_or_none(x: float, y: float) -> float | None:
-    if x == 0.0:
+def _improvement(x: float | None, y: float | None) -> float | None:
+    """relative_improvement(x, y); None where either side is missing or x is zero."""
+    if x is None or y is None or x == 0.0:
         return None
     return relative_improvement(x, y)
+
+
+_horizon_label = "horizon_{}".format
+
+
+def _table(mode, rows, cols, errors, metadata, col_label=str) -> ComparisonTable:
+    """The rows × cols table of ``_improvement(*errors(row, col))``, rows labelled by str."""
+    return ComparisonTable(
+        mode=mode,
+        row_labels=tuple(str(row) for row in rows),
+        col_labels=tuple(col_label(col) for col in cols),
+        cells=tuple(tuple(_improvement(*errors(row, col)) for col in cols) for row in rows),
+        metadata=metadata,
+    )
 
 
 def compare_reports(baseline: EvaluationReport, candidate: EvaluationReport) -> ComparisonTable:
@@ -390,20 +396,10 @@ def compare_reports(baseline: EvaluationReport, candidate: EvaluationReport) -> 
     horizons = tuple(h for h in baseline.horizons if h in candidate.horizons)
     if not horizons:
         raise SchemaMismatchError("reports share no horizons")
-    rows = []
-    for geo in baseline.geos:
-        rows.append(
-            tuple(
-                _improvement_or_none(baseline.mape_for(geo, h), candidate.mape_for(geo, h))
-                for h in horizons
-            )
-        )
-    return ComparisonTable(
-        mode="model-vs-model",
-        row_labels=baseline.geos,
-        col_labels=tuple(f"horizon_{h}" for h in horizons),
-        cells=tuple(rows),
-        metadata={"baseline": baseline.metadata, "candidate": candidate.metadata},
+    return _table(
+        "model-vs-model", baseline.geos, horizons,
+        lambda geo, h: (baseline.mape_for(geo, h), candidate.mape_for(geo, h)),
+        {"baseline": baseline.metadata, "candidate": candidate.metadata}, _horizon_label,
     )
 
 
@@ -411,21 +407,10 @@ def compare_horizons(report: EvaluationReport) -> ComparisonTable:
     """One report's horizons 2.. against its own horizon 1."""
     if 1 not in report.horizons or len(report.horizons) < 2:
         raise SchemaMismatchError("report needs horizon 1 plus at least one longer horizon")
-    higher = tuple(h for h in report.horizons if h > 1)
-    rows = []
-    for geo in report.geos:
-        rows.append(
-            tuple(
-                _improvement_or_none(report.mape_for(geo, 1), report.mape_for(geo, h))
-                for h in higher
-            )
-        )
-    return ComparisonTable(
-        mode="horizon-vs-h1",
-        row_labels=report.geos,
-        col_labels=tuple(f"horizon_{h}" for h in higher),
-        cells=tuple(rows),
-        metadata={"report": report.metadata},
+    return _table(
+        "horizon-vs-h1", report.geos, tuple(h for h in report.horizons if h > 1),
+        lambda geo, h: (report.mape_for(geo, 1), report.mape_for(geo, h)),
+        {"report": report.metadata}, _horizon_label,
     )
 
 
@@ -438,33 +423,22 @@ def compare_expert(
     cells without both an expert forecast and a horizon-1 model forecast
     stay empty.
     """
-    details: dict[tuple[str, FiscalQuarter], ApeDetail] = {}
-    for geo in report.geos:
-        cell = report.cells.get((geo, 1))
-        if cell is None:
-            continue
-        for d in cell.details:
-            details[(geo, d.target)] = d
+    details = {
+        (geo, d.target): d
+        for geo in report.geos if (geo, 1) in report.cells
+        for d in report.cells[(geo, 1)].details
+    }
     keys = [k for k in expert if k in details]
     if not keys:
         raise ValidationError("no expert forecasts overlap the report's horizon-1 quarters")
-    geos = tuple(sorted({g for g, _ in keys}))
-    quarters = sorted({q for _, q in keys})
-    rows = []
-    for q in quarters:
-        row = []
-        for g in geos:
-            d = details.get((g, q))
-            if d is None or (g, q) not in expert:
-                row.append(None)
-                continue
-            ape_exp = ape(d.actual, expert[(g, q)])
-            row.append(_improvement_or_none(ape_exp, d.ape))
-        rows.append(tuple(row))
-    return ComparisonTable(
-        mode="expert-vs-model",
-        row_labels=tuple(str(q) for q in quarters),
-        col_labels=geos,
-        cells=tuple(rows),
-        metadata={"report": report.metadata},
+
+    def errors(q, g):
+        d = details.get((g, q))
+        if d is None or (g, q) not in expert:
+            return None, None
+        return ape(d.actual, expert[(g, q)]), d.ape
+
+    return _table(
+        "expert-vs-model", sorted({q for _, q in keys}), sorted({g for g, _ in keys}),
+        errors, {"report": report.metadata},
     )

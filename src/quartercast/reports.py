@@ -33,13 +33,16 @@ class EvaluationReport:
     cells: dict[tuple[str, int], HorizonCell]
     metadata: dict
 
-    def mape_for(self, geo: str, horizon: int) -> float:
-        return self.cells[(geo, horizon)].mape
+    def mape_for(self, geo: str, horizon: int) -> float | None:
+        """The cell's MAPE, or None where the report has no such cell."""
+        cell = self.cells.get((geo, horizon))
+        return None if cell is None else cell.mape
 
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Relative-improvement cells; None renders as n/a (zero baseline)."""
+    """Relative-improvement cells; None (a zero baseline, or a cell either
+    report lacks) renders as n/a."""
 
     mode: str
     row_labels: tuple[str, ...]

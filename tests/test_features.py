@@ -10,6 +10,7 @@ from quartercast import (
     InsufficientDataError,
     MissingIndicatorError,
     QuarterlySeries,
+    SynthSpec,
     UnknownGeographyError,
     ValidationError,
     base_forecasts,
@@ -18,9 +19,11 @@ from quartercast import (
     extend_indicators,
     feature_names,
     forecast_indicator,
+    generate_synthetic,
     macro_features,
     quarter_add,
     row_vector,
+    with_indicators,
     yoy_growth,
 )
 
@@ -174,6 +177,30 @@ class TestMacroFeatures:
         cfg = FeatureConfig(indicators=(IndicatorConfig("share-prices"),))
         with pytest.raises(MissingIndicatorError):
             macro_features(ds, "A", quarter_add(START, 20), quarter_add(START, 21), cfg)
+
+    def test_indicator_starting_late_is_named_with_the_quarters_it_lacks(self):
+        ds = generate_synthetic(SynthSpec(n_geos=2, n_quarters=28, seed=3))
+        late = {
+            key: QuarterlySeries(series.id, quarter_add(series.start, 12), series.values[12:])
+            for key, series in ds.indicators.items()
+        }
+        ds = with_indicators(ds, late)
+        cfg = FeatureConfig(indicators=(IndicatorConfig("indicator"),))
+        origin = FiscalQuarter(2012, 4)  # the indicators start in 2012Q1
+        with pytest.raises(MissingIndicatorError) as err:
+            macro_features(ds, "Geo_1", origin, quarter_add(origin, 1), cfg)
+        assert str(err.value) == (
+            "indicator 'indicator' for geography 'Geo_1' does not cover both 2011Q4 and 2012Q4, "
+            "the quarters of its year-over-year growth at 2012Q4"
+        )
+        # one year in, both features read
+        assert len(macro_features(ds, "TOTAL", FiscalQuarter(2013, 1), FiscalQuarter(2013, 2), cfg)) == 2
+        # the target's quarter is checked too: the indicators end in 2015Q4
+        with pytest.raises(MissingIndicatorError, match="'TOTAL' does not cover both 2015Q1 and 2016Q1"):
+            macro_features(ds, "TOTAL", FiscalQuarter(2015, 4), FiscalQuarter(2016, 1), cfg)
+        # a revenue source reads revenue, which covers every quarter
+        revenue_cfg = FeatureConfig(indicators=cfg.indicators, macro_source="revenue")
+        assert len(macro_features(ds, "Geo_1", origin, quarter_add(origin, 1), revenue_cfg)) == 1
 
     def test_forecasted_extension_isolates_target_field(self):
         values = [100.0 * 1.05 ** (i / 4) for i in range(24)]

@@ -300,6 +300,18 @@ class TestSynthetic:
         assert len(generate_synthetic(spec).geos()) == 1
 
 
+def _report_text(geos=("A", "TOTAL"), horizons=(1,), result_geo="A", result_horizon=1):
+    """A report document with one horizon-1 result, with one field replaced."""
+    return json.dumps(
+        {
+            "kind": "evaluation_report", "schema_version": 1, "model": "m1", "metadata": {},
+            "geos": list(geos) if isinstance(geos, tuple) else geos,
+            "horizons": list(horizons) if isinstance(horizons, tuple) else horizons,
+            "results": [{"geo": result_geo, "horizon": result_horizon, "mape": 1.0, "details": []}],
+        }
+    )
+
+
 def sample_report():
     q = FiscalQuarter(2015, 1)
     cells = {
@@ -319,6 +331,20 @@ def sample_report():
     )
 
 
+def _one_quarter_report():
+    """An oracle backtest whose test range is one quarter: horizon-1 cells only."""
+    from quartercast import backtest, parse_quarter
+
+    ds = generate_synthetic(SynthSpec(n_geos=2, n_quarters=28, seed=5))
+    q = parse_quarter("2015Q1")
+    report = backtest(
+        ds, "m2", (parse_quarter("2013Q1"), parse_quarter("2014Q4")), (q, q),
+        oracle=lambda geo, origin, h: ds.series_for(geo).value_at(quarter_add(origin, h)) * 1.01,
+    )
+    assert sorted(report.cells) == [("Geo_1", 1), ("Geo_2", 1), ("TOTAL", 1)]
+    return report
+
+
 class TestReportSerialization:
     def test_json_round_trip(self, tmp_path):
         rep = sample_report()
@@ -331,10 +357,7 @@ class TestReportSerialization:
         rep = sample_report()
         p = tmp_path / "report.csv"
         write_report(rep, "csv", p)
-        text = p.read_text()
-        assert text.splitlines()[0] == "geo,horizon_1"
-        assert "A,1.23" in text
-        assert "TOTAL,2.50" in text
+        assert p.read_text() == "geo,horizon_1\nA,1.23\nTOTAL,2.50\n"
 
     def test_table_round_trip_and_na(self, tmp_path):
         table = ComparisonTable(
@@ -366,8 +389,24 @@ class TestReportSerialization:
             ('{"kind": "evaluation_report", "schema_version": 1, "results": [{"geo": "A"}]}', "'details'"),
             ('{"kind": "evaluation_report", "schema_version": 1, "results": 3}', "'results'"),
             ('[1, 2]', "not a recognized evaluation report"),
+            (_report_text(geos=[1, "TOTAL"]), "'geos'"),
+            (_report_text(geos=[["a"], "TOTAL"]), "'geos'"),
+            (_report_text(geos=["A", "A"]), "'geos'"),
+            (_report_text(geos="A"), "'geos'"),
+            (_report_text(horizons=[True, 2]), "'horizons'"),
+            (_report_text(horizons=[0, 1]), "'horizons'"),
+            (_report_text(horizons=[1.0]), "'horizons'"),
+            (_report_text(horizons=[1, 1]), "'horizons'"),
+            (_report_text(result_geo="B"), "field 'geo' is 'B'"),
+            (_report_text(result_horizon=5), "field 'horizon' is 5"),
+            (_report_text(result_horizon=True), "field 'horizon' must be an integer"),
         ],
-        ids=["truncated", "no-results", "no-details", "results-not-a-list", "not-an-object"],
+        ids=[
+            "truncated", "no-results", "no-details", "results-not-a-list", "not-an-object",
+            "geo-a-number", "geo-a-list", "geos-repeated", "geos-not-a-list", "horizon-a-bool",
+            "horizon-zero", "horizon-a-float", "horizons-repeated", "result-geo-unlisted",
+            "result-horizon-unlisted", "result-horizon-a-bool",
+        ],
     )
     def test_damaged_report_names_the_path_and_field(self, text, named, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -414,9 +453,29 @@ class TestReportSerialization:
         )
         p = tmp_path / "h.csv"
         write_report(compare_horizons(rep), "csv", p)
+        assert p.read_text() == (
+            "row,horizon_2,horizon_3,horizon_4\n"
+            "Geo_1,-100.00,-200.00,-300.00\n"
+            "Geo_2,-50.00,-100.00,-150.00\n"
+            "TOTAL,-33.33,-66.67,-100.00\n"
+        )
+
+    def test_cells_a_report_lacks_are_written_as_na(self, tmp_path):
+        from quartercast import compare_horizons, compare_reports
+
+        short = _one_quarter_report()
+        p = tmp_path / "r.csv"
+        write_report(short, "csv", p)
         lines = p.read_text().splitlines()
-        assert lines[0] == "row,horizon_2,horizon_3,horizon_4"
-        assert [ln.split(",")[0] for ln in lines[1:]] == ["Geo_1", "Geo_2", "TOTAL"]
+        assert lines[0] == "geo,horizon_1,horizon_2,horizon_3,horizon_4"
+        assert [ln.split(",", 2)[2] for ln in lines[1:]] == ["n/a,n/a,n/a"] * 3
+        for table in (compare_reports(short, short), compare_horizons(short)):
+            write_report(table, "csv", p)
+            lines = p.read_text().splitlines()
+            assert [ln.split(",")[0] for ln in lines] == ["row", "Geo_1", "Geo_2", "TOTAL"]
+            assert all(ln.endswith(",n/a,n/a,n/a") for ln in lines[1:])
+            write_report(table, "json", p)
+            assert all(v is None for row in json.loads(p.read_text())["cells"] for v in row[-3:])
 
 
 class TestCli:
@@ -521,6 +580,18 @@ class TestCli:
         assert rc == 0
         table = read_table(out)
         assert all(v == 0.0 for row in table.cells for v in row)
+
+    @pytest.mark.parametrize("mode", ["models", "horizons"])
+    def test_compare_a_report_with_missing_cells(self, mode, tmp_path):
+        pr = tmp_path / "r.json"
+        write_report(_one_quarter_report(), "json", pr)
+        out = tmp_path / "t.json"
+        flags = ["--baseline", str(pr), "--candidate", str(pr)] if mode == "models" else ["--report", str(pr)]
+        assert main(["compare", "--mode", mode, *flags, "--out", str(out)]) == 0
+        table = read_table(out)
+        assert table.row_labels == ("Geo_1", "Geo_2", "TOTAL")
+        assert table.col_labels[-3:] == ("horizon_2", "horizon_3", "horizon_4")
+        assert all(row[-3:] == (None, None, None) for row in table.cells)
 
     def test_compare_expert_non_finite_forecast_exits_2(self, tmp_path, capsys):
         pr = tmp_path / "r.json"

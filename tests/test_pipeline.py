@@ -29,6 +29,7 @@ from quartercast import (
     model_config,
     parse_quarter,
     quarter_add,
+    quarter_range,
     stlf_forecast,
     yoy_growth,
 )
@@ -341,3 +342,66 @@ class TestCompare:
         rep = _report("m2", ["TOTAL"], [1], {("TOTAL", 1): 1.0}, {("TOTAL", 1): (detail,)})
         with pytest.raises(ValidationError):
             compare_expert(rep, {("TOTAL", parse_quarter("2020Q1")): 5.0})
+
+
+def _oracle(dataset):
+    """A deterministic imperfect forecast: 1% high per horizon step."""
+    return lambda geo, origin, h: dataset.series_for(geo).value_at(quarter_add(origin, h)) * (1.0 + 0.01 * h)
+
+
+@pytest.fixture(scope="module")
+def one_quarter_reports(small_dataset, small_ranges):
+    """(full, short): the oracle over the whole test year, and over its first quarter only."""
+    train, test = small_ranges
+    full = backtest(small_dataset, "m2", train, test, oracle=_oracle(small_dataset))
+    short = backtest(small_dataset, "m2", train, (test[0], test[0]), oracle=_oracle(small_dataset))
+    return full, short
+
+
+class TestMissingCells:
+    def test_one_quarter_report_has_horizon_1_cells_only(self, one_quarter_reports):
+        _, short = one_quarter_reports
+        assert short.horizons == (1, 2, 3, 4)
+        assert sorted(short.cells) == [(geo, 1) for geo in short.geos]
+        for geo in short.geos:
+            assert short.mape_for(geo, 1) == short.cells[(geo, 1)].mape
+            assert [short.mape_for(geo, h) for h in (2, 3, 4)] == [None, None, None]
+
+    def test_each_cell_scores_its_targets_in_order(self, small_dataset, one_quarter_reports, small_ranges):
+        full, _ = one_quarter_reports
+        test = small_ranges[1]
+        forecast = _oracle(small_dataset)
+        for (geo, h), cell in full.cells.items():
+            targets = quarter_range(quarter_add(test[0], h - 1), test[1])
+            actuals = [small_dataset.series_for(geo).value_at(t) for t in targets]
+            forecasts = [forecast(geo, quarter_add(t, -h), h) for t in targets]
+            assert [d.target for d in cell.details] == targets
+            assert [d.forecast for d in cell.details] == forecasts
+            assert cell.mape == mape(list(zip(actuals, forecasts)))
+
+    @pytest.mark.parametrize("order", ["short-first", "full-first"])
+    def test_models_table_is_none_where_either_report_lacks_a_cell(self, one_quarter_reports, order):
+        full, short = one_quarter_reports
+        base, cand = (short, full) if order == "short-first" else (full, short)
+        table = compare_reports(base, cand)
+        assert table.col_labels == ("horizon_1", "horizon_2", "horizon_3", "horizon_4")
+        for geo in short.geos:
+            assert table.cell(geo, "horizon_1") == pytest.approx(
+                (base.mape_for(geo, 1) - cand.mape_for(geo, 1)) / base.mape_for(geo, 1) * 100.0
+            )
+            assert [table.cell(geo, f"horizon_{h}") for h in (2, 3, 4)] == [None, None, None]
+
+    def test_horizons_table_is_all_none(self, one_quarter_reports):
+        _, short = one_quarter_reports
+        table = compare_horizons(short)
+        assert table.row_labels == tuple(short.geos)
+        assert table.cells == ((None, None, None),) * len(short.geos)
+
+    def test_expert_table_reads_the_horizon_1_cells(self, small_dataset, one_quarter_reports):
+        full, short = one_quarter_reports
+        q = short.cells[("TOTAL", 1)].details[0].target
+        expert = {("TOTAL", q): small_dataset.total.value_at(q) * 0.97, ("Geo_1", q): 1.0}
+        got, want = compare_expert(short, expert), compare_expert(full, expert)
+        assert (got.row_labels, got.col_labels, got.cells) == (want.row_labels, want.col_labels, want.cells)
+        # expert APE 3%, model APE 1% (the oracle's one step)
+        assert got.cell(str(q), "TOTAL") == pytest.approx(200.0 / 3.0)
