@@ -113,19 +113,20 @@ def fit_windows(windows, cache: ForecastCache | None = None) -> list:
     return [cache.get(window.values) for window in windows]
 
 
-def row_windows(dataset: Dataset, origins) -> list[QuarterlySeries]:
-    """The feature windows of (geo, origin) rows, skipping rows with too little history.
+def _window(series: QuarterlySeries, origin: FiscalQuarter, h: int) -> QuarterlySeries:
+    """The window a horizon-h forecast from origin is fit on: the 16 quarters ending at origin."""
+    if not 1 <= h <= MAX_HORIZON:
+        raise ValidationError(f"horizon must be in 1..{MAX_HORIZON}, got {h}")
+    return series.window(origin, WINDOW)
 
-    A skipped row raises InsufficientDataError when it is built, exactly as
-    it would without this listing.
-    """
-    windows = []
-    for geo, origin in origins:
-        try:
-            windows.append(dataset.series_for(geo).window(origin, WINDOW))
-        except InsufficientDataError:
-            continue
-    return windows
+
+def _at_horizon(entry, h: int) -> tuple[float, float, float]:
+    """A cache entry's (arima, ets, stl) forecasts at horizon h; raises the first model's fit error."""
+    for value in entry:
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)
+    arima_v, ets_v, stl_v = entry
+    return arima_v[h - 1], ets_v[h - 1], stl_v[h - 1]
 
 
 def base_forecasts(
@@ -135,15 +136,7 @@ def base_forecasts(
     cache: ForecastCache | None = None,
 ) -> tuple[float, float, float]:
     """(arima, ets, stl) forecasts at horizon h from the 16 quarters ending at origin."""
-    if not 1 <= h <= MAX_HORIZON:
-        raise ValidationError(f"horizon must be in 1..{MAX_HORIZON}, got {h}")
-    window = series.window(origin, WINDOW)
-    entry = fit_windows([window], cache)[0]
-    for value in entry:  # the first model whose fit failed, as when fits ran here
-        if isinstance(value, Exception):
-            raise value.with_traceback(None)
-    arima_v, ets_v, stl_v = entry
-    return arima_v[h - 1], ets_v[h - 1], stl_v[h - 1]
+    return _at_horizon(fit_windows([_window(series, origin, h)], cache)[0], h)
 
 
 def macro_features(
@@ -185,21 +178,13 @@ def macro_features(
     return tuple(out)
 
 
-def build_row(
-    dataset: Dataset,
-    geo: str,
-    origin: FiscalQuarter,
-    h: int,
-    config: FeatureConfig = FeatureConfig(),
-    training: bool = False,
-    indicator_series: dict[tuple[str, str], QuarterlySeries] | None = None,
-    cache: ForecastCache | None = None,
-) -> FeatureRow:
-    """One feature row; raises InsufficientDataError when history is short."""
+def _plan_row(dataset, geo, origin, h, config, training=False, indicator_series=None):
+    """(window, fields): a row's window and every field of the row but its
+    base forecasts.  It makes every check of the row and no fit, so it
+    raises what building the row raises, except a fit's error."""
     series = dataset.series_for(geo)
     target_q = quarter_add(origin, h)
-    a_fc, e_fc, s_fc = base_forecasts(series, origin, h, cache)
-    avg = (a_fc + e_fc + s_fc) / 3.0
+    window = _window(series, origin, h)
 
     lag_shift = 0 if config.lag_includes_origin else 1
     lags = []
@@ -217,35 +202,58 @@ def build_row(
             raise InsufficientDataError(f"{geo}: training target {target_q} not in history")
         target = series.value_at(target_q)
 
-    return FeatureRow(
-        geo=geo,
-        origin=origin,
-        horizon=h,
-        target_quarter=target_q,
-        arima_fc=a_fc,
-        ets_fc=e_fc,
-        stl_fc=s_fc,
-        avg_ts_fc=avg,
-        lags=tuple(lags),
-        macro=macro,
-        target=target,
+    return window, dict(
+        geo=geo, origin=origin, horizon=h, target_quarter=target_q, lags=tuple(lags), macro=macro, target=target
     )
 
 
-def _training_origins(dataset: Dataset, train_range):
-    """(geo, horizon, origin) of every training row, in row order."""
+def _fit_rows(plans, cache: ForecastCache | None) -> list[FeatureRow]:
+    """The rows of ``_plan_row`` plans, their windows fit in one ``fit_windows`` call."""
+    rows = []
+    for (_, fields), entry in zip(plans, fit_windows([window for window, _ in plans], cache)):
+        a_fc, e_fc, s_fc = _at_horizon(entry, fields["horizon"])
+        avg = (a_fc + e_fc + s_fc) / 3.0
+        rows.append(FeatureRow(arima_fc=a_fc, ets_fc=e_fc, stl_fc=s_fc, avg_ts_fc=avg, **fields))
+    return rows
+
+
+def build_row(
+    dataset: Dataset,
+    geo: str,
+    origin: FiscalQuarter,
+    h: int,
+    config: FeatureConfig = FeatureConfig(),
+    training: bool = False,
+    indicator_series: dict[tuple[str, str], QuarterlySeries] | None = None,
+    cache: ForecastCache | None = None,
+) -> FeatureRow:
+    """One feature row; raises InsufficientDataError when history is short."""
+    return _fit_rows([_plan_row(dataset, geo, origin, h, config, training, indicator_series)], cache)[0]
+
+
+def _training_plans(dataset, train_range, config) -> list[tuple[QuarterlySeries, dict]]:
+    """The plans of every series' horizon 1..4 rows whose target is in range.
+
+    A row with too little history is skipped with a warning; a range with
+    no row left raises InsufficientDataError.
+    """
     first_target, last_target = train_range
+    if last_target < first_target:
+        raise ValidationError(f"training range end {last_target} precedes start {first_target}")
+    plans = []
+    skipped = 0
     for geo in dataset.series_ids():
         for h in range(1, MAX_HORIZON + 1):
             for target in quarter_range(first_target, last_target):
-                yield geo, h, quarter_add(target, -h)
-
-
-def training_windows(
-    dataset: Dataset, train_range: tuple[FiscalQuarter, FiscalQuarter]
-) -> list[QuarterlySeries]:
-    """The windows build_training_matrix fits for the range."""
-    return row_windows(dataset, ((geo, origin) for geo, _, origin in _training_origins(dataset, train_range)))
+                try:
+                    plans.append(_plan_row(dataset, geo, quarter_add(target, -h), h, config, training=True))
+                except InsufficientDataError:
+                    skipped += 1
+    if skipped:
+        log.warning("skipped %d training rows with insufficient history", skipped)
+    if not plans:
+        raise InsufficientDataError("no training rows could be built for the given range")
+    return plans
 
 
 def build_training_matrix(
@@ -255,24 +263,7 @@ def build_training_matrix(
     cache: ForecastCache | None = None,
 ) -> list[FeatureRow]:
     """Rows for every series, horizon 1..4, and origin whose target is in range."""
-    first_target, last_target = train_range
-    if last_target < first_target:
-        raise ValidationError(f"training range end {last_target} precedes start {first_target}")
-    if cache is None:
-        cache = ForecastCache()
-    fit_windows(training_windows(dataset, train_range), cache)
-    rows: list[FeatureRow] = []
-    skipped = 0
-    for geo, h, origin in _training_origins(dataset, train_range):
-        try:
-            rows.append(build_row(dataset, geo, origin, h, config, training=True, cache=cache))
-        except InsufficientDataError:
-            skipped += 1
-    if skipped:
-        log.warning("skipped %d training rows with insufficient history", skipped)
-    if not rows:
-        raise InsufficientDataError("no training rows could be built for the given range")
-    return rows
+    return _fit_rows(_training_plans(dataset, train_range, config), cache)
 
 
 def forecast_indicator(indicator: QuarterlySeries, h_max: int) -> np.ndarray:
@@ -281,22 +272,9 @@ def forecast_indicator(indicator: QuarterlySeries, h_max: int) -> np.ndarray:
     return forecast_arima(fit, h_max)
 
 
-def extend_indicators(
-    dataset: Dataset,
-    config: FeatureConfig,
-    known_through: FiscalQuarter,
-    needed_through: FiscalQuarter,
-) -> dict[tuple[str, str], QuarterlySeries]:
-    """Truncate indicators at ``known_through`` and extend them with forecasts.
-
-    Mirrors the test-time protocol: indicator actuals after the training
-    period are treated as unavailable and replaced by ARIMA forecasts.  The
-    ARIMA grids of all indicators that need extending are fit in one run.
-    An enabled indicator that is absent for a series it applies to, that
-    starts after ``known_through``, or that would need more than
-    MAX_FORECAST_STEPS forecast quarters, raises MissingIndicatorError
-    before any fit.
-    """
+def _indicator_histories(dataset, config, known_through, needed_through) -> tuple[dict, list]:
+    """``extend_indicators``' checks, with no fit: each enabled indicator
+    truncated at ``known_through``, and the (key, steps) of those to extend."""
     out: dict[tuple[str, str], QuarterlySeries] = {}
     short = []
     for cfg in config.indicators:
@@ -320,6 +298,26 @@ def extend_indicators(
                 )
             if steps > 0:
                 short.append(((geo, ind), steps))
+    return out, short
+
+
+def extend_indicators(
+    dataset: Dataset,
+    config: FeatureConfig,
+    known_through: FiscalQuarter,
+    needed_through: FiscalQuarter,
+) -> dict[tuple[str, str], QuarterlySeries]:
+    """Truncate indicators at ``known_through`` and extend them with forecasts.
+
+    Mirrors the test-time protocol: indicator actuals after the training
+    period are treated as unavailable and replaced by ARIMA forecasts.  The
+    ARIMA grids of all indicators that need extending are fit in one run.
+    An enabled indicator that is absent for a series it applies to, that
+    starts after ``known_through``, or that would need more than
+    MAX_FORECAST_STEPS forecast quarters, raises MissingIndicatorError
+    before any fit.
+    """
+    out, short = _indicator_histories(dataset, config, known_through, needed_through)
     fits = auto_select_many([out[key] for key, _ in short])
     for (key, steps), fit in zip(short, fits):
         if isinstance(fit, Exception):

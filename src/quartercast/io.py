@@ -237,15 +237,19 @@ def report_from_dict(doc: dict) -> EvaluationReport:
         results.append((at, key, HorizonCell(mape=_field(entry, "mape", at, _NUMBER), details=tuple(details))))
     geos = _distinct(doc, "geos", lambda g: isinstance(g, str), "strings")
     horizons = _distinct(doc, "horizons", lambda h: type(h) is int and h >= 1, "integers >= 1")
-    for at, key, _ in results:
+    cells = {}
+    for at, key, cell in results:
         for name, value, allowed in zip(("geo", "horizon"), key, (geos, horizons)):
             if value not in allowed:
                 raise SchemaMismatchError(f"{at} field {name!r} is {value!r}, not one of the report's '{name}s'")
+        if key in cells:
+            raise SchemaMismatchError(f"{at} repeats the cell of geo {key[0]!r}, horizon {key[1]}")
+        cells[key] = cell
     return EvaluationReport(
         model=_field(doc, "model", "report", str),
         geos=geos,
         horizons=horizons,
-        cells={key: cell for _, key, cell in results},
+        cells=cells,
         metadata=_field(doc, "metadata", "report", dict),
     )
 

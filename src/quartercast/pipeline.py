@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import NonconvergenceError, SchemaMismatchError, ValidationError
 from .features import (
-    ForecastCache,
-    build_row,
-    build_training_matrix,
-    extend_indicators,
-    fit_windows,
-    row_windows,
-    training_windows,
+    ForecastCache, _fit_rows, _indicator_histories, _plan_row, _training_plans, extend_indicators, fit_windows,
 )
 from .fiscal import FiscalQuarter, quarter_add, quarter_range
 from .forest import ForestParams, predict_forest, train_forest
@@ -202,41 +196,33 @@ def _forest_run(
     forest_params: ForestParams,
     config: FeatureConfig,
     cache: ForecastCache | None,
-    known_through: FiscalQuarter,
-    needed_through: FiscalQuarter,
 ) -> ModelRunResult:
     """Train one global forest on the training range and predict each (geo, origin, h) key.
 
-    Indicators are treated as unknown after ``known_through`` and extended
-    with ARIMA forecasts through ``needed_through`` for the predicted rows.
+    Indicators are treated as unknown after the first predicted origin and
+    extended with ARIMA forecasts through the last predicted target.
     """
-    if cache is None:
-        cache = ForecastCache()
     ids = dataset.series_ids()
-    # The indicator checks and extensions come before any window fit, so a
-    # bad indicator is reported first.
+    known_through = min(origin for _, origin, _ in keys)
+    needed_through = max(quarter_add(origin, h) for _, origin, h in keys)
+    # Every row is planned, and so checked, before any window is fit: the
+    # column and indicator checks, the training rows, the indicator
+    # extensions the test rows read, the test rows; then one fit for all.
     names = feature_names(ids, config)
-    indicator_series = None
-    if config.indicators and config.macro_source == "indicator":
-        indicator_series = extend_indicators(dataset, config, known_through, needed_through)
-    fit_windows(
-        training_windows(dataset, train_range)
-        + row_windows(dataset, ((geo, origin) for geo, origin, _ in keys)),
-        cache,
-    )
-    train_rows = build_training_matrix(dataset, train_range, config, cache)
+    extend = config.indicators and config.macro_source == "indicator"
+    if extend:
+        _indicator_histories(dataset, config, known_through, needed_through)
+    train_plans = _training_plans(dataset, train_range, config)
+    indicator_series = extend_indicators(dataset, config, known_through, needed_through) if extend else None
+    test_plans = [_plan_row(dataset, geo, origin, h, config, False, indicator_series) for geo, origin, h in keys]
+    rows = _fit_rows(train_plans + test_plans, cache)
+    train_rows, test_rows = rows[: len(train_plans)], rows[len(train_plans) :]
     X, y = rows_to_matrix(train_rows, ids, config)
     forest = train_forest(X, y, forest_params, names)
-
-    test_rows = []
-    predictions: dict[tuple[str, FiscalQuarter, int], float] = {}
-    for geo, origin, h in keys:
-        row = build_row(
-            dataset, geo, origin, h, config, training=False,
-            indicator_series=indicator_series, cache=cache,
-        )
-        test_rows.append(row)
-        predictions[(geo, row.target_quarter, h)] = predict_forest(forest, row_vector(row, ids, config))
+    predictions = {
+        (row.geo, row.target_quarter, row.horizon): predict_forest(forest, row_vector(row, ids, config))
+        for row in test_rows
+    }
     return ModelRunResult(predictions, forest=forest, train_rows=train_rows, test_rows=test_rows)
 
 
@@ -250,10 +236,7 @@ def model2_run(
 ) -> ModelRunResult:
     """Train one global forest on the training range, predict the test range."""
     _validate_ranges(train_range, test_range)
-    return _forest_run(
-        dataset, train_range, _test_keys(dataset, test_range), forest_params, config,
-        cache, known_through=quarter_add(test_range[0], -1), needed_through=test_range[1],
-    )
+    return _forest_run(dataset, train_range, _test_keys(dataset, test_range), forest_params, config, cache)
 
 
 def model3_run(
@@ -287,10 +270,7 @@ def final_origin_forecasts(
     if not train_range[0] <= train_range[1] <= origin:
         raise ValidationError("training range must be ordered and end within history")
     keys = [(geo, origin, h) for geo in dataset.series_ids() for h in range(1, h_max + 1)]
-    return _forest_run(
-        dataset, train_range, keys, forest_params, config, cache,
-        known_through=origin, needed_through=quarter_add(origin, h_max),
-    )
+    return _forest_run(dataset, train_range, keys, forest_params, config, cache)
 
 
 def config_hash(payload: dict) -> str:

@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContiguityError, InsufficientDataError, ValidationError
+from .errors import ContiguityError, InsufficientDataError, MissingIndicatorError, ValidationError
 from .fiscal import FiscalQuarter, quarter_add, quarter_diff
 
 TOTAL_ID = "TOTAL"
@@ -214,7 +214,5 @@ class Dataset:
     def indicator_for(self, geo: str, indicator_id: str) -> QuarterlySeries:
         key = (geo, indicator_id)
         if key not in self.indicators:
-            from .errors import MissingIndicatorError
-
             raise MissingIndicatorError(f"no indicator {indicator_id!r} for geography {geo!r}")
         return self.indicators[key]

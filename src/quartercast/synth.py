@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fiscal import FiscalQuarter
-from .series import Dataset, QuarterlySeries
+from .series import TOTAL_ID, Dataset, QuarterlySeries
 
 log = logging.getLogger(__name__)
 
@@ -126,7 +126,6 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     total_ind = np.zeros(n)
     for (geo, _), s in sorted(indicators.items()):
         total_ind += s.to_array()
-    from .series import TOTAL_ID
 
     indicators[(TOTAL_ID, spec.indicator_id)] = QuarterlySeries(TOTAL_ID, spec.start, total_ind)
     return Dataset.build(revenue, indicators=indicators)

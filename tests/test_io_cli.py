@@ -400,12 +400,16 @@ class TestReportSerialization:
             (_report_text(result_geo="B"), "field 'geo' is 'B'"),
             (_report_text(result_horizon=5), "field 'horizon' is 5"),
             (_report_text(result_horizon=True), "field 'horizon' must be an integer"),
+            (
+                json.dumps(dict(json.loads(_report_text()), results=2 * json.loads(_report_text())["results"])),
+                "repeats the cell of geo 'A', horizon 1",
+            ),
         ],
         ids=[
             "truncated", "no-results", "no-details", "results-not-a-list", "not-an-object",
             "geo-a-number", "geo-a-list", "geos-repeated", "geos-not-a-list", "horizon-a-bool",
             "horizon-zero", "horizon-a-float", "horizons-repeated", "result-geo-unlisted",
-            "result-horizon-unlisted", "result-horizon-a-bool",
+            "result-horizon-unlisted", "result-horizon-a-bool", "result-cell-repeated",
         ],
     )
     def test_damaged_report_names_the_path_and_field(self, text, named, tmp_path, capsys):
@@ -856,6 +860,26 @@ class TestCliBadInputs:
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["backtest", "forecast"])
+    def test_indicator_starting_after_the_first_training_row_rejected_before_any_fit(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "auto_select_many", self._no_fit)
+        ds = generate_synthetic(SynthSpec(n_geos=1, n_quarters=24, seed=2))  # 2009Q1-2014Q4
+        ind = tmp_path / "ind.csv"
+        late = FiscalQuarter(2012, 1)  # before the last training quarter, after the first growth read
+        write_indicator_csv({key: QuarterlySeries(s.id, late, s.values[12:]) for key, s in ds.indicators.items()}, ind)
+        cfg = self._backtest_config(
+            tmp_path, model="m3", indicators_csv=str(ind), indicators=[{"id": "indicator"}],
+            train_range=["2013Q1", "2013Q4"], test_range=["2014Q1", "2014Q4"],
+        )
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        # the first training row forecasts 2013Q1 from 2012Q4, whose growth reads 2011Q4
+        assert "'indicator' for geography 'Geo_1' does not cover both 2011Q4 and 2012Q4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["backtest", "forecast"])
     def test_indicator_starting_after_known_through_rejected_before_any_fit(

@@ -16,15 +16,20 @@ from quartercast import (
     auto_select,
     auto_select_ets,
     backtest,
+    build_row,
+    build_training_matrix,
     compare_expert,
     compare_horizons,
     compare_reports,
+    extend_indicators,
     final_origin_forecasts,
+    fit_windows,
     forecast_arima,
     forecast_indicator,
     forecast_ets,
     mape,
     model1_forecast,
+    model2_run,
     model3_run,
     model_config,
     parse_quarter,
@@ -214,6 +219,49 @@ class TestModelRules:
                 backtest(dataset, "m3", train, test, params, config=cfg)
             else:
                 final_origin_forecasts(dataset, train, params, cfg)
+
+
+class TestRowPath:
+    """Models 2 and 3 plan every row, then fit all their windows in one call,
+    and build the rows the public row builders build."""
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        calls = []
+
+        def counting(windows, cache=None):
+            calls.append(len(windows))
+            return fit_windows(windows, cache)
+
+        monkeypatch.setattr(pipeline, "fit_windows", counting)
+        monkeypatch.setattr(features, "fit_windows", counting)
+        return calls
+
+    @pytest.mark.parametrize("run", ["model2_run", "model3_run", "final_origin_forecasts"])
+    def test_one_window_fit_per_run(self, run, small_dataset, small_ranges, small_cache, monkeypatch):
+        calls = self._count_fits(monkeypatch)
+        train, test = small_ranges
+        params = ForestParams(n_trees=2, seed=1)
+        cfg = FeatureConfig(indicators=(IndicatorConfig("indicator"),))
+        if run == "model2_run":
+            model2_run(small_dataset, train, test, params, cache=small_cache)
+        elif run == "model3_run":
+            model3_run(small_dataset, train, test, params, cfg, cache=small_cache)
+        else:
+            final_origin_forecasts(small_dataset, train, params, cfg, cache=small_cache)
+        assert len(calls) == 1
+
+    def test_rows_equal_the_public_row_builders(self, small_dataset, small_ranges, small_cache):
+        train, test = small_ranges
+        cfg = FeatureConfig(indicators=(IndicatorConfig("indicator"),))
+        run = model3_run(small_dataset, train, test, ForestParams(n_trees=2, seed=1), cfg, cache=small_cache)
+        assert run.train_rows == build_training_matrix(small_dataset, train, cfg, small_cache)
+        extended = extend_indicators(small_dataset, cfg, quarter_add(test[0], -1), test[1])
+        assert run.test_rows == [
+            build_row(small_dataset, r.geo, r.origin, r.horizon, cfg, indicator_series=extended, cache=small_cache)
+            for r in run.test_rows
+        ]
+        assert len(run.test_rows) == len(run.predictions)
 
 
 class TestFinalOrigin:
