@@ -52,20 +52,17 @@ class Model1Result:
     candidates: dict[str, Model1Candidate]
 
 
-def _eval_quarters(origin: FiscalQuarter) -> list[FiscalQuarter]:
-    """The quarters of Model 1's trailing evaluation at origin, oldest first."""
-    return [quarter_add(origin, -k) for k in range(MODEL1_EVAL_QUARTERS - 1, -1, -1)]
-
-
-def _model1_windows(series: QuarterlySeries, origin: FiscalQuarter) -> list[QuarterlySeries]:
-    """The 14-quarter windows Model 1 fits at origin: one before each
-    evaluation quarter, then the one ending at origin.
+def _model1_plan(series: QuarterlySeries, origin: FiscalQuarter) -> tuple[list[QuarterlySeries], list[float]]:
+    """The 14-quarter windows Model 1 fits at origin (one before each of the
+    four evaluation quarters, then the one ending at origin) and the
+    evaluation quarters' actuals, oldest first.
 
     Raises InsufficientDataError without 14 + 4 quarters of history.
     """
     series.window(origin, MODEL1_WINDOW + MODEL1_EVAL_QUARTERS)  # history check
-    ends = [quarter_add(t, -1) for t in _eval_quarters(origin)] + [origin]
-    return [series.window(end, MODEL1_WINDOW) for end in ends]
+    quarters = [quarter_add(origin, -k) for k in range(MODEL1_EVAL_QUARTERS - 1, -1, -1)]
+    ends = [quarter_add(t, -1) for t in quarters] + [origin]
+    return [series.window(end, MODEL1_WINDOW) for end in ends], [series.value_at(t) for t in quarters]
 
 
 def _one_step(entry) -> dict:
@@ -82,6 +79,35 @@ def _one_step(entry) -> dict:
     return fcs
 
 
+def _model1_select(entries, actuals, origin, include_average) -> Model1Result:
+    """The Model-1 result at origin from the cache entries of its ``_model1_plan`` windows."""
+    steps = [_one_step(entry) for entry in entries]
+    final = steps[-1]  # the window ending at origin; the others precede the actuals
+    allowed = MODEL1_CANDIDATES if include_average else MODEL1_CANDIDATES[:3]
+    failed = [name for name in allowed if any(step[name] is None for step in steps)]
+
+    candidates: dict[str, Model1Candidate] = {}
+    for name in allowed:
+        if name in failed:
+            continue
+        candidates[name] = Model1Candidate(
+            forecast=float(final[name]),
+            trailing_mape=mape([(actual, step[name]) for actual, step in zip(actuals, steps)]),
+        )
+    if failed:
+        log.warning("model 1 at %s: %d candidate(s) failed to fit: %s", origin, len(failed), ", ".join(failed))
+    if not candidates:
+        raise NonconvergenceError(f"no model-1 candidate could be fit at {origin}")
+
+    chosen = None
+    for name in allowed:  # priority order breaks ties
+        if name in candidates and (
+            chosen is None or candidates[name].trailing_mape < candidates[chosen].trailing_mape
+        ):
+            chosen = name
+    return Model1Result(forecast=candidates[chosen].forecast, chosen=chosen, candidates=candidates)
+
+
 def model1_forecast(
     series: QuarterlySeries,
     origin: FiscalQuarter,
@@ -96,32 +122,8 @@ def model1_forecast(
     one-step MAPE over those quarters.  A base model whose fit fails drops
     out of both the trailing evaluation and the selection.
     """
-    steps = [_one_step(entry) for entry in fit_windows(_model1_windows(series, origin), cache)]
-    actuals = [series.value_at(t) for t in _eval_quarters(origin)]
-    final = steps[-1]  # the window ending at origin; the others precede the actuals
-    failed = {name for step in steps for name in MODEL1_CANDIDATES if step[name] is None}
-
-    allowed = MODEL1_CANDIDATES if include_average else MODEL1_CANDIDATES[:3]
-    candidates: dict[str, Model1Candidate] = {}
-    for name in allowed:
-        if name in failed:
-            continue
-        candidates[name] = Model1Candidate(
-            forecast=float(final[name]),
-            trailing_mape=mape([(actual, step[name]) for actual, step in zip(actuals, steps)]),
-        )
-    if failed:
-        log.warning("model 1 at %s: %d candidate(s) failed to fit", origin, len(failed))
-    if not candidates:
-        raise NonconvergenceError(f"no model-1 candidate could be fit at {origin}")
-
-    chosen = None
-    for name in allowed:  # priority order breaks ties
-        if name in candidates and (
-            chosen is None or candidates[name].trailing_mape < candidates[chosen].trailing_mape
-        ):
-            chosen = name
-    return Model1Result(forecast=candidates[chosen].forecast, chosen=chosen, candidates=candidates)
+    windows, actuals = _model1_plan(series, origin)
+    return _model1_select(fit_windows(windows, cache), actuals, origin, include_average)
 
 
 def model1_run(
@@ -132,17 +134,15 @@ def model1_run(
 ) -> dict[tuple[str, FiscalQuarter], Model1Result]:
     """model1_forecast of every series at every origin, keyed (series id, origin).
 
-    All keys' windows are listed first (InsufficientDataError comes before
-    any fit) and fit in one run; each selection then reads the warm cache.
+    Every key is planned first (InsufficientDataError comes before any
+    fit), then all their windows are fit in one ``fit_windows`` call.
     """
-    if cache is None:
-        cache = ForecastCache()
     keys = [(geo, origin) for geo in dataset.series_ids() for origin in origins]
-    windows = [w for geo, origin in keys for w in _model1_windows(dataset.series_for(geo), origin)]
-    fit_windows(windows, cache)
+    plans = [_model1_plan(dataset.series_for(geo), origin) for geo, origin in keys]
+    entries = iter(fit_windows([window for windows, _ in plans for window in windows], cache))
     return {
-        (geo, origin): model1_forecast(dataset.series_for(geo), origin, include_average, cache)
-        for geo, origin in keys
+        key: _model1_select([next(entries) for _ in windows], actuals, key[1], include_average)
+        for key, (windows, actuals) in zip(keys, plans)
     }
 
 
@@ -311,6 +311,8 @@ def backtest(
     origin, horizon) -> forecast that replaces the model entirely.
     """
     _validate_ranges(train_range, test_range)
+    if test_range[1] > dataset.total.end:
+        raise ValidationError(f"test range ends at {test_range[1]}, after history ends at {dataset.total.end}")
     config = model_config(model, config)
     meta = {
         "model": model,

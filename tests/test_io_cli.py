@@ -810,11 +810,14 @@ class TestCliBadInputs:
             ({"macro_at_origin": 1}, "'macro_at_origin' must be true or false, got 1"),
             ({"macro_at_target": None}, "'macro_at_target' must be true or false, got None"),
             ({"model1_include_average": "no"}, "'model1_include_average' must be true or false"),
+            ({"model": "m1", "test_range": ["2014Q2", "2015Q1"]}, "ends at 2015Q1, after history ends at 2014Q4"),
+            ({"model": "m2", "test_range": ["2014Q2", "2015Q1"]}, "ends at 2015Q1, after history ends at 2014Q4"),
         ],
         ids=["indicator-without-id", "geos-not-a-list", "indicators-not-a-list", "forest-a-list",
              "forest-null", "output-format-xml", "revenue-csv-a-list", "revenue-csv-null",
              "indicators-csv-a-number", "seed-a-string", "seed-a-fraction", "lag-flag-a-string",
-             "origin-flag-a-number", "target-flag-null", "average-flag-a-string"],
+             "origin-flag-a-number", "target-flag-null", "average-flag-a-string",
+             "m1-test-range-past-history", "m2-test-range-past-history"],
     )
     def test_malformed_section_rejected_before_any_fit(self, overrides, named, tmp_path, capsys, monkeypatch):
         def no_fit(windows, cache=None):

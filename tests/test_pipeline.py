@@ -10,6 +10,7 @@ from quartercast import (
     IndicatorConfig,
     InsufficientDataError,
     MissingIndicatorError,
+    NonconvergenceError,
     QuarterlySeries,
     SchemaMismatchError,
     ValidationError,
@@ -29,6 +30,7 @@ from quartercast import (
     forecast_ets,
     mape,
     model1_forecast,
+    model1_run,
     model2_run,
     model3_run,
     model_config,
@@ -102,6 +104,68 @@ class TestModel1:
         s = QuarterlySeries("c", START, [100.0] * 17)
         with pytest.raises(InsufficientDataError):
             model1_forecast(s, s.end)
+
+    @pytest.mark.parametrize(
+        "include_average, dropped",
+        [(True, "2 candidate(s) failed to fit: arima, average"), (False, "1 candidate(s) failed to fit: arima")],
+    )
+    def test_warning_names_the_dropped_candidates_it_was_given(self, include_average, dropped, caplog):
+        s = high_phi_series(n=24)
+        cache = ForecastCache()
+        for window in (s.window(quarter_add(s.end, -k), 14) for k in range(5)):  # Model 1's windows
+            cache.put(window.values, (NonconvergenceError("no fit"), (60.0,) * 4, (61.0,) * 4))
+        with caplog.at_level("WARNING", logger="quartercast.pipeline"):
+            result = model1_forecast(s, s.end, include_average=include_average, cache=cache)
+        assert set(result.candidates) == {"ets", "stl"}
+        assert [r.getMessage() for r in caplog.records] == [f"model 1 at {s.end}: {dropped}"]
+
+
+class TestModel1Path:
+    """model1_run plans every (series, origin) key, then fits all their
+    windows in one call, and selects what model1_forecast selects."""
+
+    @staticmethod
+    def _origins(test):
+        return quarter_range(quarter_add(test[0], -1), quarter_add(test[1], -1))
+
+    @pytest.mark.parametrize("run", ["model1_run", "backtest"])
+    def test_one_window_fit_per_run(self, run, small_dataset, small_ranges, small_cache, monkeypatch):
+        calls = []
+
+        def counting(windows, cache=None):
+            calls.append(len(windows))
+            return fit_windows(windows, cache)
+
+        def no_forecast(*args, **kwargs):
+            raise AssertionError("model1_forecast was called")
+
+        monkeypatch.setattr(pipeline, "fit_windows", counting)
+        monkeypatch.setattr(features, "fit_windows", counting)
+        monkeypatch.setattr(pipeline, "model1_forecast", no_forecast)
+        train, test = small_ranges
+        if run == "model1_run":
+            model1_run(small_dataset, self._origins(test), cache=small_cache)
+        else:
+            backtest(small_dataset, "m1", train, test, cache=small_cache)
+        assert calls == [5 * len(small_dataset.series_ids()) * len(self._origins(test))]
+
+    @pytest.mark.parametrize("include_average", [True, False])
+    def test_each_key_equals_model1_forecast(self, include_average, small_dataset, small_ranges, small_cache):
+        origins = self._origins(small_ranges[1])
+        results = model1_run(small_dataset, origins, include_average, small_cache)
+        assert list(results) == [(geo, origin) for geo in small_dataset.series_ids() for origin in origins]
+        for (geo, origin), result in results.items():
+            assert result == model1_forecast(small_dataset.series_for(geo), origin, include_average, small_cache)
+
+    def test_short_history_rejected_before_any_fit(self, small_dataset, monkeypatch):
+        def no_fit(windows, cache=None):
+            raise AssertionError("a window was fit")
+
+        monkeypatch.setattr(pipeline, "fit_windows", no_fit)
+        end = small_dataset.total.end
+        first_short = quarter_add(small_dataset.total.start, 16)
+        with pytest.raises(InsufficientDataError):
+            model1_run(small_dataset, [end, first_short])
 
 
 class TestModel2:
