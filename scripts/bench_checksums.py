@@ -1,12 +1,12 @@
 """Check the benchmark's output checksums against perfbench/README.md.
 
-    python3 scripts/bench_checksums.py --seed 1 --seconds 1 m1-backtest m2m3-backtest
+    python3 scripts/bench_checksums.py --seed 1 2 --seconds 1 m1-backtest m2m3-backtest
 
-For each workload, runs ``perfbench/run.py --trace 0`` in a temporary copy
-of ``src/`` and ``perfbench/`` (the checkout is only read), then compares
-the sha256 of every output with the first 16 hex digits that the "Output
-checksums" tables of ``perfbench/README.md`` give for the seed.  Exits 1
-when a run fails or reports a failed operation, or when an output's
+For each seed and workload, runs ``perfbench/run.py --trace 0`` in one
+temporary copy of ``src/`` and ``perfbench/`` (the checkout is only read),
+then compares the sha256 of every output with the first 16 hex digits that
+the "Output checksums" tables of ``perfbench/README.md`` give for the seed.
+Exits 1 when a run fails or reports a failed operation, or when an output's
 checksum differs from the table or is missing.
 """
 
@@ -64,7 +64,7 @@ def run_workload(workdir: Path, workload: str, seed: int, seconds: float):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("workloads", nargs="+")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
 
@@ -74,21 +74,22 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         for name in ("src", "perfbench"):
             shutil.copytree(ROOT / name, workdir / name, ignore=shutil.ignore_patterns("work", "__pycache__"))
-        for workload in args.workloads:
-            expected = tables.get(workload, {}).get(args.seed)
-            if not expected:
-                print(f"{workload}: perfbench/README.md has no checksums for seed {args.seed}")
-                bad += 1
-                continue
-            correct, digests = run_workload(workdir, workload, args.seed, args.seconds)
-            if not correct:
-                print(f"{workload} seed {args.seed}: the run failed")
-                bad += 1
-            for output, prefix in expected.items():
-                got = digests.get(output, "missing")
-                ok = got.startswith(prefix)
-                bad += not ok
-                print(f"{workload} seed {args.seed} {output}: {got[:16]} {'==' if ok else '!='} {prefix}")
+        for seed in args.seed:
+            for workload in args.workloads:
+                expected = tables.get(workload, {}).get(seed)
+                if not expected:
+                    print(f"{workload}: perfbench/README.md has no checksums for seed {seed}")
+                    bad += 1
+                    continue
+                correct, digests = run_workload(workdir, workload, seed, args.seconds)
+                if not correct:
+                    print(f"{workload} seed {seed}: the run failed")
+                    bad += 1
+                for output, prefix in expected.items():
+                    got = digests.get(output, "missing")
+                    ok = got.startswith(prefix)
+                    bad += not ok
+                    print(f"{workload} seed {seed} {output}: {got[:16]} {'==' if ok else '!='} {prefix}")
     return 1 if bad else 0
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_INF = float("inf")
-
 # Searches run at once in a lockstep run.  Fixed, not a setting: results do
 # not depend on it, only time and memory do (see the README's window-fit
 # section).
@@ -86,12 +84,12 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
     free, the next members in order take them.  Memory therefore scales
     with ``width``, not with the number of members.
 
-    Each pass calls ``f`` once, with the trial points of every search and
-    the vertices the previous pass's shrink steps moved: a search that
-    shrinks sits out one pass while those are scored.  A pass that admits
-    members scores their simplexes in one more call first.  So with
-    ``width`` at least the number of members, a run takes as many passes
-    as its longest search has iterations plus shrink steps.
+    Each pass is one iteration of every search in progress.  It calls
+    ``f`` once with the trial points of every search and, when some
+    searches shrink, once more with the vertices their shrink steps moved.
+    A pass that admits members scores their simplexes in one more call
+    first.  So with ``width`` at least the number of members, a run takes
+    as many passes as its longest search has iterations.
 
     Returns (best_x (M, N), best_f (M,), iterations (M,)): the best point,
     value and iteration count of each member's search.  Each search
@@ -125,19 +123,17 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
     # dimension.  Their simplexes are stored vertex-major, S[j, r] being
     # vertex j of row r, so that one vertex of every row is one contiguous
     # block; F[r, j] is its value.  Each row also has its member,
-    # dimension, iteration count, cap, tolerances and a flag for a shrink
-    # step whose vertices still await their values.  Sorting and dropping
+    # dimension, iteration count, cap and tolerances.  Sorting and dropping
     # ended searches gather into the spare buffers, which then swap in.
     S = np.empty((n_vertices, width, n_dims))
     S_spare = np.empty_like(S)
     F, F_spare = np.empty((width, n_vertices)), np.empty((width, n_vertices))
-    row_ints = np.zeros((5, width), dtype=np.intp)
-    ids, dim, nit, cap, wait = row_ints
+    row_ints = np.zeros((4, width), dtype=np.intp)
+    ids, dim, nit, cap = row_ints
     row_tols = np.empty((2, width))
     xtol, ftol = row_tols
     slots = np.arange(n_vertices)
     m = queued = 0
-    waiting = False  # whether some row's shrunk vertices await their values
 
     def layout():
         """Index arrays of the current rows: row numbers, dimensions, flat
@@ -169,7 +165,7 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
                 ids[lo:m], cap[lo:m], xtol[lo:m], ftol[lo:m] = new, caps[new], xtols[new], ftols[new]
                 queued += m - lo
                 dim[lo:m] = all_dims[ids[lo:m]]
-                nit[lo:m] = wait[lo:m] = 0
+                nit[lo:m] = 0
                 F[lo:m] = np.nan
                 r, c = np.nonzero(slots <= dim[lo:m, None])
                 F[lo + r, c] = f(ids[lo + r], S[c, lo + r])
@@ -177,22 +173,15 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
             if m == 0:
                 break
 
-            # Sort every row's vertices by value (stable, so NaN goes last),
-            # except a row whose shrunk vertices are not scored yet; end the
-            # searches that have converged or reached their cap; gather the
-            # rest, sorted, into the front rows, in order of falling
-            # dimension.
+            # Sort every row's vertices by value (stable, so NaN goes last);
+            # end the searches that have converged or reached their cap;
+            # gather the rest, sorted, into the front rows, in order of
+            # falling dimension.
             order = np.argsort(F[:m], axis=1, kind="stable")
-            if waiting:
-                order[wait[:m] == 1] = slots
             Fs = F_spare[:m]
             np.take(F, order + at, out=Fs, mode="clip")
             fspread = Fs.take(worst_at) - Fs[:, 0]
             done = nit[:m] >= cap[:m]
-            if waiting:
-                ready = wait[:m] == 0
-                done &= ready
-                fspread[~ready] = _INF
             # The coordinate spread (over the real vertices, against the best)
             # is needed only where the value spread passes.
             near = ((fspread <= ftol[:m]) & ~done).nonzero()[0]
@@ -223,27 +212,18 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
             if not m:
                 continue
 
-            # One Nelder-Mead step of every ready row, and the values of the
-            # vertices the last pass's shrink steps moved, in one evaluation.
-            # Trial points 0-3 of every row: reflection, expansion, inside and
-            # outside contraction; the later ones are discarded where the
-            # scalar search would not have reached them.  Point 4 is the
-            # worst vertex, which a row keeps when it shrinks or waits.
+            # One Nelder-Mead step of every row, its trial points in one
+            # evaluation.  Trial points 0-3 of every row: reflection,
+            # expansion, inside and outside contraction; the later ones are
+            # discarded where the scalar search would not have reached them.
+            # Point 4 is the worst vertex, which a row keeps when it shrinks.
             points = np.empty((5, m, n_dims))
             worst = points[4]
             np.take(S.reshape(-1, n_dims), worst_in_s, axis=0, out=worst)
             np.multiply(_CENTROID_WEIGHT, _centroid(S, m, d, with_vertex), out=points[:4])
             points[:4] -= _WORST_WEIGHT * worst
-            members, trials = members4, points[:4].reshape(-1, n_dims)
-            if waiting:
-                pr, pj = np.nonzero((wait[:m, None] == 1) & (slots >= 1) & (slots <= d[:, None]))
-                members = np.concatenate([members, ids[pr]])
-                trials = np.concatenate([trials, S[pj, pr]])
-            values = f(members, trials)
-            if waiting:
-                F[pr, pj] = values[4 * m :]
             fworst = F.take(worst_at)
-            values = np.concatenate([values[: 4 * m], fworst]).reshape(5, m)
+            values = np.concatenate([f(members4, points[:4].reshape(-1, n_dims)), fworst]).reshape(5, m)
             fr, fe = values[0], values[1]
 
             # The point each row keeps: the one the scalar search would.
@@ -255,21 +235,17 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
             toward_reflection = fr < fworst
             pick = np.where(contract, np.where(toward_reflection, 2, 3), expand & (fe < fr))
             shrink = contract & ~(values[pick, rows] < np.where(toward_reflection, fr, fworst))
-            if waiting:
-                ready = wait[:m] == 0
-                shrink &= ready
-                pick[~ready] = 4
-                nit[:m] += ready
-            else:
-                nit[:m] += 1
+            nit[:m] += 1
             pick[shrink] = 4
             S.reshape(-1, n_dims)[worst_in_s] = points[pick, rows]
             F.reshape(-1)[worst_at] = values[pick, rows]
-            waiting = bool(shrink.any())
-            wait[:m] = shrink
-            if waiting:
+            # A shrink moves every vertex but the best halfway toward it, and
+            # scores them at once, as the scalar search does.
+            if shrink.any():
                 r, j = np.nonzero(shrink[:, None] & (slots >= 1) & (slots <= d[:, None]))
-                S[j, r] = 0.5 * (S[j, r] + S[0, r])
+                moved = 0.5 * (S[j, r] + S[0, r])
+                S[j, r] = moved
+                F[r, j] = f(ids[r], moved)
 
     return best_x, best_f, iterations
 

@@ -313,8 +313,10 @@ class _CssObjective:
             terms[0] = E[t]
             np.multiply(ma, E[t - L : t][::-1], out=terms[1:])
             np.subtract.reduce(terms, axis=0, out=E[t])
-        # The CSS adds the squares in sequence, as the scalar sum does
-        # (np.sum would add them pairwise): accumulate is a left fold.
+        # The CSS adds the squares in sequence, as the scalar sum does:
+        # accumulate is a left fold at every batch size, while np.add.reduce
+        # adds a one-row batch (as a shrink step often scores) pairwise from
+        # 8 quarters on.
         np.multiply(x, x, out=tmp)
         out[ok] = np.add.accumulate(tmp, axis=0)[-1] / self.denom[members]
         return out

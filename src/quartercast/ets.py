@@ -297,6 +297,9 @@ class _SseObjective:
         np.multiply(E, E, out=E)
         if live is not None:
             E = np.where(live, E, 0.0)
+        # A left fold at every batch size, as the scalar sum adds; np.add.reduce
+        # adds a one-row batch (as a shrink step often scores) pairwise from 8
+        # quarters on.
         sse = np.add.accumulate(E, axis=0)[-1]
         return sse * (1.0 + drift) + drift
 

@@ -69,6 +69,8 @@ class ForestParams:
                 continue
             kind = "an integer or None" if optional else "an integer"
             raise ValidationError(f"{name} must be {kind}, got {value!r}")
+        if not isinstance(self.bootstrap, bool):
+            raise ValidationError(f"bootstrap must be a boolean, got {self.bootstrap!r}")
         if self.n_trees < 1:
             raise ValidationError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.mtry is not None and self.mtry < 1:
@@ -605,12 +607,15 @@ def _active_features(X: np.ndarray) -> np.ndarray:
     )
 
 
+def check_mtry(params: ForestParams, n_features: int) -> None:
+    """Reject an ``mtry`` above ``n_features``: ``train_forest``'s rule, which callers can apply before fitting."""
+    if params.mtry is not None and params.mtry > n_features:
+        raise ValidationError(f"mtry {params.mtry} exceeds feature count {n_features}")
+
+
 def _resolve_mtry(params: ForestParams, n_features: int, n_active: int) -> int:
-    if params.mtry is not None:
-        if params.mtry > n_features:
-            raise ValidationError(f"mtry {params.mtry} exceeds feature count {n_features}")
-        return params.mtry
-    return max(1, n_active // 3)
+    check_mtry(params, n_features)
+    return params.mtry if params.mtry is not None else max(1, n_active // 3)
 
 
 def _oob_score(trees, samples, X, y) -> tuple[float, int]:

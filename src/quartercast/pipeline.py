@@ -24,7 +24,7 @@ from .features import (
     ForecastCache, _fit_rows, _indicator_histories, _plan_row, _training_plans, extend_indicators, fit_windows,
 )
 from .fiscal import FiscalQuarter, quarter_add, quarter_range
-from .forest import ForestParams, predict_forest, train_forest
+from .forest import ForestParams, check_mtry, predict_forest, train_forest
 from .metrics import ape, mape, relative_improvement
 from .reports import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
 from .rows import MAX_HORIZON, FeatureConfig, feature_names, row_vector, rows_to_matrix
@@ -206,9 +206,11 @@ def _forest_run(
     known_through = min(origin for _, origin, _ in keys)
     needed_through = max(quarter_add(origin, h) for _, origin, h in keys)
     # Every row is planned, and so checked, before any window is fit: the
-    # column and indicator checks, the training rows, the indicator
-    # extensions the test rows read, the test rows; then one fit for all.
+    # columns (and mtry against them), the indicator checks, the training
+    # rows, the indicator extensions the test rows read, the test rows;
+    # then one fit for all.
     names = feature_names(ids, config)
+    check_mtry(forest_params, len(names))
     extend = config.indicators and config.macro_source == "indicator"
     if extend:
         _indicator_histories(dataset, config, known_through, needed_through)

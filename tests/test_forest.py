@@ -353,6 +353,13 @@ class TestFromJsonMalformed:
         with pytest.raises(SchemaMismatchError, match="n_trees must be an integer"):
             forest_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", ["no", "false", 0, None])
+    def test_bootstrap_not_a_boolean(self, value):
+        doc = _document()
+        doc["params"]["bootstrap"] = value
+        with pytest.raises(SchemaMismatchError, match=f"forest 'params': bootstrap must be a boolean, got {value!r}"):
+            forest_from_json(json.dumps(doc))
+
     def test_trees_not_a_list(self):
         with pytest.raises(SchemaMismatchError, match="'trees' must be a list"):
             forest_from_json(json.dumps(_document(trees={"0": {"value": 1.0}})))

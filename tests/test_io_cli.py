@@ -800,6 +800,9 @@ class TestCliBadInputs:
             ({"indicators": "gdp"}, "'indicators'"),
             ({"forest": [1]}, "'forest'"),
             ({"forest": None}, "'forest'"),
+            ({"forest": {"n_trees": 2, "bootstrap": "no"}}, "'forest': bootstrap must be a boolean, got 'no'"),
+            ({"forest": {"n_trees": 2, "bootstrap": "false"}}, "'forest': bootstrap must be a boolean, got 'false'"),
+            ({"forest": {"n_trees": 2, "bootstrap": 0}}, "'forest': bootstrap must be a boolean, got 0"),
             ({"output_format": "xml"}, "'output_format'"),
             ({"revenue_csv": ["rev.csv"]}, "'revenue_csv'"),
             ({"revenue_csv": None}, "'revenue_csv'"),
@@ -814,7 +817,7 @@ class TestCliBadInputs:
             ({"model": "m2", "test_range": ["2014Q2", "2015Q1"]}, "ends at 2015Q1, after history ends at 2014Q4"),
         ],
         ids=["indicator-without-id", "geos-not-a-list", "indicators-not-a-list", "forest-a-list",
-             "forest-null", "output-format-xml", "revenue-csv-a-list", "revenue-csv-null",
+             "forest-null", "bootstrap-no", "bootstrap-a-string", "bootstrap-zero", "output-format-xml", "revenue-csv-a-list", "revenue-csv-null",
              "indicators-csv-a-number", "seed-a-string", "seed-a-fraction", "lag-flag-a-string",
              "origin-flag-a-number", "target-flag-null", "average-flag-a-string",
              "m1-test-range-past-history", "m2-test-range-past-history"],
@@ -829,6 +832,15 @@ class TestCliBadInputs:
         rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["backtest", "forecast"])
+    def test_mtry_above_the_feature_count_rejected_before_any_fit(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "fit_windows", self._no_fit)
+        cfg = self._backtest_config(tmp_path, forest={"n_trees": 2, "mtry": 999})
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "mtry 999 exceeds feature count" in capsys.readouterr().err
 
     def test_forecast_m1_flag_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)

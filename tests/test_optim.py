@@ -9,6 +9,7 @@ does) against the scalar searches run one after another.
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,8 +189,8 @@ def run_oracle(case):
 def run_searches(cases, width):
     """All members in one nelder_mead_batch run.
 
-    Also returns the passes: calls of f, less those that score the starting
-    simplexes of admitted members (one per call of ``start``).
+    Also returns the run's counts: calls of f, admissions (calls of
+    ``start``, each scored in one call of f) and passes (one centroid each).
     """
     n_dims = max(len(case["simplex"]) - 1 for case in cases)
     dims = [len(case["simplex"]) - 1 for case in cases]
@@ -206,11 +207,13 @@ def run_searches(cases, width):
         counts["admissions"] += 1
         return starts[ids]
 
-    result = nelder_mead_batch(
-        f, start, dims, maxiter=[case["cap"] for case in cases], xatol=[case["xatol"] for case in cases],
-        fatol=[case["fatol"] for case in cases], width=width,
-    )
-    return result, counts["calls"] - counts["admissions"]
+    with mock.patch.object(_optim, "_centroid", wraps=_optim._centroid) as centroid:
+        result = nelder_mead_batch(
+            f, start, dims, maxiter=[case["cap"] for case in cases], xatol=[case["xatol"] for case in cases],
+            fatol=[case["fatol"] for case in cases], width=width,
+        )
+    counts["passes"] = centroid.call_count
+    return result, counts
 
 
 objectives = st.sampled_from(["bowl", "terraced", "plateau", "rosenbrock", "wall"])
@@ -259,9 +262,9 @@ def test_random_batches_match_scalar_searches(cases, data):
 
 
 def test_passes_with_room_for_every_member_are_the_slowest_search_alone():
-    """With a place for every member, no search waits: the run takes as many
-    passes as its slowest member takes on its own, which is that member's
-    iterations plus the passes its shrink steps sit out."""
+    """With a place for every member, each pass is one iteration of every
+    search in progress: the run takes as many passes as its longest search
+    has iterations, and each member alone exactly its own iterations."""
     rng = np.random.default_rng(11)
     cases = []
     for n, kind, inside in [(2, "bowl", False), (5, "terraced", False), (9, "rosenbrock", False),
@@ -271,18 +274,47 @@ def test_passes_with_room_for_every_member_are_the_slowest_search_alone():
         x0 = rng.uniform(-0.5, 0.5, n) + (2.5 if inside else 0.0)
         cases.append({"f": f, "simplex": start_simplex(x0.tolist(), 0.3), "cap": 300, "xatol": 1e-6,
                       "fatol": 1e-10})
-    (_, _, nit), passes = run_searches(cases, len(cases))
-    alone = []
+    (_, _, nit), counts = run_searches(cases, len(cases))
+    assert counts["passes"] == max(nit)
+    shrank = []
     for m, case in enumerate(cases):
-        (_, _, own), own_passes = run_searches([case], None)
+        (_, _, own), alone = run_searches([case], None)
         assert own[0] == nit[m] == run_oracle(case)[2]
-        assert own_passes >= own[0]
-        alone.append(own_passes)
-    assert passes == max(alone)
-    assert any(a > i for a, i in zip(alone, nit))  # some members' shrink steps sat out passes
-    # Here the longest search (Rosenbrock in 9 dimensions) never shrinks, so
-    # the run takes exactly its iterations.
-    assert passes == max(nit)
+        assert alone["passes"] == own[0]
+        # A pass in which the search shrinks scores the moved vertices in a second call.
+        shrank.append(alone["calls"] > alone["passes"] + alone["admissions"])
+    assert any(shrank) and not all(shrank)
+    assert counts["calls"] > counts["passes"] + counts["admissions"]
+
+
+def first_shrink(case):
+    """The iteration in which the scalar search first shrinks its simplex."""
+    n = len(case["simplex"]) - 1
+    for cap in range(1, case["cap"] + 1):
+        calls = []
+        _, _, iters = nelder_mead(lambda x: calls.append(x) or case["f"](x), case["simplex"][0],
+                                  initial_simplex=case["simplex"], maxiter=cap, xatol=case["xatol"],
+                                  fatol=case["fatol"])
+        if len(calls) > n + 1 + 2 * iters:
+            return iters
+    raise AssertionError("the search never shrinks")
+
+
+@pytest.mark.parametrize("width", [None, 1])
+def test_cap_on_the_iteration_after_the_first_shrink(width):
+    """A search capped on the iteration right after its first shrink steps
+    from the shrunk simplex, scored in the pass that shrank it; beside it
+    the same search capped on the shrink itself, which ends on that
+    simplex, and a longer search."""
+    case = {"f": terraced(4.0), "simplex": start_simplex([0.4, -0.3, 0.2], 0.3), "cap": 300, "xatol": 1e-6,
+            "fatol": 1e-10}
+    shrink = first_shrink(case)
+    cases = [dict(case, cap=shrink + 1), dict(case, cap=shrink),
+             {**case, "f": rosenbrock, "simplex": start_simplex([-0.5] * 4, 0.2)}]
+    (best_x, best_f, nit), _ = run_searches(cases, width)
+    for m, member in enumerate(cases):
+        assert_member(best_x, best_f, nit, m, run_oracle(member))
+    assert (nit[0], nit[1]) == (shrink + 1, shrink) and nit[2] > shrink + 1
 
 
 # run_plans: plans of one run and of two (the second restarting around each
