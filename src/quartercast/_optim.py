@@ -3,11 +3,11 @@
 Kept in-tree because the fitting loops evaluate tiny objectives millions
 of times.  ``nelder_mead_batch`` runs many searches as numpy arrays, each
 with the bits of the textbook scalar search; ``nelder_mead`` is its
-one-search call, and ``run_plans`` puts the searches of several fitting
-modules (their plans) into one such run, and runs again the plans that
-ask for a second search (the ETS polish).  The update rules are the
-textbook ones (reflect 1, expand 2, contract 1/2, shrink 1/2) and the
-whole search is deterministic.
+one-search call, and ``run_plan`` runs the searches of one fitting
+module (its plan) as one such run; a module that searches twice (the
+ETS polish) calls it twice.  The update rules are the textbook ones
+(reflect 1, expand 2, contract 1/2, shrink 1/2) and the whole search is
+deterministic.
 """
 
 from __future__ import annotations
@@ -275,77 +275,28 @@ def _centroid(S, m, dims, with_vertex):
     return centroid
 
 
-def run_plans(plans) -> list:
-    """Search every member of every plan in one ``nelder_mead_batch`` run.
+def run_plan(plan):
+    """Search every member of a plan in one ``nelder_mead_batch`` run.
 
-    A plan is the searches one fitting module submits.  It has
-    ``n_columns`` coordinates and, per member, ``dims``, ``maxiter``,
-    ``xatol`` and ``fatol`` (an array, or one value for all); members are
-    numbered 0.. within the plan.  ``objective(members, points)`` is
-    ``nelder_mead_batch``'s ``f`` over the plan's own columns,
-    ``start(members)`` returns each member's starting simplex as a
-    (dims + 1, n_columns) array, and ``results(best_x, best_f,
-    iterations)`` turns the members' answers into what the module returns.
-
-    A plan whose ``results`` returns the plan itself is not done: it runs
-    once more, together with every other such plan, from whatever its
-    ``start`` now returns, with the limits it now has.
-
-    Members queue plan by plan, in the order given, so the plan with the
-    longest searches should come first.  The objective is a dispatcher: it
-    hands each plan the rows of its own members, restricted to its
-    columns.  Returns, per plan, the ``results(best_x, best_f,
-    iterations)`` of its members' last run, with the plan's columns only.
+    A plan is the searches of one fitting module.  It has, per member,
+    ``dims``, ``maxiter``, ``xatol`` and ``fatol`` (an array, or one value
+    for all); members are numbered 0..  ``objective(members, points)`` is
+    ``nelder_mead_batch``'s ``f``, and ``start(members)`` returns each
+    member's starting simplex as a (dims + 1, N) array, with the same N
+    columns for every member.  The simplexes are padded to the run's
+    vertex count, and at most ``BATCH_WIDTH`` members search at once.
+    Returns ``nelder_mead_batch``'s (best_x (M, N), best_f, iterations).
     """
-    sizes = [len(plan.dims) for plan in plans]
-    offsets = np.cumsum([0] + sizes)
-    owner = np.repeat(np.arange(len(plans)), sizes)
-    n_columns = max(plan.n_columns for plan in plans)
-
-    def per_member(name):
-        return np.concatenate([np.broadcast_to(getattr(plan, name), (n,)) for plan, n in zip(plans, sizes)])
-
-    dims = per_member("dims").astype(np.intp)
+    dims = np.asarray(plan.dims, dtype=np.intp)
     n_vertices = int(dims.max(initial=0)) + 1
-    split = [None, []]  # the last members array f saw, and its rows and members per plan
 
-    def f(ids, points):
-        if split[0] is not ids:
-            kinds = owner[ids]
-            split[:] = ids, []
-            for k, plan in enumerate(plans):
-                rows = (kinds == k).nonzero()[0]
-                if rows.size:
-                    split[1].append((plan, rows, ids.take(rows) - offsets[k]))
-        if len(split[1]) == 1:
-            ((plan, _, members),) = split[1]
-            return plan.objective(members, points[:, : plan.n_columns])
-        out = np.empty(len(ids))
-        for plan, rows, members in split[1]:
-            out[rows] = plan.objective(members, points.take(rows, axis=0)[:, : plan.n_columns])
+    def start(members):
+        simplexes = plan.start(members)
+        out = np.zeros((len(simplexes), n_vertices, simplexes[0].shape[1]))
+        for padded, simplex in zip(out, simplexes):
+            padded[: simplex.shape[0]] = simplex
         return out
 
-    def start(ids):
-        kinds = owner[ids]
-        out = np.zeros((len(ids), n_vertices, n_columns))
-        for k, plan in enumerate(plans):
-            rows = (kinds == k).nonzero()[0]
-            for row, simplex in zip(rows.tolist(), plan.start(ids[rows] - offsets[k])):
-                out[row, : simplex.shape[0], : simplex.shape[1]] = simplex
-        return out
-
-    best_x, best_f, iterations = nelder_mead_batch(
-        f, start, dims, maxiter=per_member("maxiter"), xatol=per_member("xatol"),
-        fatol=per_member("fatol"), width=BATCH_WIDTH,
+    return nelder_mead_batch(
+        plan.objective, start, dims, plan.maxiter, plan.xatol, plan.fatol, width=BATCH_WIDTH
     )
-    answers = [
-        plan.results(
-            best_x[lo:hi, : plan.n_columns].reshape(hi - lo, plan.n_columns), best_f[lo:hi], iterations[lo:hi]
-        )
-        for plan, lo, hi in zip(plans, offsets[:-1], offsets[1:])
-    ]
-    again = [k for k, (plan, answer) in enumerate(zip(plans, answers)) if answer is plan]
-    if again:
-        for k, answer in zip(again, run_plans([plans[k] for k in again])):
-            answers[k] = answer
-    return answers

@@ -7,7 +7,7 @@ coefficient vector.  Order selection is an exhaustive grid search over a
 small seasonal grid, scored by AICc.  Every order of every series in one
 call is searched in a single lockstep run (``auto_select_many``), with
 the bits one scalar search per order would give; ``features.fit_windows``
-puts the same searches (``GridPlan``) into one run with its ETS fits.
+selects the orders of its windows in one ``GridPlan``.
 
 Conventions: the AR polynomial is 1 - phi_1 B - ... and the MA polynomial
 is 1 + theta_1 B + ... (R/statsmodels sign convention); the seasonal
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import nelder_mead, run_plans  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
+from ._optim import nelder_mead, run_plan  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
 from .errors import InsufficientDataError, NonconvergenceError, ValidationError
 from .metrics import aicc
 from .series import QuarterlySeries
@@ -404,7 +404,6 @@ class _FitPlan:
     overflows has its fits with coefficients rejected up front.
     """
 
-    n_columns = 6
     maxiter, xatol, fatol = _MAX_ITER, 1e-3, _CSS_TOL
 
     def __init__(self, jobs):
@@ -436,16 +435,18 @@ class _FitPlan:
             simplexes.append(simplex)
         return simplexes
 
-    def results(self, best_x, best_f, iterations):
-        """Each task's ArimaFit or error, jobs in order and orders in order.
+    def fits(self):
+        """Each task's ArimaFit or error, jobs in order and orders in order, from one run of the plan.
 
         A generator, so that a caller that keeps only some fits never
-        holds them all.  The errors are those a one-order fit raises:
+        holds them all; the run starts when the first fit is asked for.
+        The errors are those a one-order fit raises:
         InsufficientDataError when the differenced series is shorter than
         the free parameter count plus three, and NonconvergenceError when
         its sum of squares overflows or the optimizer finds no admissible
         coefficient vector.
         """
+        best_x, best_f, _ = run_plan(self)
         solved = zip(best_x, best_f, self.slots)
         tasks = ((series, order) for series, job_orders in self.jobs for order in job_orders)
         for (series, order), diffed in zip(tasks, self.prepared):
@@ -463,8 +464,8 @@ class _FitPlan:
 
 
 def _fit_tasks(jobs):
-    """Fit every order of each (series, orders) job by CSS, in one lockstep run; yields as results() does."""
-    return run_plans([_FitPlan(jobs)])[0]
+    """Fit every order of each (series, orders) job by CSS, in one lockstep run; yields as fits() does."""
+    return _FitPlan(jobs).fits()
 
 
 def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
@@ -495,7 +496,7 @@ def order_grid() -> list[ArimaOrder]:
 
 
 class GridPlan(_FitPlan):
-    """The whole order grid of every series, for ``run_plans``: auto_select_many's search.
+    """The whole order grid of every series: auto_select_many's search and selection.
 
     Orders that provably lose the AICc selection are dropped before the
     run (_candidates), so the selection is that of the whole grid.
@@ -519,7 +520,7 @@ class GridPlan(_FitPlan):
 
         The orders without coefficients, one per (d, D), need no search:
         best is the lowest of their AICcs, from the _build_fit call
-        results() makes.  An order with coefficients whose _aicc_floor is
+        fits() makes.  An order with coefficients whose _aicc_floor is
         strictly above best has an AICc strictly above it, so it can
         neither win nor tie (a tie would go to the earlier order) and is
         not searched.  Orders whose fit fails before any search stay, to
@@ -540,11 +541,11 @@ class GridPlan(_FitPlan):
         ]
         return [order for order, _ in kept], [diffed for _, diffed in kept]
 
-    def results(self, best_x, best_f, iterations) -> list:
+    def select(self) -> list:
         """Per series, the lowest-AICc converged fit, or the exception auto_select raises for it."""
         selected = list(self.selected)
         owners = (i for i, (_, grid) in zip(self.fitted, self.jobs) for _ in grid)
-        for i, fit in zip(owners, super().results(best_x, best_f, iterations)):
+        for i, fit in zip(owners, self.fits()):
             if isinstance(fit, Exception):
                 continue
             if selected[i] is None or fit.aicc < selected[i].aicc:
@@ -564,7 +565,7 @@ def auto_select_many(series_list) -> list:
     insufficient after differencing are skipped; ties resolve to the
     earlier order in (p,d,q,P,D,Q) lexicographic order.
     """
-    return run_plans([GridPlan(series_list)])[0]
+    return GridPlan(series_list).select()
 
 
 def auto_select(series: QuarterlySeries) -> ArimaFit:

@@ -7,9 +7,9 @@ the series, a search and then a polish from its answer; specification
 selection uses AICc.  Every (series, spec) fit of one call is searched in
 one lockstep run and polished in a second (``auto_select_ets_many``), with
 the bits one scalar search and polish per spec would give; ``fit_ets`` and
-``auto_select_ets`` are one-task wrappers, and
-``features.fit_windows`` puts the same searches (``SelectionPlan``) into
-one run with its ARIMA fits.
+``auto_select_ets`` are one-task wrappers, and ``features.fit_windows``
+selects the specs of its windows and of their STL-adjusted copies in one
+``SelectionPlan``.
 
 Multiplicative variants are deliberately out: 14-16 positive observations
 cannot distinguish them from the additive forms, and the additive family
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import _start_simplex, nelder_mead, run_plans  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
+from ._optim import _start_simplex, nelder_mead, run_plan  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
 from .errors import InsufficientDataError, ValidationError
 from .metrics import aicc
 from .series import QuarterlySeries
@@ -347,17 +347,12 @@ def _build_fit(job: _Job, x) -> EtsFit:
 class _FitPlan:
     """Every (series, spec, fixed_alpha) task, as the members of a lockstep run.
 
-    The plan runs twice: a member searches from the scalar starting vector
-    (tolerances 1e-8 / 1e-10), then polishes from the search's answer
-    (1e-10 / 1e-12).  After the search, ``results`` keeps each answer,
-    switches to the polish tolerances and returns the plan, which
-    ``run_plans`` takes as the request for the second run.  Both runs give
-    a member 200 iterations per searched coordinate, and both start from
-    the scalar default simplex around the member's point.
+    ``fits`` runs the plan twice: a member searches from the scalar
+    starting vector (tolerances 1e-8 / 1e-10), then polishes from the
+    search's answer (1e-10 / 1e-12).  Both runs give a member 200
+    iterations per searched coordinate, and both start from the scalar
+    default simplex around the member's point.
     """
-
-    n_columns = _N_COLUMNS
-    xatol, fatol = 1e-8, 1e-10
 
     def __init__(self, tasks):
         self.prepared: list = []
@@ -373,30 +368,27 @@ class _FitPlan:
         self.dims = np.asarray([len(job.cols) for job in self.jobs], dtype=np.intp)
         self.maxiter = 200 * self.dims
         self.objective = _SseObjective(self.jobs) if self.jobs else None
-        self.points = [job.start for job in self.jobs]
-        self.polishing = False
 
     def start(self, members):
         return [_start_simplex(self.points[i], self.jobs[i].cols) for i in members.tolist()]
 
-    def results(self, best_x, best_f, iterations):
-        """After the search, the plan itself (polish next); after the polish,
-        the EtsFit of every task, or the error its fit raises.
+    def fits(self):
+        """The EtsFit of every task, or the error its fit raises, from the search and the polish.
 
         The errors are fit_ets's: InsufficientDataError for a series too
         short for the spec, ValidationError for a fixed alpha outside [0, 1].
         """
-        if not self.polishing:
-            self.points, self.polishing = best_x, True
-            self.xatol, self.fatol = 1e-10, 1e-12
-            return self
-        points = iter(best_x)
+        self.points = [job.start for job in self.jobs]
+        self.xatol, self.fatol = 1e-8, 1e-10
+        self.points = run_plan(self)[0]  # the search
+        self.xatol, self.fatol = 1e-10, 1e-12
+        points = iter(run_plan(self)[0])  # the polish, from each answer
         return [r if isinstance(r, Exception) else _build_fit(r, next(points)) for r in self.prepared]
 
 
 def _fit_many(tasks) -> list:
-    """The EtsFit of every (series, spec, fixed_alpha) task, or its error, from one lockstep run."""
-    return run_plans([_FitPlan(tasks)])[0]
+    """The EtsFit of every (series, spec, fixed_alpha) task, or its error, from one search and one polish run."""
+    return _FitPlan(tasks).fits()
 
 
 def fit_ets(series: QuarterlySeries, spec: EtsSpec, fixed_alpha: float | None = None) -> EtsFit:
@@ -416,7 +408,7 @@ def spec_grid(trend_choices=TREND_CHOICES, seasonal_choices=SEASONAL_CHOICES) ->
 
 
 class SelectionPlan(_FitPlan):
-    """Every spec of every (series, specs) task, for ``run_plans``: auto_select_ets_many's search."""
+    """Every spec of every (series, specs) task: auto_select_ets_many's search and selection."""
 
     def __init__(self, tasks):
         tasks = [(series, spec_grid() if specs is None else list(specs)) for series, specs in tasks]
@@ -432,16 +424,10 @@ class SelectionPlan(_FitPlan):
             self.owners.extend(i for _ in specs)
         super().__init__(fits)
 
-    def results(self, best_x, best_f, iterations):
-        """Per task, the lowest-AICc fit, or the exception auto_select_ets raises for it.
-
-        After the search, the plan itself, as _FitPlan.results returns it.
-        """
-        fits = super().results(best_x, best_f, iterations)
-        if fits is self:
-            return self
+    def select(self):
+        """Per task, the lowest-AICc fit, or the exception auto_select_ets raises for it."""
         selected = list(self.selected)
-        for i, fit in zip(self.owners, fits):
+        for i, fit in zip(self.owners, self.fits()):
             if isinstance(fit, InsufficientDataError):  # the only error a free-alpha fit returns
                 continue
             if selected[i] is None or fit.aicc < selected[i].aicc:
@@ -453,14 +439,14 @@ class SelectionPlan(_FitPlan):
 
 
 def auto_select_ets_many(tasks) -> list:
-    """Fit every spec of every (series, specs) task in one lockstep run.
+    """Fit every spec of every (series, specs) task in one search run and one polish run.
 
     ``specs`` None means the full spec_grid().  Returns, per task, the
     lowest-AICc fit, or the exception auto_select_ets raises for it
     (InsufficientDataError below 8 points or when no spec is admissible).
     Ties resolve to the earlier spec in enumeration order.
     """
-    return run_plans([SelectionPlan(tasks)])[0]
+    return SelectionPlan(tasks).select()
 
 
 def auto_select_ets(series: QuarterlySeries, specs: list[EtsSpec] | None = None) -> EtsFit:

@@ -14,7 +14,6 @@ import logging
 
 import numpy as np
 
-from ._optim import run_plans
 from .arima import MAX_FORECAST_STEPS, GridPlan, auto_select, auto_select_many, forecast_arima
 from .errors import InsufficientDataError, MissingIndicatorError, NonconvergenceError, ValidationError
 from .ets import SelectionPlan, forecast_ets
@@ -74,11 +73,12 @@ def _stl_forecasts(adjusted, fit) -> tuple:
 def fit_windows(windows, cache: ForecastCache | None = None) -> list:
     """The cache entries of the windows, fitting every window not cached yet.
 
-    The ARIMA order grids of all uncached windows, the ETS specs of every
-    window and the STL specs of every window's seasonally adjusted copy
-    are searched in one lockstep run (``run_plans``), the ETS searches
-    first, and the ETS and STL fits are polished in a second; STL's
-    decomposition and re-seasonalizing run window by window around them.
+    The ETS specs of every uncached window and the STL specs of its
+    seasonally adjusted copy are selected together (one ``SelectionPlan``:
+    a search run and a polish run), then the ARIMA order grids of the
+    windows (one ``GridPlan`` run), so a call makes three lockstep runs
+    however many windows it fits.  STL's decomposition and
+    re-seasonalizing run window by window around them.
     A model whose fit fails is recorded as its exception: Model 1 drops
     that candidate, a feature row raises it.  Returns the entries in the
     order of ``windows``.
@@ -93,11 +93,11 @@ def fit_windows(windows, cache: ForecastCache | None = None) -> list:
     if not fresh_windows:
         return [cache.get(window.values) for window in windows]
     adjusted = [_fit_or_error(seasonal_adjust, window) for window in fresh_windows]
-    ets_plan = SelectionPlan(
+    ets_selected = SelectionPlan(
         [(window, None) for window in fresh_windows]
         + [(adj[0], ADJUSTED_SPECS) for adj in adjusted if not isinstance(adj, Exception)]
-    )
-    ets_selected, arima_fits = run_plans([ets_plan, GridPlan(fresh_windows)])
+    ).select()
+    arima_fits = GridPlan(fresh_windows).select()
     fits = iter(ets_selected)
     ets_fits = [next(fits) for _ in fresh_windows]
     for window, arima_fit, ets_fit, adj in zip(fresh_windows, arima_fits, ets_fits, adjusted):

@@ -148,11 +148,18 @@ def model1_run(
 
 def model_config(model: str, config: FeatureConfig) -> FeatureConfig:
     """The feature config ``model`` runs with: m2 keeps only ``config``'s lag
-    convention, m3 requires an indicator, and m1 takes ``config`` as given."""
+    convention, m3 requires an indicator and a macro feature, and m1 takes
+    ``config`` as given."""
     if model == "m2":
         return FeatureConfig(indicators=(), lag_includes_origin=config.lag_includes_origin)
     if model == "m3" and not config.indicators:
         raise ValidationError("model m3 requires at least one configured indicator")
+    if model == "m3" and not config.macro_feature_names():
+        flags = f"macro_at_origin {config.macro_at_origin}, macro_at_target {config.macro_at_target}".lower()
+        raise ValidationError(
+            f"model m3 has no macro feature with {flags} and macro_source {config.macro_source!r}: "
+            "it needs macro_at_origin, or macro_at_target with macro_source 'indicator'"
+        )
     if model not in ("m1", "m3"):
         raise ValidationError(f"unknown model {model!r}, expected m1, m2 or m3")
     return config

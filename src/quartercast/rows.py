@@ -53,6 +53,10 @@ class FeatureConfig:
     def __post_init__(self):
         if self.macro_source not in ("indicator", "revenue"):
             raise ValidationError(f"macro_source must be 'indicator' or 'revenue', got {self.macro_source!r}")
+        ids = [cfg.indicator_id for cfg in self.indicators]
+        for ind in ids:
+            if ids.count(ind) > 1:
+                raise ValidationError(f"indicator {ind!r} is configured more than once")
 
     def macro_feature_names(self) -> list[str]:
         names = []

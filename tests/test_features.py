@@ -27,6 +27,9 @@ from quartercast import (
     yoy_growth,
 )
 
+from quartercast import _optim
+from quartercast.features import fit_windows
+
 START = FiscalQuarter(2009, 1)
 ORIGIN_20 = FiscalQuarter(2013, 4)  # 20th quarter of a series starting 2009Q1
 
@@ -35,6 +38,19 @@ def counting_dataset(n=20, geos=("A", "B")):
     return Dataset.build(
         {g: QuarterlySeries(g, START, [float(i) for i in range(1, n + 1)]) for g in geos}
     )
+
+
+def counted_runs(monkeypatch):
+    """The member count of every nelder_mead_batch run from now on, one entry per run."""
+    runs = []
+    batch = _optim.nelder_mead_batch
+
+    def counting_batch(*args, **kwargs):
+        runs.append(len(args[2]))
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(_optim, "nelder_mead_batch", counting_batch)
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +323,30 @@ class TestExtendIndicators:
         assert out[("A", "gdp")].end == needed
         assert out[("A", "gdp")].values[:12] == ds.indicator_for("A", "gdp").values
 
+    def test_both_indicators_are_extended_in_one_run(self, monkeypatch):
+        ds, cfg = self._ragged(12)
+        runs = counted_runs(monkeypatch)
+        needed = quarter_add(START, 19)
+        out = extend_indicators(ds, cfg, known_through=needed, needed_through=needed)
+        assert len(runs) == 1 and out[("A", "gdp")].end == out[("TOTAL", "gdp")].end == needed
+
+
+class TestFitWindowsRuns:
+    """A fit_windows call makes three nelder_mead_batch runs however many
+    windows it fits: the ETS search, the ETS polish and the ARIMA grids."""
+
+    @pytest.mark.parametrize("n_windows", [1, 12])
+    def test_fit_windows_makes_three_runs_then_none_from_the_cache(self, n_windows, monkeypatch):
+        series = generate_synthetic(SynthSpec(n_geos=1, n_quarters=28, seed=3)).series_for("Geo_1")
+        windows = [series.window(quarter_add(series.start, 15 + k), 16) for k in range(n_windows)]
+        cache = ForecastCache()
+        runs = counted_runs(monkeypatch)
+        entries = fit_windows(windows, cache)
+        assert len(runs) == 3 and min(runs) > n_windows
+        runs.clear()
+        assert fit_windows(windows, cache) == entries
+        assert runs == []
+
 
 class TestVectorization:
     def test_feature_order_macro_last(self):
@@ -370,6 +410,10 @@ class TestIndicatorConfig:
     def test_bad_field_is_named(self, kwargs, named):
         with pytest.raises(ValidationError, match=named):
             IndicatorConfig(**kwargs)
+
+    def test_repeated_indicator_is_named(self):
+        with pytest.raises(ValidationError, match="indicator 'gdp' is configured more than once"):
+            FeatureConfig(indicators=(IndicatorConfig("gdp"), IndicatorConfig("cpi"), IndicatorConfig("gdp", ("A",))))
 
     def test_empty_geos_is_accepted(self):
         assert IndicatorConfig("gdp", geos=()).geos == ()

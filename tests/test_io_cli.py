@@ -660,30 +660,30 @@ class TestCli:
             assert (int(fy), int(fq)) >= (2015, 1)
             assert float(fc) > 0
 
-    def test_forecast_m1_fits_every_series_in_one_run(self, tmp_path, monkeypatch):
+    def test_forecast_m1_fits_every_series_in_one_call(self, tmp_path, monkeypatch):
         ds = generate_synthetic(SynthSpec(n_geos=2, n_quarters=24, noise_scale=0.3, seed=8))
         rev = tmp_path / "rev.csv"
         write_revenue_csv(ds, rev)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"revenue_csv": str(rev)}))
-        runs = []
+        calls = []
 
-        def counting_run_plans(plans, run_plans=features.run_plans):
-            runs.append(plans)
-            return run_plans(plans)
+        def counting_fit_windows(windows, cache=None, fit_windows=pipeline.fit_windows):
+            calls.append(windows)
+            return fit_windows(windows, cache)
 
-        monkeypatch.setattr(features, "run_plans", counting_run_plans)
+        monkeypatch.setattr(pipeline, "fit_windows", counting_fit_windows)
         out = tmp_path / "m1.csv"
         assert main(["forecast", "--config", str(cfg), "--model", "m1", "--out", str(out)]) == 0
-        assert len(runs) == 1
+        assert len(calls) == 1
 
         origin = ds.total.end
         target = quarter_add(origin, 1)
         expected = ["geo,fiscal_year,fiscal_quarter,horizon,forecast,source"]
-        for geo in ds.series_ids():  # Geo_1, Geo_2, TOTAL: one run each
+        for geo in ds.series_ids():  # Geo_1, Geo_2, TOTAL: one call each
             result = model1_forecast(ds.series_for(geo), origin, cache=ForecastCache())
             expected.append(f"{geo},{target.year},{target.quarter},1,{result.forecast!r},{result.chosen}")
-        assert len(runs) == 4
+        assert len(calls) == 4
         assert out.read_text().splitlines() == expected
 
     def test_compare_empty_expert_errors(self, tmp_path):
@@ -815,12 +815,20 @@ class TestCliBadInputs:
             ({"model1_include_average": "no"}, "'model1_include_average' must be true or false"),
             ({"model": "m1", "test_range": ["2014Q2", "2015Q1"]}, "ends at 2015Q1, after history ends at 2014Q4"),
             ({"model": "m2", "test_range": ["2014Q2", "2015Q1"]}, "ends at 2015Q1, after history ends at 2014Q4"),
+            ({"model": "m3", "indicators": [{"id": "indicator"}, {"id": "indicator"}]},
+             "indicator 'indicator' is configured more than once"),
+            ({"model": "m3", "indicators": [{"id": "indicator"}], "macro_source": "revenue", "macro_at_origin": False},
+             "model m3 has no macro feature with macro_at_origin false, macro_at_target true and macro_source "
+             "'revenue'"),
+            ({"model": "m3", "indicators": [{"id": "indicator"}], "macro_at_origin": False, "macro_at_target": False},
+             "model m3 has no macro feature with macro_at_origin false, macro_at_target false"),
         ],
         ids=["indicator-without-id", "geos-not-a-list", "indicators-not-a-list", "forest-a-list",
              "forest-null", "bootstrap-no", "bootstrap-a-string", "bootstrap-zero", "output-format-xml", "revenue-csv-a-list", "revenue-csv-null",
              "indicators-csv-a-number", "seed-a-string", "seed-a-fraction", "lag-flag-a-string",
              "origin-flag-a-number", "target-flag-null", "average-flag-a-string",
-             "m1-test-range-past-history", "m2-test-range-past-history"],
+             "m1-test-range-past-history", "m2-test-range-past-history", "m3-indicator-repeated",
+             "m3-revenue-source-without-origin", "m3-no-macro-flag"],
     )
     def test_malformed_section_rejected_before_any_fit(self, overrides, named, tmp_path, capsys, monkeypatch):
         def no_fit(windows, cache=None):
@@ -842,6 +850,19 @@ class TestCliBadInputs:
         assert rc == 2
         assert "mtry 999 exceeds feature count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [{"macro_source": "revenue", "macro_at_origin": False}, {"macro_at_origin": False, "macro_at_target": False}],
+        ids=["revenue-source-without-origin", "no-macro-flag"],
+    )
+    def test_forecast_m3_without_a_macro_feature_rejected_before_any_fit(self, flags, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
+        monkeypatch.setattr(features, "fit_windows", self._no_fit)
+        cfg = self._backtest_config(tmp_path, model="m3", indicators=[{"id": "indicator"}], **flags)
+        rc = main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert "model m3 has no macro feature" in capsys.readouterr().err
+
     def test_forecast_m1_flag_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "fit_windows", self._no_fit)
         cfg = self._backtest_config(tmp_path, model="m1", model1_include_average="false")
@@ -857,8 +878,9 @@ class TestCliBadInputs:
             ([{"id": "indicator"}], FiscalQuarter(2010, 4), "'indicator' for geography 'Geo_1' is known through 2010Q4"),
             ([{"id": "indicator", "geos": ["Geo_1", "TOTAL", "Geo_9"]}], None, "'geos' names 'Geo_9'"),
             ([{"id": "indicator", "geos": []}], None, "'indicator' leaves out series 'Geo_1'"),
+            ([{"id": "indicator"}, {"id": "indicator"}], None, "indicator 'indicator' is configured more than once"),
         ],
-        ids=["absent", "geos-leave-out-a-series", "too-short", "geos-names-no-series", "geos-empty"],
+        ids=["absent", "geos-leave-out-a-series", "too-short", "geos-names-no-series", "geos-empty", "repeated"],
     )
     @pytest.mark.parametrize("command", ["backtest", "forecast"])
     def test_bad_m3_indicator_rejected_before_any_fit(

@@ -2,9 +2,8 @@
 
 Every member of a batch gets its own objective; the same Python function
 scores a point in both searches, so any difference in the results comes
-from the simplex bookkeeping alone.  ``run_plans`` is checked the same
-way: a plan that runs twice (a polish from each answer, as the ETS plan
-does) against the scalar searches run one after another.
+from the simplex bookkeeping alone.  ``run_plan``, the searches of one
+plan in one run, is checked the same way.
 """
 
 import math
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartercast import _optim
-from quartercast._optim import nelder_mead_batch, run_plans
+from quartercast._optim import nelder_mead_batch
 
 from arima_oracle import nelder_mead
 
@@ -170,16 +169,6 @@ def plateau(x):
     return 1.0
 
 
-def around(x):
-    """The scalar default simplex around a point, as an ETS polish starts."""
-    simplex = [list(x)]
-    for i, v in enumerate(x):
-        vertex = list(x)
-        vertex[i] = v * 1.05 if v != 0.0 else 0.00025
-        simplex.append(vertex)
-    return simplex
-
-
 def run_oracle(case):
     """The member's search with the scalar oracle: (x, f, iterations)."""
     return nelder_mead(case["f"], case["simplex"][0], initial_simplex=case["simplex"], maxiter=case["cap"],
@@ -317,74 +306,37 @@ def test_cap_on_the_iteration_after_the_first_shrink(width):
     assert (nit[0], nit[1]) == (shrink + 1, shrink) and nit[2] > shrink + 1
 
 
-# run_plans: plans of one run and of two (the second restarting around each
-# answer, as the ETS polish does), side by side in the same runs.
+# run_plan: one plan's members in one run, their simplexes padded to the
+# run's vertex count.
 
-class OneRunPlan:
-    """One search per member, the answers as (x, f, iterations) lists."""
+class Plan:
+    """One search per member, each with its own simplex, cap and tolerances."""
 
     def __init__(self, cases):
         self.cases = cases
         self.dims = np.asarray([len(case["simplex"]) - 1 for case in cases], dtype=np.intp)
-        self.n_columns = int(self.dims.max(initial=1))
         self.maxiter, self.xatol, self.fatol = ([case[k] for case in cases] for k in ("cap", "xatol", "fatol"))
+        self.n_columns = int(self.dims.max(initial=1))
 
     def objective(self, members, points):
         assert points.shape[1] == self.n_columns
         return np.asarray([self.cases[m]["f"](list(p[: self.dims[m]])) for m, p in zip(members.tolist(), points)])
 
     def start(self, members):
-        return [np.asarray(self.cases[m]["simplex"]) for m in members.tolist()]
-
-    def results(self, best_x, best_f, iterations):
-        assert best_x.shape == (len(self.cases), self.n_columns)
-        return [(best_x[m, :d].tolist(), float(best_f[m]), int(iterations[m])) for m, d in enumerate(self.dims)]
-
-
-class TwoRunPlan(OneRunPlan):
-    """A search, then a second one from the default simplex around each answer, with its own limits."""
-
-    def __init__(self, cases, second):
-        super().__init__(cases)
-        self.second = second
-        self.first = None
-
-    def start(self, members):
-        if self.first is None:
-            return super().start(members)
-        return [np.asarray(around(self.first[m][0])) for m in members.tolist()]
-
-    def results(self, best_x, best_f, iterations):
-        answers = super().results(best_x, best_f, iterations)
-        if self.first is not None:
-            return [(x, fun, self.first[m][2] + iters) for m, (x, fun, iters) in enumerate(answers)]
-        self.first = answers
-        self.maxiter, self.xatol, self.fatol = ([limits[k] for limits in self.second] for k in range(3))
-        return self
-
-
-def run_two_oracle(case, second):
-    x, fun, iters = run_oracle(case)
-    cap, xatol, fatol = second
-    x2, fun2, iters2 = nelder_mead(case["f"], x, initial_simplex=around(x), maxiter=cap, xatol=xatol, fatol=fatol)
-    return x2, fun2, iters + iters2
+        """Each member's simplex in the plan's columns, with only its own dims + 1 vertices."""
+        simplexes = []
+        for m in members.tolist():
+            simplex = np.zeros((self.dims[m] + 1, self.n_columns))
+            simplex[:, : self.dims[m]] = self.cases[m]["simplex"]
+            simplexes.append(simplex)
+        return simplexes
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(search_members(), max_size=6), st.lists(search_members(), max_size=6),
-       st.lists(st.tuples(caps, xatols, fatols), min_size=6, max_size=6), st.permutations(range(3)))
-def test_plans_that_run_twice_match_scalar_searches_in_sequence(once, twice, second, order):
-    """A two-run plan beside a one-run plan and an empty one, in any order;
-    either of the first two may have no members."""
-    second = second[: len(twice)]
-    plans = [OneRunPlan(once), TwoRunPlan(twice, second), OneRunPlan([])]
-    answers = run_plans([plans[k] for k in order])
-    got = dict(zip(order, answers))
-    assert got[2] == []
-    for k, (cases, expected) in enumerate([
-        (once, [run_oracle(case) for case in once]),
-        (twice, [run_two_oracle(case, limits) for case, limits in zip(twice, second)]),
-    ]):
-        assert len(got[k]) == len(cases)
-        for (x, fun, iters), (x_ref, fun_ref, iters_ref) in zip(got[k], expected):
-            assert (bits(x), bits([fun]), iters) == (bits(x_ref), bits([fun_ref]), iters_ref)
+@given(st.lists(search_members(), max_size=8))
+def test_run_plan_matches_scalar_searches(cases):
+    """A plan of random member mixes, the empty plan included."""
+    best_x, best_f, nit = _optim.run_plan(Plan(cases))
+    assert len(best_f) == len(nit) == len(cases)
+    for m, case in enumerate(cases):
+        assert_member(best_x, best_f, nit, m, run_oracle(case))

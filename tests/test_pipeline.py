@@ -257,6 +257,17 @@ class TestModelRules:
         assert model_config("m2", cfg) == FeatureConfig(lag_includes_origin=False)
         assert model_config("m1", cfg) is cfg and model_config("m3", cfg) is cfg
 
+    @pytest.mark.parametrize(
+        "flags",
+        [dict(macro_source="revenue", macro_at_origin=False), dict(macro_at_origin=False, macro_at_target=False)],
+        ids=["revenue-source-without-origin", "no-macro-flag"],
+    )
+    def test_m3_needs_a_macro_feature(self, flags):
+        cfg = FeatureConfig(indicators=(IndicatorConfig("indicator"),), **flags)
+        assert cfg.macro_feature_names() == [] and model_config("m1", cfg) is cfg
+        with pytest.raises(ValidationError, match="model m3 has no macro feature"):
+            model_config("m3", cfg)
+
     def test_m2_backtest_ignores_an_indicator_config(self, small_dataset, small_ranges, small_cache):
         train, test = small_ranges
         params = ForestParams(n_trees=5, seed=3)
