@@ -5,8 +5,9 @@ the sample mean when no differencing is applied, and minimize the sum of
 squared one-step residuals with a Nelder-Mead search started from a zero
 coefficient vector.  Order selection is an exhaustive grid search over a
 small seasonal grid, scored by AICc.  Every order of every series in one
-call is searched in a single lockstep run (``auto_select_many``), with
-the bits one scalar search per order would give; ``features.fit_windows``
+call is searched in a single lockstep run (``auto_select_many``), and its
+residuals come from the recursion the objective runs, with the bits of the
+scalar fits that ``tests/arima_oracle.py`` keeps; ``features.fit_windows``
 selects the orders of its windows in one ``GridPlan``.
 
 Conventions: the AR polynomial is 1 - phi_1 B - ... and the MA polynomial
@@ -119,15 +120,6 @@ def difference(values, d: int, D: int, s: int = SEASONAL_PERIOD) -> np.ndarray:
     return _chain(out, d, D, s)[1][-1]
 
 
-def _split_params(x, order: ArimaOrder):
-    p, q, P, Q = order.p, order.q, order.P, order.Q
-    phi = x[:p]
-    theta = x[p : p + q]
-    sphi = x[p + q : p + q + P]
-    stheta = x[p + q + P : p + q + P + Q]
-    return phi, theta, sphi, stheta
-
-
 def _combined_polys(phi, theta, sphi, stheta, s: int):
     """Multiply nonseasonal and seasonal factors into single lag polynomials.
 
@@ -149,41 +141,6 @@ def _combined_polys(phi, theta, sphi, stheta, s: int):
         for v in theta:
             ma.append(float(v) * st)
     return ar, ma
-
-
-def _residuals_from_polys(z: list, ar: list, ma: list) -> list:
-    """One-step residuals with zero pre-sample values on both sides.
-
-    Everything stays in plain Python floats: the series here are at most a
-    few hundred points, and short-loop float arithmetic beats array setup.
-    """
-    n = len(z)
-    nar = len(ar) - 1
-    if nar > 0:
-        ar1 = ar[1:]
-        x = []
-        push = x.append
-        for t in range(n):
-            acc = z[t]
-            depth = t if t < nar else nar
-            for j in range(depth):
-                acc += ar1[j] * z[t - 1 - j]
-            push(acc)
-    else:
-        x = z
-    nma = len(ma) - 1
-    if nma > 0:
-        ma1 = ma[1:]
-        e: list[float] = []
-        push = e.append
-        for t in range(n):
-            acc = x[t]
-            depth = t if t < nma else nma
-            for j in range(depth):
-                acc -= ma1[j] * e[t - 1 - j]
-            push(acc)
-        return e
-    return list(x)
 
 
 @dataclass
@@ -252,13 +209,15 @@ class _CssObjective:
 
     Each member's centered differenced series is front-padded with zeros to
     the batch's longest, plus _LAGS more: exactly the zero pre-sample
-    conditioning of _residuals_from_polys.  Lag coefficients are built with
-    the same expressions as _combined_polys and the residual recursion adds
-    and subtracts lag terms in the same order.  Terms the scalar code omits
-    (pre-sample lags, lags beyond the order) are products with a zero
-    factor here; adding such a +-0.0 changes at most the sign of a zero, so
-    every squared residual, and the sequentially summed CSS, has the same
-    bits as the scalar objective's.
+    conditioning of the scalar fit in ``tests/arima_oracle.py``.  Lag
+    coefficients are built with the expressions of its _combined_polys
+    and the residual recursion adds and subtracts lag terms in the same
+    order.  Terms the scalar code omits (pre-sample lags, lags beyond the
+    order) are products with a zero factor here; adding such a +-0.0
+    changes at most the sign of a -0.0, which needs a -0.0 in the
+    differenced series (a QuarterlySeries holds none).  So while they stay
+    finite, every residual, and the sequentially summed CSS, has the
+    scalar fit's bits.
     """
 
     def __init__(self, diffs: list):
@@ -280,6 +239,11 @@ class _CssObjective:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._values(members, X)
 
+    def residuals(self, members, X) -> np.ndarray:
+        """Each member's residuals at its row of X (admissible), front-padded to the batch's length."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._residuals(members, X.T).T
+
     def _values(self, members, X) -> np.ndarray:
         K = len(members)
         c = X.T
@@ -290,9 +254,20 @@ class _CssObjective:
         if ok.size < K:
             c = c[:, ok]
             members = members[ok]
+        e = self._residuals(members, c)
+        # The CSS adds the squares in sequence, as the scalar sum does:
+        # accumulate is a left fold at every batch size, while np.add.reduce
+        # adds a one-row batch (as a shrink step often scores) pairwise from
+        # 8 quarters on.
+        np.multiply(e, e, out=e)
+        out[ok] = np.add.accumulate(e, axis=0)[-1] / self.denom[members]
+        return out
+
+    def _residuals(self, members, c) -> np.ndarray:
+        """The residuals (rows, front-padded with zeros) of the members at the coefficient columns c."""
         p1, p2, t1, t2, sp, st = c
         ar = ((-p1, 1), (-p2, 2), (0.0 - sp, 4), (p1 * sp, 5), (p2 * sp, 6))
-        n, T, L = ok.size, self.T, _LAGS
+        n, T, L = len(members), self.T, _LAGS
         # MA coefficients of lags 1..6, one row each (lag 3 stays zero).
         ma = np.zeros((L, n))
         ma[0], ma[1], ma[3], ma[4], ma[5] = t1, t2, 0.0 + st, t1 * st, t2 * st
@@ -313,13 +288,7 @@ class _CssObjective:
             terms[0] = E[t]
             np.multiply(ma, E[t - L : t][::-1], out=terms[1:])
             np.subtract.reduce(terms, axis=0, out=E[t])
-        # The CSS adds the squares in sequence, as the scalar sum does:
-        # accumulate is a left fold at every batch size, while np.add.reduce
-        # adds a one-row batch (as a shrink step often scores) pairwise from
-        # 8 quarters on.
-        np.multiply(x, x, out=tmp)
-        out[ok] = np.add.accumulate(tmp, axis=0)[-1] / self.denom[members]
-        return out
+        return x
 
 
 def _aicc_floor(order: ArimaOrder, diffed: _Differenced) -> float:
@@ -343,24 +312,21 @@ def _aicc_floor(order: ArimaOrder, diffed: _Differenced) -> float:
     return aicc(head, len(z), order.n_free_params + 1, _FLOOR_SHRINK)
 
 
-def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced, coeffs) -> ArimaFit:
-    z = diffed.z
-    n_res = len(z)
-    phi, theta, sphi, stheta = _split_params([float(v) for v in coeffs], order)
-    ar, ma = _combined_polys(phi, theta, sphi, stheta, order.s)
-    e = _residuals_from_polys(z, ar, ma)
+def _build_fit(series: QuarterlySeries, order: ArimaOrder, diffed: _Differenced, e: list, x=()) -> ArimaFit:
+    """The fit of order to diffed with residuals e, at the six-slot coefficient vector x (a list)."""
+    n_res = len(e)
     css = _sum_of_squares(e)
     return ArimaFit(
         order=order,
-        ar_coeffs=tuple(float(v) for v in phi),
-        ma_coeffs=tuple(float(v) for v in theta),
-        seasonal_ar=tuple(float(v) for v in sphi),
-        seasonal_ma=tuple(float(v) for v in stheta),
+        ar_coeffs=tuple(x[: order.p]),
+        ma_coeffs=tuple(x[2 : 2 + order.q]),
+        seasonal_ar=tuple(x[4 : 4 + order.P]),
+        seasonal_ma=tuple(x[5 : 5 + order.Q]),
         intercept=diffed.intercept,
         sigma2=css / n_res,
         aicc=aicc(css, n_res, order.n_free_params + 1),
         training_series=series,
-        residuals=tuple(float(v) for v in e),
+        residuals=tuple(e),
     )
 
 
@@ -417,8 +383,7 @@ class _FitPlan:
                 if order.n_coeffs and not isinstance(diffed, Exception):
                     diffs.append(diffed)
                     self.orders.append(order)
-        slots = {order: _slots(order) for order in set(self.orders)}
-        self.slots = [slots[order] for order in self.orders]
+        self.slots = [_slots(order) for order in self.orders]
         self.dims = np.asarray([len(s) for s in self.slots], dtype=np.intp)
         self.objective = _CssObjective(diffs) if diffs else None
 
@@ -439,7 +404,8 @@ class _FitPlan:
         """Each task's ArimaFit or error, jobs in order and orders in order, from one run of the plan.
 
         A generator, so that a caller that keeps only some fits never
-        holds them all; the run starts when the first fit is asked for.
+        holds them all; the run, and one residuals call for every member
+        with a finite answer, start when the first fit is asked for.
         The errors are those a one-order fit raises:
         InsufficientDataError when the differenced series is shorter than
         the free parameter count plus three, and NonconvergenceError when
@@ -447,20 +413,21 @@ class _FitPlan:
         coefficient vector.
         """
         best_x, best_f, _ = run_plan(self)
-        solved = zip(best_x, best_f, self.slots)
+        solved = np.isfinite(best_f)
+        found = np.flatnonzero(solved)
+        residuals = iter(self.objective.residuals(found, best_x[found]) if found.size else ())
+        answers = (x if ok else None for x, ok in zip(best_x, solved.tolist()))
         tasks = ((series, order) for series, job_orders in self.jobs for order in job_orders)
         for (series, order), diffed in zip(tasks, self.prepared):
             if isinstance(diffed, Exception):
                 yield diffed
-                continue
-            coeffs = []
-            if order.n_coeffs:
-                x, fun, order_slots = next(solved)
-                if not np.isfinite(fun):
-                    yield NonconvergenceError(f"order {order}: optimizer found no admissible point")
-                    continue
-                coeffs = x[order_slots]
-            yield _build_fit(series, order, diffed, coeffs)
+            elif not order.n_coeffs:
+                yield _build_fit(series, order, diffed, diffed.z)
+            elif (x := next(answers)) is None:
+                yield NonconvergenceError(f"order {order}: optimizer found no admissible point")
+            else:
+                e = next(residuals)[-len(diffed.z) :]
+                yield _build_fit(series, order, diffed, e.tolist(), x.tolist())
 
 
 def _fit_tasks(jobs):
@@ -528,7 +495,7 @@ class GridPlan(_FitPlan):
         """
         best = min(
             (
-                _build_fit(series, order, diffed, []).aicc
+                _build_fit(series, order, diffed, diffed.z).aicc
                 for order, diffed in zip(orders, prepared)
                 if not order.n_coeffs and not isinstance(diffed, Exception)
             ),

@@ -5,11 +5,12 @@ seasonal with period 4, additive errors.  Smoothing parameters and initial
 states are optimized jointly with Nelder-Mead on a standardized copy of
 the series, a search and then a polish from its answer; specification
 selection uses AICc.  Every (series, spec) fit of one call is searched in
-one lockstep run and polished in a second (``auto_select_ets_many``), with
-the bits one scalar search and polish per spec would give; ``fit_ets`` and
-``auto_select_ets`` are one-task wrappers, and ``features.fit_windows``
-selects the specs of its windows and of their STL-adjusted copies in one
-``SelectionPlan``.
+one lockstep run and polished in a second (``auto_select_ets_many``), and
+every fit is built by the recursion the objective runs (``_recursion``),
+with the bits of the scalar fits that ``tests/ets_oracle.py`` keeps;
+``fit_ets`` and ``auto_select_ets`` are one-task wrappers, and
+``features.fit_windows`` selects the specs of its windows and of their
+STL-adjusted copies in one ``SelectionPlan``.
 
 Multiplicative variants are deliberately out: 14-16 positive observations
 cannot distinguish them from the additive forms, and the additive family
@@ -87,30 +88,6 @@ class EtsFit:
     final_seasonal: tuple[float, ...] | None
 
 
-def _run_recursion(y, spec: EtsSpec, alpha, beta, gamma, phi, level, trend, seasonal):
-    """One pass of the innovations recursion; returns (sse, final states)."""
-    s = list(seasonal) if seasonal is not None else None
-    has_trend = spec.has_trend
-    damped = spec.damped
-    sse = 0.0
-    values = y.tolist() if hasattr(y, "tolist") else list(y)
-    for t, obs in enumerate(values):
-        seas = s[t % PERIOD] if s is not None else 0.0
-        bt = (phi * trend) if damped else (trend if has_trend else 0.0)
-        err = obs - (level + bt + seas)
-        level = level + bt + alpha * err
-        if has_trend:
-            trend = bt + beta * err
-        if s is not None:
-            s[t % PERIOD] = seas + gamma * err
-        sse += err * err
-    return sse, level, (trend if has_trend else None), (tuple(s) if s is not None else None)
-
-
-def _box(v: float, lo: float, hi: float) -> float:
-    return lo if v < lo else hi if v > hi else v
-
-
 def _start(z, spec: EtsSpec, fixed_alpha):
     """The batch columns a spec searches, in the order of its scalar vector, and the starting point.
 
@@ -169,7 +146,7 @@ def _prepare(series: QuarterlySeries, spec: EtsSpec, fixed_alpha) -> _Job:
 
 
 def _vbox(v, lo, hi):
-    """_box on arrays: lo if v < lo else hi if v > hi else v."""
+    """lo if v < lo else hi if v > hi else v, elementwise."""
     return np.where(v < lo, lo, np.minimum(v, hi))
 
 
@@ -179,23 +156,85 @@ def _vbox(v, lo, hi):
 _A_LO, _A_HI, _LO3, _HI3, _FREE, _HAS_T, _HAS_S, _NOT_DAMPED = 0, 1, 2, 5, 8, 9, 10, 11
 
 
+def _clip(c, x) -> np.ndarray:
+    """The rows alpha, beta, phi, gamma at the points x (columns), each
+    clipped to its member's box (c: the members' table columns)."""
+    P = np.empty((4, x.shape[1]))
+    P[0] = _vbox(x[_ALPHA], c[_A_LO], c[_A_HI])
+    lo, hi = c[_LO3 : _LO3 + 3], c[_HI3 : _HI3 + 3].copy()
+    np.multiply(P[0], c[_HAS_T], out=hi[0])
+    np.maximum(1.0 - P[0], _ALPHA_LO, out=hi[2])
+    hi[2] *= c[_HAS_S]
+    P[1:] = _vbox(x[_BETA : _GAMMA + 1], lo, hi)
+    return P
+
+
+def _states(x, seasonal) -> np.ndarray:
+    """The seed states at the points x, a row each: level, slope and the seasonal
+    states, the last minus the sum of the others where ``seasonal`` (else 0)."""
+    states = np.zeros((2 + PERIOD, x.shape[1]))
+    states[:-1] = x[_LEVEL:]
+    np.negative(states[2] + states[3] + states[4], out=states[-1], where=seasonal)
+    return states
+
+
+def _recursion(obs, P, phi, states) -> np.ndarray:
+    """The one-step errors of the innovations recursion, a series per column of obs.
+
+    P holds the clipped parameters and phi the damping (1.0 without);
+    states (as _states gives them) are updated in place, to those after
+    the last row of obs.
+    """
+    E = np.empty(obs.shape)
+    step = np.empty_like(P)
+    tmp = np.empty(obs.shape[1])
+    # Level and slope are adjacent rows, as are lb = level + bt and bt,
+    # so one add updates both: level = lb + alpha * e, slope = bt + beta * e.
+    state, S = states[:2], states[2:]
+    base = np.empty_like(state)
+    lb, bt = base
+    level, slope = state
+    for t in range(obs.shape[0]):
+        seas = S[t % PERIOD]
+        np.multiply(phi, slope, out=bt)
+        np.add(level, bt, out=lb)
+        np.add(lb, seas, out=tmp)
+        np.multiply(P, np.subtract(obs[t], tmp, out=E[t]), out=step)
+        np.add(base, step[:2], out=state)
+        np.add(seas, step[3], out=seas)
+    return E
+
+
+def _sse(E, live=None) -> np.ndarray:
+    """Each column's squared errors added in sequence, skipping rows where
+    ``live`` is False; E is squared in place."""
+    np.multiply(E, E, out=E)
+    if live is not None:
+        E = np.where(live, E, 0.0)
+    # A left fold at every batch size, as the scalar sum adds; np.add.reduce
+    # adds a one-row batch (as a shrink step often scores) pairwise from 8
+    # quarters on.
+    return np.add.accumulate(E, axis=0)[-1]
+
+
 class _SseObjective:
     """The penalized one-step SSE of many (series, spec) fits at once.
 
     A point is a row of _N_COLUMNS raw values; the columns a spec does not
-    search are 0.  Per row this is the scalar objective's value, bit for
-    bit, for any point whose recursion errors stay finite.  Each member's
-    parameters are clipped to its own box, and a parameter the spec lacks
-    gets the box [0, 0], so it is exactly 0 with no clip distance; a fixed
-    alpha gets the box [alpha, alpha] and a distance times 0.  The
-    recursion is _run_recursion's, with per-row multipliers in place of
+    search are 0.  Per row this is the value of the scalar objective that
+    ``tests/ets_oracle.py`` keeps, bit for bit, for any point whose
+    recursion errors stay finite.  Each member's parameters are clipped to
+    its own box (_clip), and a parameter the spec lacks gets the box
+    [0, 0], so it is exactly 0 with no clip distance; a fixed alpha gets
+    the box [alpha, alpha] and a distance times 0.  The recursion
+    (_recursion) is the scalar one with per-row multipliers in place of
     its branches: phi is 1.0 without damping, beta and gamma are 0.0
     without trend or seasonal, and the absent trend and seasonal states
     start at +0.0 and, for a finite error, stay +0.0, so every sum sees
     the scalar's literal 0.0.  The squared errors are added in sequence,
-    masked past the end of a shorter series.  A nonzero clip distance
-    squares with ``float_power``, the C ``pow`` that Python's ``** 2``
-    calls (``d * d`` rounds differently on some doubles).
+    masked past the end of a shorter series (_sse).  A nonzero clip
+    distance squares with ``float_power``, the C ``pow`` that Python's
+    ``** 2`` calls (``d * d`` rounds differently on some doubles).
     """
 
     def __init__(self, jobs: list[_Job]):
@@ -250,14 +289,7 @@ class _SseObjective:
     def _values(self, members, X) -> np.ndarray:
         c, obs, seasonal, live = self._gathered(members)
         x = np.ascontiguousarray(X.T)
-        # Parameters in the columns' order: alpha, beta, phi, gamma.
-        P = np.empty((4, len(members)))
-        P[0] = _vbox(x[_ALPHA], c[_A_LO], c[_A_HI])
-        lo, hi = c[_LO3 : _LO3 + 3], c[_HI3 : _HI3 + 3].copy()
-        np.multiply(P[0], c[_HAS_T], out=hi[0])
-        np.maximum(1.0 - P[0], _ALPHA_LO, out=hi[2])
-        hi[2] *= c[_HAS_S]
-        P[1:] = _vbox(x[_BETA : _GAMMA + 1], lo, hi)
+        P = _clip(c, x)
         # Clipping flattens the surface outside the parameter box, which can
         # trap the simplex there; a pull-back on the clip distance restores
         # slope without moving any interior minimum.  Its squares add in the
@@ -270,78 +302,8 @@ class _SseObjective:
         drift = square[0] + square[1]
         drift += square[2]
         drift += square[3]
-
-        phi = P[2] + c[_NOT_DAMPED]
-        # Level and slope are adjacent rows, as are lb = level + bt and bt,
-        # so one add updates both: level = lb + alpha * e, slope = bt + beta * e.
-        # A copy: for one point, x is a view of the caller's X.
-        state = x[_LEVEL : _TREND + 1].copy()
-        level, slope = state
-        S = np.zeros((PERIOD, len(members)))
-        S[: PERIOD - 1] = x[_SEASON:]
-        np.negative(S[0] + S[1] + S[2], out=S[PERIOD - 1], where=seasonal)
-
-        E = np.empty(obs.shape)
-        step = np.empty_like(P)
-        tmp = np.empty(len(members))
-        base = np.empty((2, len(members)))
-        lb, bt = base
-        for t in range(self.T):
-            seas = S[t % PERIOD]
-            np.multiply(phi, slope, out=bt)
-            np.add(level, bt, out=lb)
-            np.add(lb, seas, out=tmp)
-            np.multiply(P, np.subtract(obs[t], tmp, out=E[t]), out=step)
-            np.add(base, step[:2], out=state)
-            np.add(seas, step[3], out=seas)
-        np.multiply(E, E, out=E)
-        if live is not None:
-            E = np.where(live, E, 0.0)
-        # A left fold at every batch size, as the scalar sum adds; np.add.reduce
-        # adds a one-row batch (as a shrink step often scores) pairwise from 8
-        # quarters on.
-        sse = np.add.accumulate(E, axis=0)[-1]
-        return sse * (1.0 + drift) + drift
-
-
-def _build_fit(job: _Job, x) -> EtsFit:
-    """The EtsFit at batch point ``x``, its parameters clipped to their box."""
-    spec, series, mu, sigma = job.spec, job.series, job.mu, job.sigma
-    y = series.to_array()
-    x = x.tolist()
-    alpha = _box(x[_ALPHA], _ALPHA_LO, _ALPHA_HI) if job.fixed_alpha is None else float(job.fixed_alpha)
-    beta = _box(x[_BETA], _ALPHA_LO, alpha) if spec.has_trend else None
-    phi = _box(x[_PHI], _PHI_LO, _PHI_HI) if spec.damped else None
-    gamma = _box(x[_GAMMA], _ALPHA_LO, max(1.0 - alpha, _ALPHA_LO)) if spec.has_seasonal else None
-    level0 = mu + sigma * x[_LEVEL]
-    trend0 = sigma * x[_TREND] if spec.has_trend else None
-    seas0 = None
-    if spec.has_seasonal:
-        free = x[_SEASON : _SEASON + PERIOD - 1]
-        seas0 = tuple(sigma * v for v in free + [-(free[0] + free[1] + free[2])])
-
-    sse, final_level, final_trend, final_seasonal = _run_recursion(
-        y, spec, alpha, beta, gamma, phi, level0, trend0 if trend0 is not None else 0.0, seas0
-    )
-
-    # Every parameter and seed state counts, a fixed alpha too, plus the variance.
-    k = len(job.cols) + (job.fixed_alpha is not None) + 1
-    return EtsFit(
-        spec=spec,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        phi_damp=phi,
-        initial_level=level0,
-        initial_trend=trend0,
-        initial_seasonal=seas0,
-        sse=float(sse),
-        aicc=aicc(sse, y.size, k),
-        training_series=series,
-        final_level=float(final_level),
-        final_trend=float(final_trend) if final_trend is not None else None,
-        final_seasonal=final_seasonal,
-    )
+        E = _recursion(obs, P, P[2] + c[_NOT_DAMPED], _states(x, seasonal))
+        return _sse(E, live) * (1.0 + drift) + drift
 
 
 class _FitPlan:
@@ -382,8 +344,44 @@ class _FitPlan:
         self.xatol, self.fatol = 1e-8, 1e-10
         self.points = run_plan(self)[0]  # the search
         self.xatol, self.fatol = 1e-10, 1e-12
-        points = iter(run_plan(self)[0])  # the polish, from each answer
-        return [r if isinstance(r, Exception) else _build_fit(r, next(points)) for r in self.prepared]
+        built = iter(self._built(run_plan(self)[0]))  # the polish, from each answer
+        return [r if isinstance(r, Exception) else next(built) for r in self.prepared]
+
+    def _built(self, X) -> list[EtsFit]:
+        """The EtsFit of every job at its row of X, from one recursion per series
+        length: on the raw series, from the seed states mapped back from the
+        standardized scale, so each fit's final states follow its own last quarter."""
+        fits = [None] * len(self.jobs)
+        lengths = np.asarray([job.z.size for job in self.jobs])
+        for n in set(lengths.tolist()):
+            members = np.flatnonzero(lengths == n)
+            jobs = [self.jobs[i] for i in members.tolist()]
+            c = self.objective.table[:, members]
+            x = np.ascontiguousarray(X[members].T)
+            mu, sigma = np.array([(job.mu, job.sigma) for job in jobs]).T
+            P = _clip(c, x)
+            states = _states(x, self.objective.seasonal[members])
+            obs = np.array([job.series.values for job in jobs]).T
+            with np.errstate(all="ignore"):
+                states[0] = mu + sigma * states[0]
+                states[1:] *= sigma
+                seeds = states.T.tolist()
+                sse = _sse(_recursion(obs, P, P[2] + c[_NOT_DAMPED], states)).tolist()
+            rows = zip(members.tolist(), jobs, P.T.tolist(), seeds, states.T.tolist(), sse)
+            for i, job, (alpha, beta, phi, gamma), seed, final, job_sse in rows:
+                spec, t, s = job.spec, job.spec.has_trend, job.spec.has_seasonal
+                # Every parameter and seed state counts, a fixed alpha too, plus the variance.
+                k = len(job.cols) + (job.fixed_alpha is not None) + 1
+                fits[i] = EtsFit(
+                    spec=spec, alpha=alpha, beta=beta if t else None, gamma=gamma if s else None,
+                    phi_damp=phi if spec.damped else None,
+                    initial_level=seed[0], initial_trend=seed[1] if t else None,
+                    initial_seasonal=tuple(seed[2:]) if s else None,
+                    sse=job_sse, aicc=aicc(job_sse, n, k), training_series=job.series,
+                    final_level=final[0], final_trend=final[1] if t else None,
+                    final_seasonal=tuple(final[2:]) if s else None,
+                )
+        return fits
 
 
 def _fit_many(tasks) -> list:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import ContiguityError, DuplicateKeyError, SchemaMismatchError, ValidationError
 from .fiscal import FiscalQuarter, parse_quarter, quarter_add
 from .reports import ApeDetail, ComparisonTable, EvaluationReport, HorizonCell
-from .series import TOTAL_ID, Dataset, QuarterlySeries
+from .series import MAX_VALUE, TOTAL_ID, Dataset, QuarterlySeries
 
 REPORT_SCHEMA_VERSION = 1
 REPORT_FORMATS = ("json", "csv")
@@ -70,6 +70,8 @@ def _parse_value(path, lineno, text, require_positive=True) -> float:
         raise ValidationError(f"{path}:{lineno}: value must be finite, got {text!r}")
     if require_positive and value <= 0.0:
         raise ValidationError(f"{path}:{lineno}: value must be positive, got {value}")
+    if require_positive and value > MAX_VALUE:
+        raise ValidationError(f"{path}:{lineno}: value must be at most {MAX_VALUE:g}, got {text!r}")
     return value
 
 
@@ -103,7 +105,10 @@ def load_revenue_csv(path) -> Dataset:
             total = series
         else:
             revenue[geo] = series
-    return Dataset.build(revenue, total=total)
+    try:
+        return Dataset.build(revenue, total=total)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_indicator_csv(path) -> dict[tuple[str, str], QuarterlySeries]:

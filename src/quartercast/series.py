@@ -20,18 +20,27 @@ TOTAL_ID = "TOTAL"
 # per-quarter sum of the geography series.
 TOTAL_REL_TOL = 1e-9
 
+# Largest revenue or indicator value accepted.  Squares stay below 1e200,
+# so every sum of squares the fits and the forest form, and every
+# recursion error, stays far from the float limit (1.8e308).  The model 2
+# backtest of the CI smoke data is exact with values up to about 4e151
+# and wrong with values up to about 1.4e153.
+MAX_VALUE = 1e100
+
 
 class QuarterlySeries:
     """Contiguous, ordered quarterly values for one id.
 
     Values are kept as an immutable tuple of floats so a series can be
-    shared between tasks and used as a cache key.
+    shared between tasks and used as a cache key.  A -0.0 is kept as 0.0,
+    so no fit depends on the sign of a zero value (an ARIMA residual's
+    would, see ``arima._CssObjective``).
     """
 
     __slots__ = ("id", "start", "values")
 
     def __init__(self, series_id: str, start: FiscalQuarter, values: Sequence[float]):
-        vals = tuple(float(v) for v in values)
+        vals = tuple(float(v) + 0.0 for v in values)
         if not vals:
             raise ValidationError(f"series {series_id!r} has no points")
         for v in vals:
@@ -124,10 +133,13 @@ class QuarterlySeries:
 
 
 def require_positive(series: QuarterlySeries) -> None:
-    """Reject non-positive values (revenue and indicator series divide by actuals)."""
+    """Reject values that are not positive (revenue and indicator series
+    divide by actuals) or that are above MAX_VALUE."""
     for fq, v in series.points():
         if v <= 0.0:
             raise ValidationError(f"series {series.id!r}: non-positive value {v} at {fq}")
+        if v > MAX_VALUE:
+            raise ValidationError(f"series {series.id!r}: value {v} at {fq} is above {MAX_VALUE:g}")
 
 
 class Dataset:
@@ -188,7 +200,7 @@ class Dataset:
                 raise ValidationError(
                     f"TOTAL covers {total.start}..{total.end}, expected {first.start}..{first.end}"
                 )
-            for fq, got, want in zip(first.quarters(), total.values, summed):
+            for fq, got, want in zip(first.quarters(), total.values, summed.tolist()):
                 if abs(got - want) > TOTAL_REL_TOL * abs(want):
                     raise ValidationError(
                         f"TOTAL at {fq} is {got!r} but geography sum is {want!r}"

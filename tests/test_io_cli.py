@@ -92,6 +92,13 @@ class TestRevenueCsv:
         with pytest.raises(ValidationError):
             load_revenue_csv(p)
 
+    def test_value_above_the_bound_names_file_and_line(self, tmp_path):
+        p = tmp_path / "rev.csv"
+        write_lines(p, ["geo,fiscal_year,fiscal_quarter,revenue", "Geo_1,2012,1,1e100", "Geo_1,2012,2,2e100"])
+        message = f"{p}:3: value must be at most 1e+100, got '2e100'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_revenue_csv(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "rev.csv"
         write_lines(p, ["geo,year,quarter,revenue", "Geo_1,2012,1,5"])
@@ -120,7 +127,9 @@ class TestRevenueCsv:
         off = 350.0 * (1 + 1e-6)
         lines_bad = lines[:-4] + [f"TOTAL,2012,{q},{off!r}" for q in (1, 2, 3, 4)]
         write_lines(bad, lines_bad)
-        with pytest.raises(ValidationError):
+        # The sum prints as a plain float, not as a numpy repr.
+        message = f"{bad}: TOTAL at 2012Q1 is {off!r} but geography sum is 350.0"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_revenue_csv(bad)
 
     def test_load_write_load_identity(self, tmp_path):
@@ -157,6 +166,13 @@ class TestIndicatorCsv:
             ["geo,indicator,fiscal_year,fiscal_quarter,value", "Geo_1,gdp,2012,1,-5"],
         )
         with pytest.raises(ValidationError):
+            load_indicator_csv(p)
+
+    def test_value_above_the_bound_names_file_and_line(self, tmp_path):
+        p = tmp_path / "ind.csv"
+        write_lines(p, ["geo,indicator,fiscal_year,fiscal_quarter,value", "Geo_1,gdp,2012,1,5.0", "Geo_1,gdp,2012,2,1e305"])
+        message = f"{p}:3: value must be at most 1e+100, got '1e305'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_indicator_csv(p)
 
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from quartercast import (
@@ -9,6 +11,7 @@ from quartercast import (
     TOTAL_ID,
     ValidationError,
 )
+from quartercast.series import MAX_VALUE
 
 START = FiscalQuarter(2009, 1)
 
@@ -24,6 +27,11 @@ def test_values_immutable_and_hashable():
     with pytest.raises(AttributeError):
         s.values = (3.0,)
     assert hash(s) == hash(QuarterlySeries("x", START, [1.0, 2.0]))
+
+
+def test_negative_zero_is_kept_as_zero():
+    s = QuarterlySeries("x", START, [-0.0, 1.0, -0.0])
+    assert [math.copysign(1.0, v) for v in s.values] == [1.0, 1.0, 1.0]
 
 
 def test_window_and_truncate():
@@ -89,6 +97,17 @@ class TestDataset:
         revenue["A"] = QuarterlySeries("A", START, [10.0] * 7 + [-1.0])
         with pytest.raises(ValidationError):
             Dataset.build(revenue)
+
+    def test_values_above_the_bound_rejected(self):
+        revenue = self._revenue()
+        revenue["A"] = QuarterlySeries("A", START, [10.0] * 7 + [MAX_VALUE])
+        Dataset.build(revenue)
+        revenue["A"] = QuarterlySeries("A", START, [10.0] * 7 + [1e305])
+        with pytest.raises(ValidationError, match=r"^series 'A': value 1e\+305 at 2010Q4 is above 1e\+100$"):
+            Dataset.build(revenue)
+        indicators = {("A", "gdp"): QuarterlySeries("gdp", START, [2e100] * 8)}
+        with pytest.raises(ValidationError, match="'gdp': value 2e\\+100 at 2009Q1"):
+            Dataset.build(self._revenue(), indicators=indicators)
 
     def test_series_for_and_unknown(self):
         ds = Dataset.build(self._revenue())
