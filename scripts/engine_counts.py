@@ -2,6 +2,7 @@
 
     python3 scripts/engine_counts.py --seed 1 m1-backtest m2m3-backtest
     python3 scripts/engine_counts.py --size smoke --seed 1 m1-backtest m2m3-backtest forest-sweep
+    python3 scripts/engine_counts.py --check
 
 Run from anywhere in a source checkout; the program is imported from
 ``src/`` and the workloads from ``perfbench/workloads.py``, whose inputs
@@ -16,11 +17,16 @@ job on a fresh cache and prints one line:
 
 The counts depend only on the program, the workload, its size and the
 seed, not on the machine, so two commits can be compared run for run.
+``--check`` runs every workload and seed that ``ENGINE_COUNTS.json`` (at
+the repository root) lists, at full size, and exits 1 when any count
+differs from the file's; a change that moves a count on purpose updates
+the file from the printed lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -33,6 +39,7 @@ from quartercast import _optim, arima, ets  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 COUNTS = ("runs", "passes", "arima_calls", "arima_rows", "ets_calls", "ets_rows")
+COUNTS_FILE = ROOT / "ENGINE_COUNTS.json"
 
 
 def counted_job(workload) -> dict:
@@ -63,21 +70,43 @@ def counted_job(workload) -> dict:
     return counts
 
 
+def measured(name: str, size: str, seed: int) -> dict:
+    """The counts of one job of workload ``name``, its inputs made in a temporary directory."""
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = WORKLOADS[name](size, seed, Path(workdir))
+        workload.make_inputs()
+        return counted_job(workload)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workloads", nargs="+", choices=sorted(WORKLOADS))
+    parser.add_argument("workloads", nargs="*", metavar="workload", help=", ".join(sorted(WORKLOADS)))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", choices=("full", "smoke"), default="full")
+    parser.add_argument("--check", action="store_true", help=f"compare full-size counts with {COUNTS_FILE.name}")
     args = parser.parse_args(argv)
+    unknown = sorted(set(args.workloads) - set(WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(sorted(WORKLOADS))}")
+    if args.check:
+        jobs = [(name, int(seed), counts) for name, seeds in json.loads(COUNTS_FILE.read_text()).items()
+                for seed, counts in seeds.items()]
+        size = "full"
+    elif args.workloads:
+        jobs, size = [(name, args.seed, None) for name in args.workloads], args.size
+    else:
+        parser.error("name at least one workload, or give --check")
 
     print(f"{'workload':<16} {'seed':>4} " + " ".join(f"{name:>11}" for name in COUNTS))
-    for name in args.workloads:
-        with tempfile.TemporaryDirectory() as workdir:
-            workload = WORKLOADS[name](args.size, args.seed, Path(workdir))
-            workload.make_inputs()
-            counts = counted_job(workload)
-        print(f"{name:<16} {args.seed:>4} " + " ".join(f"{counts[k]:>11}" for k in COUNTS))
-    return 0
+    differences = []
+    for name, seed, expected in jobs:
+        counts = measured(name, size, seed)
+        print(f"{name:<16} {seed:>4} " + " ".join(f"{counts[k]:>11}" for k in COUNTS))
+        if expected is not None and expected != counts:
+            differences.append(f"{name} seed {seed}: {COUNTS_FILE.name} has {expected}")
+    for line in differences:
+        print(line, file=sys.stderr)
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

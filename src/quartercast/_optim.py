@@ -3,9 +3,9 @@
 Kept in-tree because the fitting loops evaluate tiny objectives millions
 of times.  ``nelder_mead_batch`` runs many searches as numpy arrays, each
 with the bits of the textbook scalar search; ``nelder_mead`` is its
-one-search call, and ``run_plan`` runs the searches of one fitting
-module (its plan) as one such run; a module that searches twice (the
-ETS polish) calls it twice.  The update rules are the textbook ones
+one-search call.  Each fitting module runs its own searches as one such
+run, at most ``BATCH_WIDTH`` at once; a module that searches twice (the
+ETS polish) makes two runs.  The update rules are the textbook ones
 (reflect 1, expand 2, contract 1/2, shrink 1/2) and the whole search is
 deterministic.
 """
@@ -48,7 +48,7 @@ def nelder_mead(
         simplex = _start_simplex(np.asarray(x0), range(n))
     best_x, best_f, nit = nelder_mead_batch(
         lambda members, points: np.array([f(point) for point in points.tolist()], dtype=float),
-        lambda members: simplex[None], [n], maxiter, xatol, fatol,
+        lambda members: [simplex], [n], maxiter, xatol, fatol,
     )
     return best_x[0].tolist(), float(best_f[0]), int(nit[0])
 
@@ -67,10 +67,9 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
     """Run many independent Nelder-Mead searches in lockstep.
 
     Member m searches in ``dims[m]`` (at least 1) of the N coordinates.
-    With V one more than the largest ``dims``, ``start(members)`` returns
-    the starting simplexes of the given members as a (len(members), V, N)
-    array: member m uses its first ``dims[m] + 1`` vertices, and the
-    coordinates it does not search must be 0 in all of them (they stay 0).
+    ``start(members)`` returns the starting simplex of each given member,
+    a (dims[m] + 1, N) array; the coordinates a member does not search
+    must be 0 in all its vertices (they stay 0).
     ``f(members, points)`` evaluates the objective of member ``members[k]``
     at ``points[k]`` (an (N,) row whose unused coordinates are 0) and
     returns one value per row; it must be a pure function, because each
@@ -114,7 +113,7 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
     ftols = np.broadcast_to(np.asarray(fatol, dtype=float), (n_members,))
     width = n_members if width is None else max(1, min(int(width), n_members))
     first = start(np.arange(width))
-    n_dims = first.shape[2]
+    n_dims = first[0].shape[1]
     best_x = np.empty((n_members, n_dims))
     best_f = np.empty(n_members)
     iterations = np.empty(n_members, dtype=np.intp)
@@ -160,7 +159,11 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
             if admitted:
                 lo, m = m, m + min(free, n_members - queued)
                 new = np.arange(queued, queued + m - lo)
-                S[:, lo:m] = (first if first is not None else start(new)).transpose(1, 0, 2)
+                # Vertices beyond a member's simplex are padding, held at 0 so
+                # that no stale value from an ended search reaches the spread test.
+                S[:, lo:m] = 0.0
+                for row, simplex in enumerate(first if first is not None else start(new), start=lo):
+                    S[: len(simplex), row] = simplex
                 first = None
                 ids[lo:m], cap[lo:m], xtol[lo:m], ftol[lo:m] = new, caps[new], xtols[new], ftols[new]
                 queued += m - lo
@@ -274,29 +277,3 @@ def _centroid(S, m, dims, with_vertex):
     centroid /= dims[:, None]
     return centroid
 
-
-def run_plan(plan):
-    """Search every member of a plan in one ``nelder_mead_batch`` run.
-
-    A plan is the searches of one fitting module.  It has, per member,
-    ``dims``, ``maxiter``, ``xatol`` and ``fatol`` (an array, or one value
-    for all); members are numbered 0..  ``objective(members, points)`` is
-    ``nelder_mead_batch``'s ``f``, and ``start(members)`` returns each
-    member's starting simplex as a (dims + 1, N) array, with the same N
-    columns for every member.  The simplexes are padded to the run's
-    vertex count, and at most ``BATCH_WIDTH`` members search at once.
-    Returns ``nelder_mead_batch``'s (best_x (M, N), best_f, iterations).
-    """
-    dims = np.asarray(plan.dims, dtype=np.intp)
-    n_vertices = int(dims.max(initial=0)) + 1
-
-    def start(members):
-        simplexes = plan.start(members)
-        out = np.zeros((len(simplexes), n_vertices, simplexes[0].shape[1]))
-        for padded, simplex in zip(out, simplexes):
-            padded[: simplex.shape[0]] = simplex
-        return out
-
-    return nelder_mead_batch(
-        plan.objective, start, dims, plan.maxiter, plan.xatol, plan.fatol, width=BATCH_WIDTH
-    )

@@ -4,11 +4,13 @@ The estimator is deliberately lightweight: difference the series, subtract
 the sample mean when no differencing is applied, and minimize the sum of
 squared one-step residuals with a Nelder-Mead search started from a zero
 coefficient vector.  Order selection is an exhaustive grid search over a
-small seasonal grid, scored by AICc.  Every order of every series in one
-call is searched in a single lockstep run (``auto_select_many``), and its
+small seasonal grid: the lowest AICc wins (``metrics.lowest_aicc``).
+Every order of every series in one call is searched in a single lockstep
+run (``_FitPlan``, where a job is one series' selection), and its
 residuals come from the recursion the objective runs, with the bits of the
-scalar fits that ``tests/arima_oracle.py`` keeps; ``features.fit_windows``
-selects the orders of its windows in one ``GridPlan``.
+scalar fits that ``tests/arima_oracle.py`` keeps; ``fit_arima`` is a
+one-order job, and ``features.fit_windows`` selects the orders of its
+windows with one ``auto_select_many`` call.
 
 Conventions: the AR polynomial is 1 - phi_1 B - ... and the MA polynomial
 is 1 + theta_1 B + ... (R/statsmodels sign convention); the seasonal
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import nelder_mead, run_plan  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
+from . import _optim
+from ._optim import nelder_mead  # noqa: F401  perfbench/selftest.py reads arima.nelder_mead
 from .errors import InsufficientDataError, NonconvergenceError, ValidationError
-from .metrics import aicc
+from .metrics import aicc, lowest_aicc
 from .series import QuarterlySeries
 
 SEASONAL_PERIOD = 4
@@ -356,10 +359,38 @@ def _prepare(series: QuarterlySeries, orders) -> list:
     return prepared
 
 
-class _FitPlan:
-    """Every (series, order) task of some jobs, as the members of a lockstep run.
+def _candidates(series, orders, prepared):
+    """The orders of one job that can still win, with what _prepare gave for each.
 
-    Each series is differenced once per (d, D).  Member i fits
+    The orders without coefficients, one per (d, D), need no search: best
+    is the lowest of their AICcs, from the _build_fit call fits() makes
+    (inf when the job has none).  An order with coefficients whose
+    _aicc_floor is strictly above best has an AICc strictly above it, so
+    it can neither win nor tie (a tie goes to the earlier order) and is
+    not searched.  Orders whose fit fails before any search stay, to give
+    their errors.  So a one-order job keeps its order.
+    """
+    best = min(
+        (
+            _build_fit(series, order, diffed, diffed.z).aicc
+            for order, diffed in zip(orders, prepared)
+            if not order.n_coeffs and not isinstance(diffed, Exception)
+        ),
+        default=np.inf,
+    )
+    kept = [
+        (order, diffed)
+        for order, diffed in zip(orders, prepared)
+        if not order.n_coeffs or isinstance(diffed, Exception) or _aicc_floor(order, diffed) <= best
+    ]
+    return [order for order, _ in kept], [diffed for _, diffed in kept]
+
+
+class _FitPlan:
+    """Every (series, orders) job, each one selection, as the members of a lockstep run.
+
+    Each series is differenced once per (d, D), and a job keeps only the
+    orders that can win its selection (_candidates).  Member i fits
     orders[i] (at least one coefficient) to diffs[i], in the kernel's
     fixed six-slot layout with the slots its order lacks held at zero;
     every simplex operation is per coordinate, so the layout does not
@@ -370,13 +401,11 @@ class _FitPlan:
     overflows has its fits with coefficients rejected up front.
     """
 
-    maxiter, xatol, fatol = _MAX_ITER, 1e-3, _CSS_TOL
-
     def __init__(self, jobs):
         self.jobs, self.prepared = [], []
         diffs, self.orders = [], []
         for series, job_orders in jobs:
-            job_orders, prepared = self._candidates(series, job_orders, _prepare(series, job_orders))
+            job_orders, prepared = _candidates(series, job_orders, _prepare(series, job_orders))
             self.jobs.append((series, job_orders))
             self.prepared += prepared
             for order, diffed in zip(job_orders, prepared):
@@ -386,10 +415,6 @@ class _FitPlan:
         self.slots = [_slots(order) for order in self.orders]
         self.dims = np.asarray([len(s) for s in self.slots], dtype=np.intp)
         self.objective = _CssObjective(diffs) if diffs else None
-
-    def _candidates(self, series, orders, prepared):
-        """The orders to fit, with what _prepare gave for each: here all of them."""
-        return orders, prepared
 
     def start(self, members):
         simplexes = []
@@ -401,7 +426,7 @@ class _FitPlan:
         return simplexes
 
     def fits(self):
-        """Each task's ArimaFit or error, jobs in order and orders in order, from one run of the plan.
+        """Each kept order's ArimaFit or error, jobs in order and orders in order, from one run.
 
         A generator, so that a caller that keeps only some fits never
         holds them all; the run, and one residuals call for every member
@@ -412,7 +437,9 @@ class _FitPlan:
         its sum of squares overflows or the optimizer finds no admissible
         coefficient vector.
         """
-        best_x, best_f, _ = run_plan(self)
+        best_x, best_f, _ = _optim.nelder_mead_batch(
+            self.objective, self.start, self.dims, _MAX_ITER, 1e-3, _CSS_TOL, width=_optim.BATCH_WIDTH
+        )
         solved = np.isfinite(best_f)
         found = np.flatnonzero(solved)
         residuals = iter(self.objective.residuals(found, best_x[found]) if found.size else ())
@@ -430,11 +457,6 @@ class _FitPlan:
                 yield _build_fit(series, order, diffed, e.tolist(), x.tolist())
 
 
-def _fit_tasks(jobs):
-    """Fit every order of each (series, orders) job by CSS, in one lockstep run; yields as fits() does."""
-    return _FitPlan(jobs).fits()
-
-
 def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
     """Estimate the given order on the series by minimizing the CSS.
 
@@ -443,7 +465,7 @@ def fit_arima(series: QuarterlySeries, order: ArimaOrder) -> ArimaFit:
     its sum of squares overflows or the optimizer cannot find an
     admissible coefficient vector.
     """
-    (fit,) = _fit_tasks([(series, [order])])
+    (fit,) = _FitPlan([(series, [order])]).fits()
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -462,77 +484,28 @@ def order_grid() -> list[ArimaOrder]:
     return grid
 
 
-class GridPlan(_FitPlan):
-    """The whole order grid of every series: auto_select_many's search and selection.
-
-    Orders that provably lose the AICc selection are dropped before the
-    run (_candidates), so the selection is that of the whole grid.
-    """
-
-    def __init__(self, series_list):
-        self.selected: list = [None] * len(series_list)
-        self.fitted = []
-        grid = order_grid()
-        for i, series in enumerate(series_list):
-            if len(series) < 10:
-                self.selected[i] = InsufficientDataError(
-                    f"auto selection needs >= 10 points, have {len(series)}"
-                )
-            else:
-                self.fitted.append(i)
-        super().__init__((series_list[i], grid) for i in self.fitted)
-
-    def _candidates(self, series, orders, prepared):
-        """The orders that can still win: those whose AICc floor is not above the best exact AICc.
-
-        The orders without coefficients, one per (d, D), need no search:
-        best is the lowest of their AICcs, from the _build_fit call
-        fits() makes.  An order with coefficients whose _aicc_floor is
-        strictly above best has an AICc strictly above it, so it can
-        neither win nor tie (a tie would go to the earlier order) and is
-        not searched.  Orders whose fit fails before any search stay, to
-        give their errors.
-        """
-        best = min(
-            (
-                _build_fit(series, order, diffed, diffed.z).aicc
-                for order, diffed in zip(orders, prepared)
-                if not order.n_coeffs and not isinstance(diffed, Exception)
-            ),
-            default=np.inf,
-        )
-        kept = [
-            (order, diffed)
-            for order, diffed in zip(orders, prepared)
-            if not order.n_coeffs or isinstance(diffed, Exception) or _aicc_floor(order, diffed) <= best
-        ]
-        return [order for order, _ in kept], [diffed for _, diffed in kept]
-
-    def select(self) -> list:
-        """Per series, the lowest-AICc converged fit, or the exception auto_select raises for it."""
-        selected = list(self.selected)
-        owners = (i for i, (_, grid) in zip(self.fitted, self.jobs) for _ in grid)
-        for i, fit in zip(owners, self.fits()):
-            if isinstance(fit, Exception):
-                continue
-            if selected[i] is None or fit.aicc < selected[i].aicc:
-                selected[i] = fit
-        return [
-            NonconvergenceError("no ARIMA candidate converged on this series") if r is None else r
-            for r in selected
-        ]
-
-
 def auto_select_many(series_list) -> list:
-    """Fit the whole order grid on every series in one lockstep run.
+    """Select the order grid of every series, all searched in one lockstep run.
 
     Returns, per series, the lowest-AICc converged fit, or the exception
     auto_select raises for it (InsufficientDataError below 10 points,
     NonconvergenceError when no order converged).  Orders whose data is
     insufficient after differencing are skipped; ties resolve to the
-    earlier order in (p,d,q,P,D,Q) lexicographic order.
+    earlier order in (p,d,q,P,D,Q) lexicographic order.  Orders that
+    provably lose are not searched (_candidates), so the selection is
+    that of the whole grid.
     """
-    return GridPlan(series_list).select()
+    grid = order_grid()
+    short = [
+        InsufficientDataError(f"auto selection needs >= 10 points, have {len(s)}") if len(s) < 10 else None
+        for s in series_list
+    ]
+    plan = _FitPlan((s, grid) for s, error in zip(series_list, short) if error is None)
+    selected = iter(lowest_aicc(
+        [orders for _, orders in plan.jobs], plan.fits(),
+        lambda: NonconvergenceError("no ARIMA candidate converged on this series"),
+    ))
+    return [next(selected) if error is None else error for error in short]
 
 
 def auto_select(series: QuarterlySeries) -> ArimaFit:

@@ -4,13 +4,14 @@ Level, optional (possibly damped) additive trend, optional additive
 seasonal with period 4, additive errors.  Smoothing parameters and initial
 states are optimized jointly with Nelder-Mead on a standardized copy of
 the series, a search and then a polish from its answer; specification
-selection uses AICc.  Every (series, spec) fit of one call is searched in
-one lockstep run and polished in a second (``auto_select_ets_many``), and
-every fit is built by the recursion the objective runs (``_recursion``),
-with the bits of the scalar fits that ``tests/ets_oracle.py`` keeps;
-``fit_ets`` and ``auto_select_ets`` are one-task wrappers, and
-``features.fit_windows`` selects the specs of its windows and of their
-STL-adjusted copies in one ``SelectionPlan``.
+selection takes the lowest AICc (``metrics.lowest_aicc``).  Every
+(series, spec) fit of one call is searched in one lockstep run and
+polished in a second (``_FitPlan``), and every fit is built by the
+recursion the objective runs (``_recursion``), with the bits of the
+scalar fits that ``tests/ets_oracle.py`` keeps; ``fit_ets`` and
+``auto_select_ets`` are one-task calls, and ``features.fit_windows``
+selects the specs of its windows and of their STL-adjusted copies with
+one ``auto_select_ets_many`` call.
 
 Multiplicative variants are deliberately out: 14-16 positive observations
 cannot distinguish them from the additive forms, and the additive family
@@ -23,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import _start_simplex, nelder_mead, run_plan  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
-from .errors import InsufficientDataError, ValidationError
-from .metrics import aicc
+from . import _optim
+from ._optim import _start_simplex, nelder_mead  # noqa: F401  perfbench/selftest.py reads ets.nelder_mead
+from .errors import InsufficientDataError, NonconvergenceError, ValidationError
+from .metrics import aicc, lowest_aicc
 from .series import QuarterlySeries
 
 PERIOD = 4
@@ -129,16 +131,19 @@ class _Job:
     start: np.ndarray
 
 
-def _prepare(series: QuarterlySeries, spec: EtsSpec, fixed_alpha) -> _Job:
+def _prepare(series: QuarterlySeries, spec: EtsSpec, fixed_alpha):
+    """The task's _Job, or the error its fit raises before any search."""
     y = series.to_array()
     n = y.size
     if n < 2 * PERIOD:
-        raise InsufficientDataError(f"ETS needs >= {2 * PERIOD} points, have {n}")
+        return InsufficientDataError(f"ETS needs >= {2 * PERIOD} points, have {n}")
     if fixed_alpha is not None and not 0.0 <= fixed_alpha <= 1.0:
-        raise ValidationError(f"fixed alpha must be in [0, 1], got {fixed_alpha}")
+        return ValidationError(f"fixed alpha must be in [0, 1], got {fixed_alpha}")
     # Standardize for optimizer conditioning; states map back affinely.
-    mu = float(np.mean(y))
-    sigma = float(np.std(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sigma = float(np.mean(y)), float(np.std(y))
+    if not np.isfinite(sigma):
+        return NonconvergenceError(f"series {series.id!r}: the standard deviation of its values overflows")
     if sigma == 0.0:
         sigma = 1.0
     z = (y - mu) / sigma
@@ -307,44 +312,41 @@ class _SseObjective:
 
 
 class _FitPlan:
-    """Every (series, spec, fixed_alpha) task, as the members of a lockstep run.
+    """Every (series, spec, fixed_alpha) task, as the members of two lockstep runs.
 
-    ``fits`` runs the plan twice: a member searches from the scalar
-    starting vector (tolerances 1e-8 / 1e-10), then polishes from the
-    search's answer (1e-10 / 1e-12).  Both runs give a member 200
-    iterations per searched coordinate, and both start from the scalar
-    default simplex around the member's point.
+    ``fits`` searches every member from the scalar starting vector
+    (tolerances 1e-8 / 1e-10), then polishes from the search's answer
+    (1e-10 / 1e-12).  Both runs give a member 200 iterations per searched
+    coordinate, and both start from the scalar default simplex around the
+    member's point.
     """
 
     def __init__(self, tasks):
-        self.prepared: list = []
-        self.jobs = []
-        for series, spec, fixed_alpha in tasks:
-            try:
-                job = _prepare(series, spec, fixed_alpha)
-            except (InsufficientDataError, ValidationError) as exc:
-                self.prepared.append(exc.with_traceback(None))
-                continue
-            self.prepared.append(job)
-            self.jobs.append(job)
+        self.prepared = [_prepare(*task) for task in tasks]
+        self.jobs = [job for job in self.prepared if not isinstance(job, Exception)]
         self.dims = np.asarray([len(job.cols) for job in self.jobs], dtype=np.intp)
-        self.maxiter = 200 * self.dims
         self.objective = _SseObjective(self.jobs) if self.jobs else None
 
-    def start(self, members):
-        return [_start_simplex(self.points[i], self.jobs[i].cols) for i in members.tolist()]
+    def _run(self, points, xatol, fatol):
+        """The best point of every member's search from the default simplex around its row of points."""
+
+        def start(members):
+            return [_start_simplex(points[i], self.jobs[i].cols) for i in members.tolist()]
+
+        return _optim.nelder_mead_batch(
+            self.objective, start, self.dims, 200 * self.dims, xatol, fatol, width=_optim.BATCH_WIDTH
+        )[0]
 
     def fits(self):
         """The EtsFit of every task, or the error its fit raises, from the search and the polish.
 
         The errors are fit_ets's: InsufficientDataError for a series too
-        short for the spec, ValidationError for a fixed alpha outside [0, 1].
+        short for the spec, ValidationError for a fixed alpha outside
+        [0, 1], and NonconvergenceError for a series whose standard
+        deviation overflows.
         """
-        self.points = [job.start for job in self.jobs]
-        self.xatol, self.fatol = 1e-8, 1e-10
-        self.points = run_plan(self)[0]  # the search
-        self.xatol, self.fatol = 1e-10, 1e-12
-        built = iter(self._built(run_plan(self)[0]))  # the polish, from each answer
+        searched = self._run([job.start for job in self.jobs], 1e-8, 1e-10)
+        built = iter(self._built(self._run(searched, 1e-10, 1e-12)))
         return [r if isinstance(r, Exception) else next(built) for r in self.prepared]
 
     def _built(self, X) -> list[EtsFit]:
@@ -384,18 +386,13 @@ class _FitPlan:
         return fits
 
 
-def _fit_many(tasks) -> list:
-    """The EtsFit of every (series, spec, fixed_alpha) task, or its error, from one search and one polish run."""
-    return _FitPlan(tasks).fits()
-
-
 def fit_ets(series: QuarterlySeries, spec: EtsSpec, fixed_alpha: float | None = None) -> EtsFit:
     """Fit smoothing parameters and initial states by minimizing one-step SSE.
 
     ``fixed_alpha`` pins the level smoothing weight (test hook for the
     naive and no-update limits); everything else is still optimized.
     """
-    (fit,) = _fit_many([(series, spec, fixed_alpha)])
+    (fit,) = _FitPlan([(series, spec, fixed_alpha)]).fits()
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -405,53 +402,33 @@ def spec_grid(trend_choices=TREND_CHOICES, seasonal_choices=SEASONAL_CHOICES) ->
     return [EtsSpec(t, s) for t in trend_choices for s in seasonal_choices]
 
 
-class SelectionPlan(_FitPlan):
-    """Every spec of every (series, specs) task: auto_select_ets_many's search and selection."""
-
-    def __init__(self, tasks):
-        tasks = [(series, spec_grid() if specs is None else list(specs)) for series, specs in tasks]
-        self.selected: list = [None] * len(tasks)
-        fits, self.owners = [], []
-        for i, (series, specs) in enumerate(tasks):
-            if len(series) < 8:
-                self.selected[i] = InsufficientDataError(
-                    f"auto selection needs >= 8 points, have {len(series)}"
-                )
-                continue
-            fits.extend((series, spec, None) for spec in specs)
-            self.owners.extend(i for _ in specs)
-        super().__init__(fits)
-
-    def select(self):
-        """Per task, the lowest-AICc fit, or the exception auto_select_ets raises for it."""
-        selected = list(self.selected)
-        for i, fit in zip(self.owners, self.fits()):
-            if isinstance(fit, InsufficientDataError):  # the only error a free-alpha fit returns
-                continue
-            if selected[i] is None or fit.aicc < selected[i].aicc:
-                selected[i] = fit
-        return [
-            InsufficientDataError("no ETS spec admissible on this series") if r is None else r
-            for r in selected
-        ]
-
-
 def auto_select_ets_many(tasks) -> list:
     """Fit every spec of every (series, specs) task in one search run and one polish run.
 
     ``specs`` None means the full spec_grid().  Returns, per task, the
     lowest-AICc fit, or the exception auto_select_ets raises for it
-    (InsufficientDataError below 8 points or when no spec is admissible).
-    Ties resolve to the earlier spec in enumeration order.
+    (InsufficientDataError below 8 points or when no spec fits).  Ties
+    resolve to the earlier spec in enumeration order.
     """
-    return SelectionPlan(tasks).select()
+    tasks = [(series, spec_grid() if specs is None else list(specs)) for series, specs in tasks]
+    short = [
+        InsufficientDataError(f"auto selection needs >= 8 points, have {len(series)}") if len(series) < 8 else None
+        for series, _ in tasks
+    ]
+    kept = [task for task, error in zip(tasks, short) if error is None]
+    fits = _FitPlan([(series, spec, None) for series, specs in kept for spec in specs]).fits()
+    selected = iter(lowest_aicc(
+        [specs for _, specs in kept], fits, lambda: InsufficientDataError("no ETS spec admissible on this series")
+    ))
+    return [next(selected) if error is None else error for error in short]
 
 
 def auto_select_ets(series: QuarterlySeries, specs: list[EtsSpec] | None = None) -> EtsFit:
     """Fit every admissible spec and return the lowest AICc.
 
-    Ties resolve to the earlier spec in enumeration order; the (none, none)
-    spec always fits, so selection cannot come up empty.
+    Ties resolve to the earlier spec in enumeration order.  The (none, none)
+    spec fits every series of at least 8 points whose standard deviation
+    is finite; on any other series this raises InsufficientDataError.
     """
     (fit,) = auto_select_ets_many([(series, specs)])
     if isinstance(fit, Exception):

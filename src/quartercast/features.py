@@ -14,9 +14,9 @@ import logging
 
 import numpy as np
 
-from .arima import MAX_FORECAST_STEPS, GridPlan, auto_select, auto_select_many, forecast_arima
+from .arima import MAX_FORECAST_STEPS, auto_select, auto_select_many, forecast_arima
 from .errors import InsufficientDataError, MissingIndicatorError, NonconvergenceError, ValidationError
-from .ets import SelectionPlan, forecast_ets
+from .ets import auto_select_ets_many, forecast_ets
 from .fiscal import FiscalQuarter, quarter_add, quarter_diff, quarter_range
 from .metrics import yoy_growth
 from .rows import MAX_HORIZON, N_LAGS, FeatureConfig, FeatureRow
@@ -74,11 +74,12 @@ def fit_windows(windows, cache: ForecastCache | None = None) -> list:
     """The cache entries of the windows, fitting every window not cached yet.
 
     The ETS specs of every uncached window and the STL specs of its
-    seasonally adjusted copy are selected together (one ``SelectionPlan``:
-    a search run and a polish run), then the ARIMA order grids of the
-    windows (one ``GridPlan`` run), so a call makes three lockstep runs
-    however many windows it fits.  STL's decomposition and
-    re-seasonalizing run window by window around them.
+    seasonally adjusted copy are selected together (one
+    ``auto_select_ets_many`` call: a search run and a polish run), then
+    the ARIMA order grids of the windows (one ``auto_select_many`` run),
+    so a call makes three lockstep runs however many windows it fits.
+    STL's decomposition and re-seasonalizing run window by window around
+    them.
     A model whose fit fails is recorded as its exception: Model 1 drops
     that candidate, a feature row raises it.  Returns the entries in the
     order of ``windows``.
@@ -93,11 +94,11 @@ def fit_windows(windows, cache: ForecastCache | None = None) -> list:
     if not fresh_windows:
         return [cache.get(window.values) for window in windows]
     adjusted = [_fit_or_error(seasonal_adjust, window) for window in fresh_windows]
-    ets_selected = SelectionPlan(
+    ets_selected = auto_select_ets_many(
         [(window, None) for window in fresh_windows]
         + [(adj[0], ADJUSTED_SPECS) for adj in adjusted if not isinstance(adj, Exception)]
-    ).select()
-    arima_fits = GridPlan(fresh_windows).select()
+    )
+    arima_fits = auto_select_many(fresh_windows)
     fits = iter(ets_selected)
     ets_fits = [next(fits) for _ in fresh_windows]
     for window, arima_fit, ets_fit, adj in zip(fresh_windows, arima_fits, ets_fits, adjusted):

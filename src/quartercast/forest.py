@@ -573,8 +573,12 @@ def _assemble(y, rows, count, splits, leaves, rights) -> list[TreeNode]:
     ]
 
 
-def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """X and y as float arrays, rejecting a ragged, empty or non-finite training set."""
+def _training_set(X, y, feature_names=None) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, rejecting a ragged, empty or non-finite training set.
+
+    A non-finite number is named by its row and column, and by the
+    column's name when ``feature_names`` gives one per column.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
@@ -583,8 +587,14 @@ def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
         )
     if y.size == 0:
         raise ValidationError("training set is empty")
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-        raise ValidationError("features and targets must be finite")
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0].tolist()
+        named = f" ({feature_names[j]!r})" if feature_names is not None and len(feature_names) == X.shape[1] else ""
+        raise ValidationError(f"features must be finite: row {i}, column {j}{named} is {float(X[i, j])!r}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValidationError(f"targets must be finite: row {bad[0]} is {float(y[bad[0]])!r}")
     return X, y
 
 
@@ -656,7 +666,7 @@ def train_forest(
     rejected) but builds nothing in parallel; the forest is bit-identical
     for every value.
     """
-    X, y = _training_set(X, y)
+    X, y = _training_set(X, y, feature_names)
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"x{j}" for j in range(X.shape[1])
     )

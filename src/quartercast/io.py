@@ -289,7 +289,28 @@ def table_from_dict(doc: dict) -> ComparisonTable:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _first_non_finite(obj) -> str | None:
+    """The first cell of a report (its MAPE, then its details' numbers) or of a
+    table, in the order they are written, whose number is not finite."""
+    if isinstance(obj, EvaluationReport):
+        for (geo, h), cell in sorted(obj.cells.items()):
+            numbers = [("mape", cell.mape)] + [
+                (f"{d.target} {name}", value)
+                for d in cell.details
+                for name, value in (("actual", d.actual), ("forecast", d.forecast), ("ape", d.ape))
+            ]
+            for name, value in numbers:
+                if not math.isfinite(value):
+                    return f"cell ({geo}, horizon {h}) {name} is {value!r}"
+    else:
+        for label, row in zip(obj.row_labels, obj.cells):
+            for col, value in zip(obj.col_labels, row):
+                if value is not None and not math.isfinite(value):
+                    return f"cell ({label}, {col}) is {value!r}"
+    return None
 
 
 def _matrix_csv(obj) -> str:
@@ -307,7 +328,11 @@ def _matrix_csv(obj) -> str:
 
 
 def write_report(obj, fmt: str, path) -> None:
-    """Write a report or comparison table as json or csv."""
+    """Write a report or comparison table as json or csv.
+
+    A number that is not finite, in a cell or in the JSON's metadata,
+    raises ValidationError naming the path, and no file is written.
+    """
     if fmt not in REPORT_FORMATS:
         raise ValidationError(f"output format must be 'json' or 'csv', got {fmt!r}")
     if isinstance(obj, EvaluationReport):
@@ -316,7 +341,16 @@ def write_report(obj, fmt: str, path) -> None:
         to_dict = table_to_dict
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
-    text = _dump_json(to_dict(obj)) if fmt == "json" else _matrix_csv(obj)
+    bad = _first_non_finite(obj)
+    if bad is not None:
+        raise ValidationError(f"{path}: {bad}, not a finite number")
+    if fmt == "csv":
+        text = _matrix_csv(obj)
+    else:
+        try:
+            text = _dump_json(to_dict(obj))
+        except ValueError as exc:  # allow_nan=False, on a metadata value
+            raise ValidationError(f"{path}: {exc}") from None
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -6,6 +6,7 @@ only when reports are rendered.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -47,6 +48,24 @@ def aicc(sse: float, n: int, k: int, shrink: float = 1.0) -> float:
     if n - k - 1 <= 0:
         return float(np.inf)
     return float(n * np.log(max(sse / n, _LOG_FLOOR) * shrink) + 2.0 * k * n / (n - k - 1))
+
+
+def lowest_aicc(jobs, fits, none_fits) -> list:
+    """Per job, its lowest-AICc fit, or ``none_fits()`` when none of its candidates fit.
+
+    ``jobs`` holds each job's candidates, and ``fits`` yields one fit (with
+    an ``aicc``) or error per candidate, job after job.  Errors are skipped
+    and a tie goes to the earlier candidate.
+    """
+    fits = iter(fits)
+    selected = []
+    for job in jobs:
+        best = None
+        for fit in islice(fits, len(job)):
+            if not isinstance(fit, Exception) and (best is None or fit.aicc < best.aicc):
+                best = fit
+        selected.append(none_fits() if best is None else best)
+    return selected
 
 
 def relative_improvement(x: float, y: float) -> float:

@@ -168,8 +168,8 @@ def stlf_forecast(series: QuarterlySeries, h: int) -> np.ndarray:
     The seasonally adjusted series is forecast with an ETS restricted to
     ADJUSTED_SPECS ({no trend, additive trend}, no seasonal component: that
     part was already removed), selected by AICc.  ``features.fit_windows``
-    runs the same three steps, with the ETS fits of all its windows in
-    one search run and one polish run.
+    runs the same three steps, with the ETS selections of all its windows
+    in one ``auto_select_ets_many`` call (a search run and a polish run).
     """
     if not 1 <= h <= 8:
         raise ValidationError(f"forecast horizon must be in 1..8, got {h}")

@@ -81,7 +81,7 @@ def test_grid_matches_oracle(value_lists):
     """Every order's fit and each series' choice; series of different lengths share one batch."""
     series = [QuarterlySeries(f"s{i}", START, v) for i, v in enumerate(value_lists)]
     grid = order_grid()
-    per_order = list(arima._fit_tasks([(s, grid) for s in series]))
+    per_order = list(arima._FitPlan([(s, [order]) for s in series for order in grid]).fits())
     for k, (s, best) in enumerate(zip(series, auto_select_many(series))):
         scalar = [oracle_or_error(oracle.fit_arima, s, order) for order in grid]
         for fit, expected in zip(per_order[k * len(grid) : (k + 1) * len(grid)], scalar):
@@ -101,9 +101,9 @@ def seasonal_trending(draw):
 
 
 def assert_selection_is_the_whole_grids(series):
-    """auto_select_many, whose GridPlan skips orders, against the selection over every order's fit."""
+    """auto_select_many, whose plan skips orders, against the selection over every order's fit."""
     grid = order_grid()
-    per_order = list(arima._fit_tasks([(s, grid) for s in series]))
+    per_order = list(arima._FitPlan([(s, [order]) for s in series for order in grid]).fits())
     for k, best in enumerate(auto_select_many(series)):
         assert_same(best, oracle_select(per_order[k * len(grid) : (k + 1) * len(grid)]))
 
@@ -122,7 +122,7 @@ def test_aicc_floor_is_at_most_the_fitted_aicc(values):
     s = QuarterlySeries("s", START, values)
     grid = order_grid()
     prepared = arima._prepare(s, grid)
-    for order, diffed, fit in zip(grid, prepared, arima._fit_tasks([(s, grid)])):
+    for order, diffed, fit in zip(grid, prepared, arima._FitPlan([(s, [order]) for order in grid]).fits()):
         if order.n_coeffs and not isinstance(fit, Exception):
             assert arima._aicc_floor(order, diffed) <= fit.aicc, order
 
@@ -136,8 +136,8 @@ def test_windows_skip_orders_and_keep_the_selection(length):
         for geo in panel.series_ids()
         for lo in (0, 28 - length)
     ]
-    # GridPlan searches fewer than the grid's 140 orders with coefficients on every window.
-    assert all(len(arima.GridPlan([w]).orders) < 140 for w in windows)
+    # A window's selection searches fewer than the grid's 140 orders with coefficients.
+    assert all(len(arima._FitPlan([(w, order_grid())]).orders) < 140 for w in windows)
     assert_selection_is_the_whole_grids(windows)
     (first,) = auto_select_many(windows[:1])
     assert_same(first, oracle.auto_select(windows[0]))
@@ -216,7 +216,7 @@ FORECAST_ORDERS = [
 def test_forecasts_match_oracle_at_every_differencing(values):
     """Forecasts for h = 1..8 of fits at every (d, D) pair have the oracle's bits."""
     s = QuarterlySeries("s", START, values)
-    for order, fit in zip(FORECAST_ORDERS, arima._fit_tasks([(s, FORECAST_ORDERS)])):
+    for order, fit in zip(FORECAST_ORDERS, arima._FitPlan([(s, [order]) for order in FORECAST_ORDERS]).fits()):
         assert not isinstance(fit, Exception), (order, fit)
         for h in range(1, 9):
             assert bits(forecast_arima(fit, h)) == bits(oracle.forecast_arima(fit, h)), (order, h)

@@ -9,11 +9,18 @@ from hypothesis import strategies as st
 
 import arima_oracle
 import ets_oracle as oracle
-from quartercast import FiscalQuarter, InsufficientDataError, QuarterlySeries, ValidationError, forecast_arima
+from quartercast import (
+    FiscalQuarter,
+    InsufficientDataError,
+    NonconvergenceError,
+    QuarterlySeries,
+    ValidationError,
+    forecast_arima,
+)
 from quartercast.ets import (
     _N_COLUMNS,
     EtsSpec,
-    _fit_many,
+    _FitPlan,
     _prepare,
     _SseObjective,
     auto_select_ets,
@@ -87,7 +94,7 @@ def test_batch_matches_scalar_fits(draws):
     for k, (ys, fixed) in enumerate(draws):
         series = QuarterlySeries(f"s{k}", START, ys)
         tasks += [(series, spec, a) for spec, a in zip(spec_grid(), fixed)]
-    for task, batch in zip(tasks, _fit_many(tasks)):
+    for task, batch in zip(tasks, _FitPlan(tasks).fits()):
         assert_same(batch, oracle_or_error(oracle.fit_ets, *task))
 
 
@@ -136,7 +143,7 @@ def test_errors_match_scalar_and_leave_the_rest_alone():
         (good, EtsSpec("additive-damped", "additive"), None),
         (good, EtsSpec("none", "none"), 0.0),
     ]
-    for task, batch in zip(tasks, _fit_many(tasks)):
+    for task, batch in zip(tasks, _FitPlan(tasks).fits()):
         assert_same(batch, oracle_or_error(oracle.fit_ets, *task))
     with pytest.raises(ValidationError):
         fit_ets(good, EtsSpec("none", "none"), fixed_alpha=-0.1)
@@ -146,6 +153,21 @@ def test_errors_match_scalar_and_leave_the_rest_alone():
     assert str(empty) == "no ETS spec admissible on this series"
     with pytest.raises(InsufficientDataError):
         auto_select_ets(short)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+def test_series_whose_spread_overflows_gives_errors_not_nan(scale):
+    """np.std of the series overflows: no ETS fit is made (it would have NaN
+    SSE and AICc), fit_ets and auto_select_ets raise, and fit_windows records
+    the ETS and STL errors, while ARIMA keeps its finite fallback."""
+    big = QuarterlySeries("big", START, ragged(10, 16).to_array() * scale)
+    with pytest.raises(NonconvergenceError, match="^series 'big': the standard deviation of its values overflows$"):
+        fit_ets(big, EtsSpec())
+    with pytest.raises(InsufficientDataError, match="^no ETS spec admissible on this series$"):
+        auto_select_ets(big)
+    arima_fc, ets_fc, stl_fc = fit_windows([big], ForecastCache())[0]
+    assert isinstance(ets_fc, InsufficientDataError) and isinstance(stl_fc, InsufficientDataError)
+    assert np.all(np.isfinite(arima_fc))
 
 
 def test_clip_distance_squares_with_pow():

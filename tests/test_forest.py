@@ -141,6 +141,22 @@ class TestBuildTree:
             with pytest.raises(ValidationError, match=match):
                 fit(X, y, params)
 
+    def test_non_finite_number_is_named_by_row_and_column(self):
+        """The first bad row, then its first bad column, with the column's name when given."""
+        X = np.ones((4, 3))
+        X[3, 0] = np.nan
+        X[2, 2] = np.inf
+        X[2, 1] = -np.inf
+        params = ForestParams(n_trees=1, seed=1)
+        at = r"^features must be finite: row 2, column 1"
+        for fit in (build_tree, train_forest):
+            with pytest.raises(ValidationError, match=at + " is -inf$"):
+                fit(X, np.zeros(4), params)
+        with pytest.raises(ValidationError, match=at + r" \('lag_1'\) is -inf$"):
+            train_forest(X, np.zeros(4), params, feature_names=["horizon", "lag_1", "lag_2"])
+        with pytest.raises(ValidationError, match=r"^targets must be finite: row 1 is nan$"):
+            train_forest(np.ones((4, 3)), np.asarray([0.0, np.nan, np.inf, 0.0]), params)
+
     def test_constant_targets_single_leaf(self):
         t = build_tree(np.asarray([[1.0], [2.0], [3.0]]), np.asarray([5.0, 5.0, 5.0]),
                        ForestParams(n_trees=1, seed=1))

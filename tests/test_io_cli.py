@@ -397,6 +397,36 @@ class TestReportSerialization:
         with pytest.raises(ValidationError):
             write_report(sample_report(), "xml", tmp_path / "x")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_numbers_are_refused_and_nothing_is_written(self, fmt, tmp_path):
+        """The first bad cell in writing order is named, with the path; a detail
+        counts in CSV too, although only the MAPEs are rendered there."""
+        q = FiscalQuarter(2015, 1)
+        nan, inf = float("nan"), float("inf")
+        detail = HorizonCell(mape=1.0, details=(ApeDetail(q, 100.0, inf, inf),))
+        cases = [
+            (EvaluationReport("m1", ("A", "TOTAL"), (1,), {("A", 1): detail, ("TOTAL", 1): HorizonCell(nan, ())}, {}),
+             "cell (A, horizon 1) 2015Q1 forecast is inf"),
+            (EvaluationReport("m1", ("A",), (1, 2), {("A", 2): HorizonCell(nan, ()), ("A", 1): HorizonCell(-inf, ())}, {}),
+             "cell (A, horizon 1) mape is -inf"),
+            (ComparisonTable("horizons", ("A", "TOTAL"), ("horizon_2", "horizon_3"), ((1.0, None), (nan, inf)), {}),
+             "cell (TOTAL, horizon_2) is nan"),
+        ]
+        for k, (obj, named) in enumerate(cases):
+            path = tmp_path / f"bad{k}.{fmt}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {re.escape(named)}, not a finite number$"):
+                write_report(obj, fmt, path)
+            assert not path.exists()
+
+    def test_non_finite_metadata_is_refused_in_json(self, tmp_path):
+        rep = EvaluationReport("m1", ("A",), (1,), {("A", 1): HorizonCell(1.0, ())}, {"score": float("nan")})
+        path = tmp_path / "meta.json"
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: Out of range float values"):
+            write_report(rep, "json", path)
+        assert not path.exists()
+        write_report(rep, "csv", tmp_path / "meta.csv")
+        assert (tmp_path / "meta.csv").read_text() == "geo,horizon_1\nA,1.00\n"
+
     @pytest.mark.parametrize(
         "text, named",
         [

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from quartercast import (
     relative_improvement,
     yoy_growth,
 )
+from quartercast.metrics import lowest_aicc
 
 START = FiscalQuarter(2009, 1)
 
@@ -70,6 +72,36 @@ class TestMape:
         for _ in range(50):
             a, f = rng.uniform(1, 100), rng.uniform(1, 100)
             assert mape([(a, f)]) == ape(a, f)
+
+
+class Fit(NamedTuple):
+    name: str
+    aicc: float
+
+
+class TestLowestAicc:
+    @staticmethod
+    def none_fits():
+        return LookupError("nothing fit")
+
+    def test_tie_goes_to_the_earlier_candidate(self):
+        first, second = Fit("first", 1.5), Fit("second", 1.5)
+        assert lowest_aicc([["a", "b", "c"]], [Fit("worse", 2.0), first, second], self.none_fits) == [first]
+
+    def test_errors_are_skipped(self):
+        best = Fit("best", 3.0)
+        fits = [ValueError("no fit"), Fit("worse", 4.0), best, ValueError("no fit")]
+        assert lowest_aicc([range(4)], fits, self.none_fits) == [best]
+
+    def test_a_job_with_no_fit_gets_none_fits(self):
+        empty, all_errors = lowest_aicc([[], ["a", "b"]], [ValueError("x"), ValueError("y")], self.none_fits)
+        assert isinstance(empty, LookupError) and isinstance(all_errors, LookupError)
+        assert empty is not all_errors  # one call per job
+
+    def test_jobs_of_different_sizes_take_their_fits_in_order(self):
+        fits = [Fit("a1", 5.0), Fit("b1", 2.0), Fit("b2", 1.0), Fit("b3", 3.0), Fit("d1", 9.0), Fit("d2", -1.0)]
+        selected = lowest_aicc([["a1"], ["b1", "b2", "b3"], [], ["d1", "d2"]], iter(fits), self.none_fits)
+        assert [fit.name if isinstance(fit, Fit) else None for fit in selected] == ["a1", "b2", None, "d2"]
 
 
 class TestRelativeImprovement:

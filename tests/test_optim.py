@@ -2,8 +2,9 @@
 
 Every member of a batch gets its own objective; the same Python function
 scores a point in both searches, so any difference in the results comes
-from the simplex bookkeeping alone.  ``run_plan``, the searches of one
-plan in one run, is checked the same way.
+from the simplex bookkeeping alone.  A plan's members, each with a
+starting simplex of its own size as the fitting modules give them, are
+checked the same way.
 """
 
 import math
@@ -306,8 +307,8 @@ def test_cap_on_the_iteration_after_the_first_shrink(width):
     assert (nit[0], nit[1]) == (shrink + 1, shrink) and nit[2] > shrink + 1
 
 
-# run_plan: one plan's members in one run, their simplexes padded to the
-# run's vertex count.
+# One plan's members in one run, each simplex with only its own dims + 1
+# vertices, copied in by the kernel when the member is admitted.
 
 class Plan:
     """One search per member, each with its own simplex, cap and tolerances."""
@@ -334,9 +335,12 @@ class Plan:
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(search_members(), max_size=8))
-def test_run_plan_matches_scalar_searches(cases):
+def test_plan_simplexes_match_scalar_searches(cases):
     """A plan of random member mixes, the empty plan included."""
-    best_x, best_f, nit = _optim.run_plan(Plan(cases))
+    plan = Plan(cases)
+    best_x, best_f, nit = nelder_mead_batch(
+        plan.objective, plan.start, plan.dims, plan.maxiter, plan.xatol, plan.fatol, width=_optim.BATCH_WIDTH
+    )
     assert len(best_f) == len(nit) == len(cases)
     for m, case in enumerate(cases):
         assert_member(best_x, best_f, nit, m, run_oracle(case))
