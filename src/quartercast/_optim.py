@@ -19,6 +19,11 @@ import numpy as np
 # section).
 BATCH_WIDTH = 512
 
+# Widest batch whose columns _column_sums folds with one np.add.accumulate
+# call: that costs about 60 ns a column, while a row-by-row loop costs
+# about 0.4 us a row whatever the width.  Either is the same left fold.
+_ACCUMULATE_COLUMNS = 128
+
 
 def nelder_mead(
     f,
@@ -121,12 +126,14 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
     # The searches in progress are rows 0..m-1, kept in order of falling
     # dimension.  Their simplexes are stored vertex-major, S[j, r] being
     # vertex j of row r, so that one vertex of every row is one contiguous
-    # block; F[r, j] is its value.  Each row also has its member,
-    # dimension, iteration count, cap and tolerances.  Sorting and dropping
-    # ended searches gather into the spare buffers, which then swap in.
+    # block, and F[j, r] is its value: a flat position j * width + r
+    # indexes both.  Each row also has its member, dimension, iteration
+    # count, cap and tolerances.  Sorting and dropping ended searches
+    # gather into the spare buffers, which then swap in.
     S = np.empty((n_vertices, width, n_dims))
     S_spare = np.empty_like(S)
-    F, F_spare = np.empty((width, n_vertices)), np.empty((width, n_vertices))
+    F, F_spare = np.empty((n_vertices, width)), np.empty((n_vertices, width))
+    centroid = np.empty((width, n_dims))
     row_ints = np.zeros((4, width), dtype=np.intp)
     ids, dim, nit, cap = row_ints
     row_tols = np.empty((2, width))
@@ -135,20 +142,34 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
     m = queued = 0
 
     def layout():
-        """Index arrays of the current rows: row numbers, dimensions, flat
-        offsets of rows in F, flat positions of the worst and second worst
-        values in F and of the worst vertex in S, which vertex slots are
-        padding, how many rows have each vertex (valid once rows are in
-        order of falling dimension), and the members of the four trial
-        points."""
+        """What a pass needs of the current rows, made when rows start or end.
+
+        Row numbers; dimensions, one per coordinate of every row; the
+        flat positions of every row's worst and second worst vertex; for
+        the spread test, the flat position of every vertex slot of every
+        row, with the padding slots at its slot 0; which
+        vertices a shrink moves (a row of rows by a column of slots); the
+        positions of every row's worst vertex among the five points of a
+        pass; the members of the four trial points; and the centroid's
+        blocks in S and in S_spare (see _centroid), valid once rows are in
+        order of falling dimension.
+        """
         rows = np.arange(m)
         d = dim[:m]
-        at = rows * n_vertices
-        worst_at = at + d
+        worst_at = d * width + rows
         members = np.empty((4, m), dtype=np.intp)
         members[:] = ids[:m]
-        return (rows, d, at[:, None], worst_at, worst_at - 1, d * width + rows, slots[:, None] > d,
-                np.searchsorted(-d, -slots, side="left").tolist(), members.reshape(-1))
+        with_vertex = np.searchsorted(-d, -slots, side="left").tolist()
+
+        def blocks(buffer):
+            pairs = [(centroid[:k], buffer[j, :k]) for j, k in enumerate(with_vertex) if j and k]
+            return buffer[0, :m], centroid[:m], pairs
+
+        dims = np.empty((m, n_dims))
+        dims[:] = d[:, None]
+        spread_at = np.where(slots[:, None] <= d, slots[:, None], 0) * width + rows
+        return (rows, dims, worst_at, worst_at - width, spread_at, (slots >= 1) & (slots <= d[:, None]),
+                rows + 4 * m, members.reshape(-1), blocks(S), blocks(S_spare))
 
     # inf - inf (a value spread with every vertex infeasible) is NaN, which
     # passes no tolerance, as the scalar search's inf spread does not.
@@ -159,8 +180,9 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
             if admitted:
                 lo, m = m, m + min(free, n_members - queued)
                 new = np.arange(queued, queued + m - lo)
-                # Vertices beyond a member's simplex are padding, held at 0 so
-                # that no stale value from an ended search reaches the spread test.
+                # Vertices beyond a member's simplex are padding, held at 0
+                # with NaN values, which sort last; no centroid, spread test
+                # or shrink reads them.
                 S[:, lo:m] = 0.0
                 for row, simplex in enumerate(first if first is not None else start(new), start=lo):
                     S[: len(simplex), row] = simplex
@@ -169,51 +191,61 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
                 queued += m - lo
                 dim[lo:m] = all_dims[ids[lo:m]]
                 nit[lo:m] = 0
-                F[lo:m] = np.nan
-                r, c = np.nonzero(slots <= dim[lo:m, None])
-                F[lo + r, c] = f(ids[lo + r], S[c, lo + r])
-                rows, d, at, worst_at, second_at, worst_in_s, padding, with_vertex, members4 = layout()
+                F[:, lo:m] = np.nan
+                r, c = (slots <= dim[lo:m, None]).nonzero()
+                F[c, lo + r] = f(ids[lo + r], S[c, lo + r])
+                (rows, dims, worst_at, second_at, spread_at, moves, worst_of_five, members4,
+                 blocks, spare_blocks) = layout()
             if m == 0:
                 break
 
-            # Sort every row's vertices by value (stable, so NaN goes last);
-            # end the searches that have converged or reached their cap;
-            # gather the rest, sorted, into the front rows, in order of
-            # falling dimension.
-            order = np.argsort(F[:m], axis=1, kind="stable")
-            Fs = F_spare[:m]
-            np.take(F, order + at, out=Fs, mode="clip")
-            fspread = Fs.take(worst_at) - Fs[:, 0]
+            # Sort every row's vertex values (stable, so NaN goes last): at[j, r]
+            # is the flat position of row r's j-th best vertex.
+            at = F[:, :m].argsort(axis=0, kind="stable")
+            at *= width
+            at += rows
+            F.take(at, out=F_spare[:, :m], mode="clip")
+            F, F_spare = F_spare, F
+
+            # End the searches that have reached their cap or converged: the
+            # value spread, and where it passes, the coordinate spread of the
+            # real vertices against the best (a padding slot stands in for
+            # slot 0, a real vertex that counts anyway).
+            fspread = F.take(worst_at) - F[0, :m]
             done = nit[:m] >= cap[:m]
-            # The coordinate spread (over the real vertices, against the best)
-            # is needed only where the value spread passes.
             near = ((fspread <= ftol[:m]) & ~done).nonzero()[0]
+            S_flat = S.reshape(-1, n_dims)
             if near.size:
-                diff = np.abs(S[:, near] - S[order[near, 0], near])
-                diff[padding[:, near]] = 0.0
-                done[near] = diff.max(axis=(0, 2)) <= xtol[near]
-            if admitted or done.any():
+                spread = S_flat.take(spread_at.take(near, axis=1), axis=0)
+                spread -= S_flat.take(at[0].take(near), axis=0)
+                np.abs(spread, spread)
+                spread = np.maximum.reduce(np.maximum.reduce(spread, axis=0), axis=1)
+                done[near] = spread <= xtol.take(near)
+            # Gather the simplexes in sorted order; when searches end or
+            # start, only the rows that go on, in order of falling dimension.
+            if admitted or np.count_nonzero(done):
                 ended = done.nonzero()[0]
                 out = ids[ended]
-                best_x[out] = S[order[ended, 0], ended]
-                best_f[out] = Fs[ended, 0]
+                best_x[out] = S_flat.take(at[0].take(ended), axis=0)
+                best_f[out] = F[0, ended]
                 iterations[out] = nit[ended]
                 keep = (~done).nonzero()[0]
                 if admitted:
-                    keep = keep[np.argsort(-d[keep], kind="stable")]
+                    keep = keep[(-dim[keep]).argsort(kind="stable")]
                 m = keep.size
-                F[:m] = Fs[keep]
                 row_ints[:, :m] = row_ints[:, keep]
                 row_tols[:, :m] = row_tols[:, keep]
-                order = order[keep]
-                np.take(S.reshape(-1, n_dims), order.T * width + keep, axis=0, out=S_spare[:, :m], mode="clip")
-                rows, d, at, worst_at, second_at, worst_in_s, padding, with_vertex, members4 = layout()
+                S_flat.take(at.take(keep, axis=1), axis=0, out=S_spare[:, :m], mode="clip")
+                F.take(keep, axis=1, out=F_spare[:, :m], mode="clip")
+                S, S_spare, F, F_spare = S_spare, S, F_spare, F
+                (rows, dims, worst_at, second_at, spread_at, moves, worst_of_five, members4,
+                 blocks, spare_blocks) = layout()
+                if not m:
+                    continue
             else:
-                np.take(S.reshape(-1, n_dims), order.T * width + rows, axis=0, out=S_spare[:, :m], mode="clip")
-                F, F_spare = F_spare, F
-            S, S_spare = S_spare, S
-            if not m:
-                continue
+                S_flat.take(at, axis=0, out=S_spare[:, :m], mode="clip")
+                S, S_spare = S_spare, S
+                blocks, spare_blocks = spare_blocks, blocks
 
             # One Nelder-Mead step of every row, its trial points in one
             # evaluation.  Trial points 0-3 of every row: reflection,
@@ -222,33 +254,41 @@ def nelder_mead_batch(f, start, dims, maxiter=500, xatol=1e-4, fatol=1e-8, width
             # Point 4 is the worst vertex, which a row keeps when it shrinks.
             points = np.empty((5, m, n_dims))
             worst = points[4]
-            np.take(S.reshape(-1, n_dims), worst_in_s, axis=0, out=worst)
-            np.multiply(_CENTROID_WEIGHT, _centroid(S, m, d, with_vertex), out=points[:4])
+            S.reshape(-1, n_dims).take(worst_at, axis=0, out=worst)
+            np.multiply(_CENTROID_WEIGHT, _centroid(*blocks, dims), out=points[:4])
             points[:4] -= _WORST_WEIGHT * worst
-            fworst = F.take(worst_at)
-            values = np.concatenate([f(members4, points[:4].reshape(-1, n_dims)), fworst]).reshape(5, m)
-            fr, fe = values[0], values[1]
+            values = np.concatenate([f(members4, points[:4].reshape(-1, n_dims)), F.take(worst_at)]).reshape(5, m)
+            fr, fe, fworst = values[0], values[1], values[4]
 
-            # The point each row keeps: the one the scalar search would.
-            expand = fr < F[:m, 0]
-            contract = ~(expand | (fr < F.take(second_at)))
-            # A contraction toward the reflection (2) when that beat the worst
-            # vertex, else toward the worst (3); it fails, and the simplex
-            # shrinks, unless it beats the better of the two.
+            # The point each row keeps, the one the scalar search would: the
+            # expansion (1) when the reflection beat the best vertex and the
+            # expansion beat it, else the reflection (0) when that beat the
+            # second worst vertex, else a contraction, toward the reflection
+            # (2) when that beat the worst vertex and toward the worst (3)
+            # otherwise.  The contraction fails, and the simplex shrinks,
+            # unless it beats the better of the two.
+            expand = fr < F[0, :m]
+            reflect = expand | (fr < F.take(second_at))
             toward_reflection = fr < fworst
-            pick = np.where(contract, np.where(toward_reflection, 2, 3), expand & (fe < fr))
-            shrink = contract & ~(values[pick, rows] < np.where(toward_reflection, fr, fworst))
+            kept = np.where(reflect, expand & (fe < fr), 3 - toward_reflection)
+            kept *= m
+            kept += rows
+            shrink = ~(reflect | (values.take(kept) < np.where(toward_reflection, fr, fworst)))
             nit[:m] += 1
-            pick[shrink] = 4
-            S.reshape(-1, n_dims)[worst_in_s] = points[pick, rows]
-            F.reshape(-1)[worst_at] = values[pick, rows]
+            np.copyto(kept, worst_of_five, where=shrink)
+            S.reshape(-1, n_dims)[worst_at] = points.reshape(-1, n_dims).take(kept, axis=0)
+            F.put(worst_at, values.take(kept))
             # A shrink moves every vertex but the best halfway toward it, and
             # scores them at once, as the scalar search does.
-            if shrink.any():
-                r, j = np.nonzero(shrink[:, None] & (slots >= 1) & (slots <= d[:, None]))
-                moved = 0.5 * (S[j, r] + S[0, r])
-                S[j, r] = moved
-                F[r, j] = f(ids[r], moved)
+            if np.count_nonzero(shrink):
+                r, j = (shrink[:, None] & moves).nonzero()
+                moved_at = j * width + r
+                S_flat = S.reshape(-1, n_dims)
+                moved = S_flat.take(moved_at, axis=0)
+                moved += S[0].take(r, axis=0)
+                moved *= 0.5
+                S_flat[moved_at] = moved
+                F.put(moved_at, f(ids.take(r), moved))
 
     return best_x, best_f, iterations
 
@@ -260,20 +300,33 @@ _CENTROID_WEIGHT = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
 _WORST_WEIGHT = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
 
 
-def _centroid(S, m, dims, with_vertex):
-    """The centroid of each row's ``dims`` best vertices, one pass's worth.
+def _centroid(first, out, blocks, dims):
+    """The centroid of each row's ``dims`` best vertices, one pass's worth, into out.
 
     0.0 + v_0 + v_1 + ... + v_{n-1}, then / n, as the scalar search sums
-    it.  The rows come in order of falling ``dims``: the first
-    ``with_vertex[j]`` of them have vertex j, so each add is one
+    it.  ``first`` holds every row's best vertex, and ``blocks`` pairs,
+    for each later vertex j, the rows of out that have vertex j with
+    those rows' vertex j.  The rows come in order of falling ``dims``, so
+    the rows with vertex j are the first ones and each add is one
     contiguous block.
     """
-    centroid = S[0, :m] + 0.0
-    for j in range(1, len(with_vertex)):
-        k = with_vertex[j]
-        if not k:
-            break
-        centroid[:k] += S[j, :k]
-    centroid /= dims[:, None]
-    return centroid
+    np.add(first, 0.0, out)
+    for rows, vertex in blocks:
+        np.add(rows, vertex, rows)
+    np.divide(out, dims, out)
+    return out
 
+
+def _column_sums(E) -> np.ndarray:
+    """Each column of E added in sequence, first row to last: a left fold.
+
+    The scalar fits add their squared errors this way.  np.add.reduce
+    adds a one-column batch (as a shrink step often scores) pairwise from
+    8 rows on, so it is not used.
+    """
+    if E.shape[1] <= _ACCUMULATE_COLUMNS:
+        return np.add.accumulate(E, axis=0)[-1]
+    total = E[0].copy()
+    for row in E[1:]:
+        np.add(total, row, total)
+    return total

@@ -251,23 +251,26 @@ class _CssObjective:
         K = len(members)
         c = X.T
         out = np.full(K, np.inf)
-        ok = np.nonzero(_admissible_mask(c))[0]
+        ok = _admissible_mask(c).nonzero()[0]
         if ok.size == 0:
             return out
         if ok.size < K:
             c = c[:, ok]
             members = members[ok]
         e = self._residuals(members, c)
-        # The CSS adds the squares in sequence, as the scalar sum does:
-        # accumulate is a left fold at every batch size, while np.add.reduce
-        # adds a one-row batch (as a shrink step often scores) pairwise from
-        # 8 quarters on.
-        np.multiply(e, e, out=e)
-        out[ok] = np.add.accumulate(e, axis=0)[-1] / self.denom[members]
+        # The CSS adds the squares in sequence, as the scalar sum does; they
+        # go to a new array whose rows are in time order in memory too.
+        square = np.multiply(e, e, np.empty(e.shape))
+        out[ok] = _optim._column_sums(square) / self.denom[members]
         return out
 
     def _residuals(self, members, c) -> np.ndarray:
-        """The residuals (rows, front-padded with zeros) of the members at the coefficient columns c."""
+        """The residuals (rows, front-padded with zeros) of the members at the coefficient columns c.
+
+        They are computed into rows that run backward in time, R[T - 1 - t]
+        holding quarter t, so that the six lags of a quarter are one
+        forward block of rows; the view returned runs forward.
+        """
         p1, p2, t1, t2, sp, st = c
         ar = ((-p1, 1), (-p2, 2), (0.0 - sp, 4), (p1 * sp, 5), (p2 * sp, 6))
         n, T, L = len(members), self.T, _LAGS
@@ -276,22 +279,23 @@ class _CssObjective:
         ma[0], ma[1], ma[3], ma[4], ma[5] = t1, t2, 0.0 + st, t1 * st, t2 * st
 
         Zp = self.Z[:, self.group[members]]
-        E = np.empty((L + T, n))
+        x = Zp[L:].copy()
         tmp = np.empty((T, n))
-        E[:L] = 0.0
-        x = E[L:]
-        x[...] = Zp[L:]
         for coef, lag in ar:
-            np.multiply(coef, Zp[L - lag : L - lag + T], out=tmp)
-            np.add(x, tmp, out=x)
+            np.multiply(coef, Zp[L - lag : L - lag + T], tmp)
+            np.add(x, tmp, x)
         # e_t = x_t - ma_1 e_{t-1} - ... - ma_6 e_{t-6}: the subtraction
         # reduce over the stacked rows is a left fold, in lag order.
+        R = np.empty((T + L, n))
+        R[T:] = 0.0
         terms = np.empty((1 + L, n))
-        for t in range(L, L + T):
-            terms[0] = E[t]
-            np.multiply(ma, E[t - L : t][::-1], out=terms[1:])
-            np.subtract.reduce(terms, axis=0, out=E[t])
-        return x
+        lags = terms[1:]
+        multiply, subtract = np.multiply, np.subtract.reduce
+        for t in range(T):
+            terms[0] = x[t]
+            multiply(ma, R[T - t : T - t + L], lags)
+            subtract(terms, 0, None, R[T - 1 - t])
+        return R[T - 1 :: -1]
 
 
 def _aicc_floor(order: ArimaOrder, diffed: _Differenced) -> float:
@@ -503,7 +507,7 @@ def auto_select_many(series_list) -> list:
     plan = _FitPlan((s, grid) for s, error in zip(series_list, short) if error is None)
     selected = iter(lowest_aicc(
         [orders for _, orders in plan.jobs], plan.fits(),
-        lambda: NonconvergenceError("no ARIMA candidate converged on this series"),
+        lambda error: NonconvergenceError("no ARIMA candidate converged on this series"),
     ))
     return [next(selected) if error is None else error for error in short]
 

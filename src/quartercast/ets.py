@@ -7,7 +7,7 @@ the series, a search and then a polish from its answer; specification
 selection takes the lowest AICc (``metrics.lowest_aicc``).  Every
 (series, spec) fit of one call is searched in one lockstep run and
 polished in a second (``_FitPlan``), and every fit is built by the
-recursion the objective runs (``_recursion``), with the bits of the
+recursion the objective runs (``_Recursion``), with the bits of the
 scalar fits that ``tests/ets_oracle.py`` keeps; ``fit_ets`` and
 ``auto_select_ets`` are one-task calls, and ``features.fit_windows``
 selects the specs of its windows and of their STL-adjusted copies with
@@ -150,9 +150,10 @@ def _prepare(series: QuarterlySeries, spec: EtsSpec, fixed_alpha):
     return _Job(series, spec, fixed_alpha, mu, sigma, z, *_start(z, spec, fixed_alpha))
 
 
-def _vbox(v, lo, hi):
-    """lo if v < lo else hi if v > hi else v, elementwise."""
-    return np.where(v < lo, lo, np.minimum(v, hi))
+def _box(v, lo, hi, out):
+    """lo if v < lo else hi if v > hi else v, elementwise, into out."""
+    np.minimum(v, hi, out=out)
+    np.copyto(out, lo, where=v < lo)
 
 
 # Rows of _SseObjective's per-member table: box bounds of alpha, then of
@@ -165,12 +166,13 @@ def _clip(c, x) -> np.ndarray:
     """The rows alpha, beta, phi, gamma at the points x (columns), each
     clipped to its member's box (c: the members' table columns)."""
     P = np.empty((4, x.shape[1]))
-    P[0] = _vbox(x[_ALPHA], c[_A_LO], c[_A_HI])
-    lo, hi = c[_LO3 : _LO3 + 3], c[_HI3 : _HI3 + 3].copy()
-    np.multiply(P[0], c[_HAS_T], out=hi[0])
-    np.maximum(1.0 - P[0], _ALPHA_LO, out=hi[2])
+    alpha = P[0]
+    _box(x[_ALPHA], c[_A_LO], c[_A_HI], alpha)
+    hi = c[_HI3 : _HI3 + 3].copy()
+    np.multiply(alpha, c[_HAS_T], hi[0])
+    np.maximum(np.subtract(1.0, alpha), _ALPHA_LO, out=hi[2])
     hi[2] *= c[_HAS_S]
-    P[1:] = _vbox(x[_BETA : _GAMMA + 1], lo, hi)
+    _box(x[_BETA : _GAMMA + 1], c[_LO3 : _LO3 + 3], hi, P[1:])
     return P
 
 
@@ -183,43 +185,87 @@ def _states(x, seasonal) -> np.ndarray:
     return states
 
 
-def _recursion(obs, P, phi, states) -> np.ndarray:
-    """The one-step errors of the innovations recursion, a series per column of obs.
+# The rows of P that multiply the error: alpha, beta and gamma.
+_GAINS = [0, 1, 3]
 
-    P holds the clipped parameters and phi the damping (1.0 without);
-    states (as _states gives them) are updated in place, to those after
-    the last row of obs.
+
+class _Recursion:
+    """The innovations recursion over the columns of obs (T, K), a series each.
+
+    Its buffers and the views of every quarter's step are made once, so a
+    batch that scores the same members again reuses them.  The states
+    live in H (T + PERIOD, 3, K).  Step t reads the level and slope from
+    H[t + PERIOD - 1] (seeded there for t = 0), writes level + damped
+    slope and the damped slope to H[t] beside the seasonal state quarter
+    t uses, and adds each one's gain times the error into
+    H[t + PERIOD]: the level and slope after quarter t, and the seasonal
+    state quarter t + PERIOD uses.  So one add updates all three.
     """
-    E = np.empty(obs.shape)
-    step = np.empty_like(P)
-    tmp = np.empty(obs.shape[1])
-    # Level and slope are adjacent rows, as are lb = level + bt and bt,
-    # so one add updates both: level = lb + alpha * e, slope = bt + beta * e.
-    state, S = states[:2], states[2:]
-    base = np.empty_like(state)
-    lb, bt = base
-    level, slope = state
-    for t in range(obs.shape[0]):
-        seas = S[t % PERIOD]
-        np.multiply(phi, slope, out=bt)
-        np.add(level, bt, out=lb)
-        np.add(lb, seas, out=tmp)
-        np.multiply(P, np.subtract(obs[t], tmp, out=E[t]), out=step)
-        np.add(base, step[:2], out=state)
-        np.add(seas, step[3], out=seas)
-    return E
+
+    def __init__(self, obs):
+        T, K = obs.shape
+        self.T = T
+        self.E = np.empty((T, K))
+        self.H = np.zeros((T + PERIOD, 3, K))
+        # Row views, made in bulk: H[u] is blocks[u] and H[u, i] is rows[3 * u + i].
+        blocks, rows = list(self.H), list(self.H.reshape(-1, K))
+        self.steps = [
+            (rows[3 * (t + PERIOD - 1)], rows[3 * (t + PERIOD - 1) + 1], *rows[3 * t : 3 * t + 3], o, e,
+             blocks[t], blocks[t + PERIOD])
+            for t, (o, e) in enumerate(zip(obs, self.E))
+        ]
+
+    def __call__(self, P, phi, states) -> np.ndarray:
+        """The one-step errors (T, K), from the seed states (as _states gives them).
+
+        P holds the clipped parameters and phi the damping (1.0 without).
+        """
+        H = self.H
+        H[PERIOD - 1, :2] = states[:2]
+        H[:PERIOD, 2] = states[2:]
+        gains = P.take(_GAINS, axis=0)
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        for level, slope, lb, bt, seas, obs, e, base, after in self.steps:
+            multiply(phi, slope, bt)
+            add(level, bt, lb)
+            add(lb, seas, e)
+            subtract(obs, e, e)
+            # alpha * e + (level + bt), beta * e + bt, gamma * e + seas
+            multiply(gains, e, after)
+            add(after, base, after)
+        return self.E
+
+    def final_states(self) -> np.ndarray:
+        """The states after the last quarter, in the rows _states gives: quarter
+        k's seasonal state was last updated in one of the last PERIOD rows of H."""
+        T, H = self.T, self.H
+        return np.concatenate([H[T + PERIOD - 1, :2], H[[T + (k - T) % PERIOD for k in range(PERIOD)], 2]])
 
 
-def _sse(E, live=None) -> np.ndarray:
+def _sse(E, dead=None) -> np.ndarray:
     """Each column's squared errors added in sequence, skipping rows where
-    ``live`` is False; E is squared in place."""
-    np.multiply(E, E, out=E)
-    if live is not None:
-        E = np.where(live, E, 0.0)
-    # A left fold at every batch size, as the scalar sum adds; np.add.reduce
-    # adds a one-row batch (as a shrink step often scores) pairwise from 8
-    # quarters on.
-    return np.add.accumulate(E, axis=0)[-1]
+    ``dead`` is True; E is squared in place."""
+    np.multiply(E, E, E)
+    if dead is not None:
+        np.copyto(E, 0.0, where=dead)
+    return _optim._column_sums(E)
+
+
+class _Batch:
+    """One set of members of an _SseObjective: their table columns,
+    observations (a column each), seasonal flags and the rows past the end
+    of each series, with the recursion over them."""
+
+    def __init__(self, objective, members):
+        self.members = members
+        self.c = objective.table.take(members, axis=1)
+        self.seasonal = objective.seasonal[members]
+        self.dead = ~objective.live[:, members] if objective.live is not None else None
+        self.recursion = _Recursion(objective.Z[:, objective.group[members]])
+
+    def holds(self, members) -> bool:
+        mine = self.members
+        return mine is members or (mine.shape == members.shape and bool((mine == members).all()))
 
 
 class _SseObjective:
@@ -232,7 +278,7 @@ class _SseObjective:
     its own box (_clip), and a parameter the spec lacks gets the box
     [0, 0], so it is exactly 0 with no clip distance; a fixed alpha gets
     the box [alpha, alpha] and a distance times 0.  The recursion
-    (_recursion) is the scalar one with per-row multipliers in place of
+    (_Recursion) is the scalar one with per-row multipliers in place of
     its branches: phi is 1.0 without damping, beta and gamma are 0.0
     without trend or seasonal, and the absent trend and seasonal states
     start at +0.0 and, for a finite error, stay +0.0, so every sum sees
@@ -247,9 +293,10 @@ class _SseObjective:
         for job in jobs:
             groups.setdefault(job.series.values, (len(groups), job.z))
         self.T = max(job.z.size for job in jobs)
-        self.Z = np.zeros((len(groups), self.T))
+        # A column per series, zero past its end.
+        self.Z = np.zeros((self.T, len(groups)))
         for g, z in groups.values():
-            self.Z[g, : z.size] = z
+            self.Z[: z.size, g] = z
         self.group = np.asarray([groups[job.series.values][0] for job in jobs], dtype=np.intp)
         length = np.asarray([job.z.size for job in jobs])
         self.live = np.arange(self.T)[:, None] < length if length.min() < self.T else None
@@ -267,32 +314,33 @@ class _SseObjective:
                 column[[_LO3 + 2, _HAS_S]] = _ALPHA_LO, 1.0
             column[_NOT_DAMPED] = not spec.damped
         self.seasonal = self.table[_HAS_S] == 1.0
-        self._last = None
+        self._batches: list[_Batch] = []
 
     def __call__(self, members, X) -> np.ndarray:
         # Overflow and inf - inf pass silently, as in Python float arithmetic.
         with np.errstate(all="ignore"):
             return self._values(members, X)
 
-    def _gathered(self, members):
-        """The members' table columns, observations, seasonal flags and live mask.
+    def _gathered(self, members) -> _Batch:
+        """The _Batch of the members, made when it is not one of the last two.
 
-        Consecutive iterations of the batch mostly score the same members,
-        so the last gather is kept.
+        The passes of a lockstep run score the same members until some
+        search ends or starts, and a pass that shrinks scores other
+        members in between, so two batches are kept.
         """
-        last = self._last
-        if last is None or (members is not last[0] and not np.array_equal(members, last[0])):
-            self._last = (
-                members,
-                np.take(self.table, members, axis=1),
-                self.Z[self.group[members]].T,
-                self.seasonal[members],
-                self.live[:, members] if self.live is not None else None,
-            )
-        return self._last[1:]
+        batches = self._batches
+        for k, batch in enumerate(batches):
+            if batch.holds(members):
+                if k:
+                    batches.reverse()
+                return batch
+        batch = _Batch(self, members)
+        self._batches = [batch, *batches[:1]]
+        return batch
 
     def _values(self, members, X) -> np.ndarray:
-        c, obs, seasonal, live = self._gathered(members)
+        batch = self._gathered(members)
+        c = batch.c
         x = np.ascontiguousarray(X.T)
         P = _clip(c, x)
         # Clipping flattens the surface outside the parameter box, which can
@@ -300,15 +348,20 @@ class _SseObjective:
         # slope without moving any interior minimum.  Its squares add in the
         # scalar order, alpha to gamma; an absent parameter adds +0.0, which
         # changes no sum.
-        dist = x[_ALPHA : _GAMMA + 1] - P
+        dist = np.subtract(x[_ALPHA : _GAMMA + 1], P)
         dist[0] *= c[_FREE]
-        square = dist * dist
-        np.float_power(dist, 2.0, out=square, where=dist != 0.0)
-        drift = square[0] + square[1]
+        square = np.multiply(dist, dist)
+        clipped = dist != 0.0
+        if np.count_nonzero(clipped):
+            np.float_power(dist, 2.0, out=square, where=clipped)
+        drift = np.add(square[0], square[1])
         drift += square[2]
         drift += square[3]
-        E = _recursion(obs, P, P[2] + c[_NOT_DAMPED], _states(x, seasonal))
-        return _sse(E, live) * (1.0 + drift) + drift
+        E = batch.recursion(P, np.add(P[2], c[_NOT_DAMPED]), _states(x, batch.seasonal))
+        sse = _sse(E, batch.dead)
+        sse *= np.add(1.0, drift)
+        sse += drift
+        return sse
 
 
 class _FitPlan:
@@ -367,9 +420,9 @@ class _FitPlan:
             with np.errstate(all="ignore"):
                 states[0] = mu + sigma * states[0]
                 states[1:] *= sigma
-                seeds = states.T.tolist()
-                sse = _sse(_recursion(obs, P, P[2] + c[_NOT_DAMPED], states)).tolist()
-            rows = zip(members.tolist(), jobs, P.T.tolist(), seeds, states.T.tolist(), sse)
+                recursion = _Recursion(obs)
+                sse = _sse(recursion(P, P[2] + c[_NOT_DAMPED], states)).tolist()
+            rows = zip(members.tolist(), jobs, P.T.tolist(), states.T.tolist(), recursion.final_states().T.tolist(), sse)
             for i, job, (alpha, beta, phi, gamma), seed, final, job_sse in rows:
                 spec, t, s = job.spec, job.spec.has_trend, job.spec.has_seasonal
                 # Every parameter and seed state counts, a fixed alpha too, plus the variance.
@@ -406,9 +459,10 @@ def auto_select_ets_many(tasks) -> list:
     """Fit every spec of every (series, specs) task in one search run and one polish run.
 
     ``specs`` None means the full spec_grid().  Returns, per task, the
-    lowest-AICc fit, or the exception auto_select_ets raises for it
-    (InsufficientDataError below 8 points or when no spec fits).  Ties
-    resolve to the earlier spec in enumeration order.
+    lowest-AICc fit, or the exception auto_select_ets raises for it:
+    InsufficientDataError below 8 points or when it has no spec, else,
+    when no spec fits, the error of its last spec's fit.  Ties resolve to
+    the earlier spec in enumeration order.
     """
     tasks = [(series, spec_grid() if specs is None else list(specs)) for series, specs in tasks]
     short = [
@@ -418,7 +472,8 @@ def auto_select_ets_many(tasks) -> list:
     kept = [task for task, error in zip(tasks, short) if error is None]
     fits = _FitPlan([(series, spec, None) for series, specs in kept for spec in specs]).fits()
     selected = iter(lowest_aicc(
-        [specs for _, specs in kept], fits, lambda: InsufficientDataError("no ETS spec admissible on this series")
+        [specs for _, specs in kept], fits,
+        lambda error: error or InsufficientDataError("no ETS spec admissible on this series"),
     ))
     return [next(selected) if error is None else error for error in short]
 
@@ -428,7 +483,9 @@ def auto_select_ets(series: QuarterlySeries, specs: list[EtsSpec] | None = None)
 
     Ties resolve to the earlier spec in enumeration order.  The (none, none)
     spec fits every series of at least 8 points whose standard deviation
-    is finite; on any other series this raises InsufficientDataError.
+    is finite.  A shorter series raises InsufficientDataError; on a series
+    whose standard deviation overflows, no spec fits and this raises
+    fit_ets's NonconvergenceError, which names the series.
     """
     (fit,) = auto_select_ets_many([(series, specs)])
     if isinstance(fit, Exception):

@@ -51,20 +51,23 @@ def aicc(sse: float, n: int, k: int, shrink: float = 1.0) -> float:
 
 
 def lowest_aicc(jobs, fits, none_fits) -> list:
-    """Per job, its lowest-AICc fit, or ``none_fits()`` when none of its candidates fit.
+    """Per job, its lowest-AICc fit, or ``none_fits(error)`` when none of its candidates fit.
 
     ``jobs`` holds each job's candidates, and ``fits`` yields one fit (with
     an ``aicc``) or error per candidate, job after job.  Errors are skipped
-    and a tie goes to the earlier candidate.
+    and a tie goes to the earlier candidate.  ``error`` is the job's last
+    error, or None when it has no candidates.
     """
     fits = iter(fits)
     selected = []
     for job in jobs:
-        best = None
+        best = error = None
         for fit in islice(fits, len(job)):
-            if not isinstance(fit, Exception) and (best is None or fit.aicc < best.aicc):
+            if isinstance(fit, Exception):
+                error = fit
+            elif best is None or fit.aicc < best.aicc:
                 best = fit
-        selected.append(none_fits() if best is None else best)
+        selected.append(none_fits(error) if best is None else best)
     return selected
 
 

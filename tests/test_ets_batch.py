@@ -1,5 +1,6 @@
 """The lockstep ETS batch against the frozen scalar fit, bit for bit."""
 
+import re
 import struct
 
 import numpy as np
@@ -158,15 +159,19 @@ def test_errors_match_scalar_and_leave_the_rest_alone():
 @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
 def test_series_whose_spread_overflows_gives_errors_not_nan(scale):
     """np.std of the series overflows: no ETS fit is made (it would have NaN
-    SSE and AICc), fit_ets and auto_select_ets raise, and fit_windows records
-    the ETS and STL errors, while ARIMA keeps its finite fallback."""
+    SSE and AICc), fit_ets and auto_select_ets raise fit_ets's error, which
+    names the series, and fit_windows records it for ETS and STL, while
+    ARIMA keeps its finite fallback."""
     big = QuarterlySeries("big", START, ragged(10, 16).to_array() * scale)
-    with pytest.raises(NonconvergenceError, match="^series 'big': the standard deviation of its values overflows$"):
+    overflows = "^series 'big': the standard deviation of its values overflows$"
+    with pytest.raises(NonconvergenceError, match=overflows):
         fit_ets(big, EtsSpec())
-    with pytest.raises(InsufficientDataError, match="^no ETS spec admissible on this series$"):
+    with pytest.raises(NonconvergenceError, match=overflows):
         auto_select_ets(big)
     arima_fc, ets_fc, stl_fc = fit_windows([big], ForecastCache())[0]
-    assert isinstance(ets_fc, InsufficientDataError) and isinstance(stl_fc, InsufficientDataError)
+    for error in (ets_fc, stl_fc):
+        assert isinstance(error, NonconvergenceError), error
+        assert re.match(overflows, str(error)), error
     assert np.all(np.isfinite(arima_fc))
 
 

@@ -81,8 +81,8 @@ class Fit(NamedTuple):
 
 class TestLowestAicc:
     @staticmethod
-    def none_fits():
-        return LookupError("nothing fit")
+    def none_fits(error):
+        return LookupError("nothing fit", error)
 
     def test_tie_goes_to_the_earlier_candidate(self):
         first, second = Fit("first", 1.5), Fit("second", 1.5)
@@ -94,9 +94,12 @@ class TestLowestAicc:
         assert lowest_aicc([range(4)], fits, self.none_fits) == [best]
 
     def test_a_job_with_no_fit_gets_none_fits(self):
-        empty, all_errors = lowest_aicc([[], ["a", "b"]], [ValueError("x"), ValueError("y")], self.none_fits)
+        last = ValueError("y")
+        empty, all_errors = lowest_aicc([[], ["a", "b"]], [ValueError("x"), last], self.none_fits)
         assert isinstance(empty, LookupError) and isinstance(all_errors, LookupError)
         assert empty is not all_errors  # one call per job
+        # none_fits is handed the job's last error, or None when it has no candidates.
+        assert empty.args[1] is None and all_errors.args[1] is last
 
     def test_jobs_of_different_sizes_take_their_fits_in_order(self):
         fits = [Fit("a1", 5.0), Fit("b1", 2.0), Fit("b2", 1.0), Fit("b3", 3.0), Fit("d1", 9.0), Fit("d2", -1.0)]
